@@ -18,55 +18,47 @@ The layers, bottom up:
 from .nand import (BadBlockError, FlashChip, FlashError, FlashGeometry,
                    LatencyModel, NonSequentialWriteError, OpReceipt,
                    OutOfRangeError, OverwriteError, PageState, page_to_block)
-from .mtd import (FunctionSlot, MtdDevice, Partition, PartitionError,
-                  ProbeTargetReport)
-from .probes import (DuplicateProbeError, HookInvocation, ProbeError,
-                     ProbeHandle, ProbeRegistry, StaleHandleError,
-                     UnknownSlotError, invoke_through)
+from .mtd import MtdDevice, Partition, PartitionError
+from .probes import (DuplicateProbeError, HookInvocation, StaleHandleError,
+                     UnknownSlotError)
 from .monitor import (AlreadyAttachedError, FlashMonitor, MonitorConfig,
-                      MonitorError, NotAttachedError, RingLog,
-                      SpatialCounters, TraceEvent, UnknownCommandError,
-                      attach, footprint_estimate, format_time_ns,
-                      parse_spatial, parse_temporal, truncate_task_name)
+                      NotAttachedError, RingLog, SpatialCounters, TraceEvent,
+                      UnknownCommandError, attach, footprint_estimate,
+                      format_time_ns, parse_spatial, parse_temporal,
+                      truncate_task_name)
 from .ffs import (FLAVOR_DEFAULTS, AlreadyMountedError, FfsError,
                   FfsModelConfig, FileAlreadyExistsError, FlashFs,
                   NotMountedError, OutOfSpaceError, UnknownFileError,
                   flavor_config)
-from .workloads import (BootScenarioConfig, PostmarkConfig, PostmarkReport,
-                        boot_scenario_run, postmark_run, raw_erase, raw_read,
-                        raw_write)
-from .analysis import (BACKGROUND_TASK, PHASE_DOMINANCE, PHASE_MIN_EVENTS,
-                       Phase, TraceStats, WearSpread, detect_phases,
-                       emit_plot_data, render_stats, trace_stats, wear_report)
+from .workloads import (BootScenarioConfig, PostmarkConfig, boot_scenario_run,
+                        postmark_run, raw_erase, raw_read, raw_write)
+from .analysis import (BACKGROUND_TASK, PHASE_MIN_EVENTS, Phase,
+                       detect_phases, emit_plot_data, render_stats,
+                       trace_stats, wear_report)
 from .config import (ConfigError, PartitionSpec, ScenarioSpec, default_spec,
                      load_scenario_spec)
-from .runner import (ScenarioResult, build_device, execute_scenario,
-                     overhead_harness, run_scenario, write_outputs,
-                     write_plot_data)
+from .runner import (build_device, execute_scenario, overhead_harness,
+                     run_scenario, write_outputs, write_plot_data)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKGROUND_TASK", "PHASE_DOMINANCE", "PHASE_MIN_EVENTS",
-    "AlreadyAttachedError", "AlreadyMountedError", "BadBlockError",
-    "BootScenarioConfig", "ConfigError", "DuplicateProbeError", "FfsError",
-    "FfsModelConfig", "FileAlreadyExistsError", "FlashChip", "FlashError",
-    "FlashFs", "FlashGeometry", "FlashMonitor", "FLAVOR_DEFAULTS",
-    "FunctionSlot", "HookInvocation", "LatencyModel", "MonitorConfig",
-    "MonitorError", "MtdDevice", "NonSequentialWriteError",
+    "BACKGROUND_TASK", "PHASE_MIN_EVENTS", "AlreadyAttachedError",
+    "AlreadyMountedError", "BadBlockError", "BootScenarioConfig",
+    "ConfigError", "DuplicateProbeError", "FfsError", "FfsModelConfig",
+    "FileAlreadyExistsError", "FlashChip", "FlashError", "FlashFs",
+    "FlashGeometry", "FlashMonitor", "FLAVOR_DEFAULTS", "HookInvocation",
+    "LatencyModel", "MonitorConfig", "MtdDevice", "NonSequentialWriteError",
     "NotAttachedError", "NotMountedError", "OpReceipt", "OutOfRangeError",
     "OutOfSpaceError", "OverwriteError", "PageState", "Partition",
-    "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig",
-    "PostmarkReport", "ProbeError", "ProbeHandle", "ProbeRegistry",
-    "ProbeTargetReport", "RingLog", "ScenarioResult", "ScenarioSpec",
-    "SpatialCounters", "StaleHandleError", "TraceEvent", "TraceStats",
-    "UnknownCommandError", "UnknownFileError", "UnknownSlotError",
-    "WearSpread", "attach", "boot_scenario_run", "build_device",
-    "default_spec", "detect_phases", "emit_plot_data", "execute_scenario",
-    "flavor_config", "footprint_estimate", "format_time_ns",
-    "invoke_through", "load_scenario_spec", "overhead_harness",
-    "page_to_block", "parse_spatial", "parse_temporal", "postmark_run",
-    "raw_erase", "raw_read", "raw_write", "render_stats", "run_scenario",
-    "trace_stats", "truncate_task_name", "wear_report", "write_outputs",
-    "write_plot_data",
+    "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig", "RingLog",
+    "ScenarioSpec", "SpatialCounters", "StaleHandleError", "TraceEvent",
+    "UnknownCommandError", "UnknownFileError", "UnknownSlotError", "attach",
+    "boot_scenario_run", "build_device", "default_spec", "detect_phases",
+    "emit_plot_data", "execute_scenario", "flavor_config",
+    "footprint_estimate", "format_time_ns", "load_scenario_spec",
+    "overhead_harness", "page_to_block", "parse_spatial", "parse_temporal",
+    "postmark_run", "raw_erase", "raw_read", "raw_write", "render_stats",
+    "run_scenario", "trace_stats", "truncate_task_name", "wear_report",
+    "write_outputs", "write_plot_data",
 ]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ffs import FLAVOR_DEFAULTS
+from .mtd import PartitionError, check_partition
 from .nand import FlashGeometry, LatencyModel
 
 SCENARIO_KINDS = ("postmark", "boot", "raw", "custom")
@@ -200,22 +201,13 @@ def _parse_scenario(cp, spec: ScenarioSpec) -> None:
 
 
 def _validate(spec: ScenarioSpec) -> None:
+    for i, part in enumerate(spec.partitions):
+        try:
+            check_partition(part, spec.partitions[:i],
+                            spec.geometry.blocks_per_chip)
+        except PartitionError as exc:
+            raise ConfigError(str(exc)) from None
     labels = spec.partition_labels()
-    if len(labels) != len(set(labels)):
-        raise ConfigError("duplicate partition labels")
-    blocks = spec.geometry.blocks_per_chip
-    claimed = []
-    for part in spec.partitions:
-        if part.first_block < 0 or part.block_count < 1 \
-                or part.first_block + part.block_count > blocks:
-            raise ConfigError(f"partition {part.label!r} does not fit the "
-                              f"chip ({blocks} blocks)")
-        claimed.append((part.first_block, part.first_block + part.block_count,
-                        part.label))
-    claimed.sort()
-    for (_, end_a, label_a), (start_b, _, label_b) in zip(claimed, claimed[1:]):
-        if start_b < end_a:
-            raise ConfigError(f"partitions {label_a!r} and {label_b!r} overlap")
     if spec.traced_partition is not None \
             and spec.traced_partition not in labels:
         raise ConfigError(

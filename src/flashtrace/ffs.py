@@ -146,8 +146,7 @@ class FlashFs:
 
     def __init__(self, dev: MtdDevice, partition, config: FfsModelConfig):
         self.dev = dev
-        self.partition: Partition = (partition if isinstance(partition, Partition)
-                                     else dev.partition(partition))
+        self.partition: Partition = dev.partition(partition)
         self.config = config
         self.mounted = False
         self.first_mount_done = False

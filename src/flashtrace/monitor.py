@@ -313,17 +313,6 @@ class FlashMonitor:
             record(invocation)
         pending.clear()
 
-    def on_event(self, invocation) -> None:
-        """Feed one invocation directly, honoring the current mode."""
-        self._require_attached()
-        if self._mode != "running":
-            return
-        self._drain()
-        event = self._record(invocation)
-        if event is not None:
-            for subscriber in self._subscribers.values():
-                subscriber(event)
-
     # -- control and state -----------------------------------------------
 
     @property

@@ -4,7 +4,8 @@ The driver is organized as a small stack of named function slots.  Upper
 slots accept multi-page (or multi-block) ranges and chunk them into
 single-page calls on the lower slots; lower slots talk to the chip
 directly.  Every call, at both levels, is dispatched through the probe
-registry so observers can interpose without changing behavior.
+registry so observers can interpose without changing behavior; every
+probe is called with the plain 5-tuple the registry defines.
 
 Slots are replaceable: rebinding a slot models substituting one driver
 implementation for another.  A device built in legacy mode keeps the
@@ -19,16 +20,14 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .nand import FlashChip, OutOfRangeError
-from .probes import HookInvocation, ProbeRegistry, UnknownSlotError, invoke_through
-
-_tuple_new = tuple.__new__
+from .probes import ProbeRegistry, UnknownSlotError, invoke_through
 
 UPPER_SLOTS = ("upper.read", "upper.write", "upper.erase")
 LOWER_SLOTS = ("lower.read_page", "lower.write_page", "lower.erase_block")
 
 
 class PartitionError(Exception):
-    """Partition table violation: overlap, misalignment, or out of bounds."""
+    """Partition table violation: out of bounds, overlap, or duplicate label."""
 
 
 class FunctionSlot:
@@ -36,13 +35,13 @@ class FunctionSlot:
 
     ``exposes_address`` records whether a probe on this slot can learn
     per-call addresses from the call itself; legacy lower slots cannot.
-    ``probe_fn`` and ``probe_raw`` are managed by the probe registry and
-    hold the currently active pre-handler (or None) and its calling
-    convention.
+    ``probe_fn`` is managed by the probe registry and holds the currently
+    active pre-handler (or None), called with the raw 5-tuple
+    ``(name, kind, address, time_ns, task_name)``.
     """
 
     __slots__ = ("name", "level", "kind", "target", "exposes_address",
-                 "probe_fn", "probe_raw")
+                 "probe_fn")
 
     def __init__(self, name: str, level: str, kind: str, target: Callable,
                  exposes_address: bool = True):
@@ -52,7 +51,6 @@ class FunctionSlot:
         self.target = target
         self.exposes_address = exposes_address
         self.probe_fn = None
-        self.probe_raw = False
 
     def __repr__(self):
         return f"FunctionSlot({self.name!r}, level={self.level!r}, kind={self.kind!r})"
@@ -74,6 +72,27 @@ class Partition:
     @property
     def page_limit(self) -> int:
         return self.first_page + self.page_count
+
+
+def check_partition(part, claimed, blocks_per_chip: int) -> None:
+    """The one partition-table rule, for Partition and PartitionSpec alike.
+
+    Raises PartitionError unless ``part`` has at least one block, lies
+    within a chip of ``blocks_per_chip`` blocks, and neither overlaps nor
+    shares a label with any partition in ``claimed``.
+    """
+    first, label = part.first_block, part.label
+    limit = first + part.block_count
+    if first < 0 or part.block_count < 1 or limit > blocks_per_chip:
+        raise PartitionError(f"partition {label!r} does not fit the chip "
+                             f"({blocks_per_chip} blocks)")
+    for other in claimed:
+        if other.label == label:
+            raise PartitionError(f"duplicate partition label {label!r}")
+        if first < other.first_block + other.block_count \
+                and other.first_block < limit:
+            raise PartitionError(
+                f"partitions {other.label!r} and {label!r} overlap")
 
 
 class ProbeTargetReport(NamedTuple):
@@ -132,8 +151,8 @@ class MtdDevice:
     #
     # Each upper behavior chunks its range into single-unit lower-slot
     # calls.  The loop is the hot path of every simulation, so the lower
-    # slot's probe state is resolved once per call and the dispatch is
-    # specialized on it; both branches are observably identical to
+    # slot's probe is resolved once per call and the dispatch is
+    # specialized on it; both loops are observably identical to
     # running invoke_through per unit (probes cannot change mid-call on
     # the serialized operation path).
 
@@ -147,21 +166,12 @@ class MtdDevice:
         if fn is None:
             for unit in range(start, start + count):
                 append(target(unit))
-        elif slot.probe_raw:
+        else:
             name = slot.name
             kind = slot.kind
             task = self.current_task
             for unit in range(start, start + count):
                 fn((name, kind, unit, chip.clock_ns, task))
-                append(target(unit))
-        else:
-            name = slot.name
-            kind = slot.kind
-            task = self.current_task
-            make = _tuple_new
-            invocation = HookInvocation
-            for unit in range(start, start + count):
-                fn(make(invocation, (name, kind, unit, chip.clock_ns, task)))
                 append(target(unit))
         return receipts
 
@@ -209,19 +219,6 @@ class MtdDevice:
 
     def add_partition(self, first_block: int, block_count: int, label: str) -> int:
         geometry = self.chip.geometry
-        if first_block < 0 or block_count < 1:
-            raise PartitionError(
-                f"partition {label!r}: need first_block >= 0 and block_count >= 1")
-        if first_block + block_count > geometry.blocks_per_chip:
-            raise PartitionError(
-                f"partition {label!r}: blocks [{first_block}, "
-                f"{first_block + block_count}) exceed chip of "
-                f"{geometry.blocks_per_chip} blocks")
-        limit = first_block + block_count
-        for other in self.partitions:
-            if first_block < other.block_limit and other.first_block < limit:
-                raise PartitionError(
-                    f"partition {label!r} overlaps {other.label!r}")
         part = Partition(
             index=len(self.partitions),
             first_block=first_block,
@@ -230,11 +227,15 @@ class MtdDevice:
             first_page=first_block * geometry.pages_per_block,
             page_count=block_count * geometry.pages_per_block,
         )
+        check_partition(part, self.partitions, geometry.blocks_per_chip)
         self.partitions.append(part)
         return part.index
 
     def partition(self, ident) -> Partition:
-        """Look up a partition by index or by label."""
+        """Look up a partition by index or by label; a Partition is
+        returned unchanged."""
+        if isinstance(ident, Partition):
+            return ident
         if isinstance(ident, int):
             if 0 <= ident < len(self.partitions):
                 return self.partitions[ident]

@@ -5,11 +5,13 @@ on the caller's path, sees the call's kind/address/time/task before the
 slot's behavior executes, and cannot change the call's outcome.  At most
 one probe may be attached to a slot at a time.
 
-Handlers normally receive a HookInvocation.  A handler registered with
-``raw_tuple=True`` receives the same five fields as a plain tuple
-instead; that skips one allocation per event and exists for sinks that
-run on every single flash operation (the monitor's ingestion path,
-mirroring a real trace handler that only appends to preallocated RAM).
+Every slot calls its probe with the plain 5-tuple ``(slot_name, kind,
+address, time_ns, task_name)``.  A handler registered with
+``raw_tuple=True`` receives that tuple directly; that skips one
+allocation per event and exists for sinks that run on every single flash
+operation (the monitor's ingestion path, mirroring a real trace handler
+that only appends to preallocated RAM).  Any other handler is wrapped
+once, at registration, so it receives a HookInvocation.
 
 The active handler is stashed directly on the slot object (``probe_fn``)
 so the dispatch shim pays one attribute load when deciding whether to
@@ -47,6 +49,13 @@ class HookInvocation(NamedTuple):
     address: int  # page index for R/W, block index for E
     time_ns: int  # virtual clock at call entry
     task_name: str
+
+
+def _invocation_handler(handler: Callable) -> Callable:
+    """Adapt a HookInvocation handler to the slots' raw 5-tuple call."""
+    def fire(raw: tuple) -> None:
+        handler(_tuple_new(HookInvocation, raw))
+    return fire
 
 
 class ProbeHandle:
@@ -87,10 +96,11 @@ class ProbeRegistry:
             raise UnknownSlotError(f"no slot named {slot_name!r}")
         if slot_name in self._handles:
             raise DuplicateProbeError(f"slot {slot_name!r} already probed")
+        if not raw_tuple:
+            handler = _invocation_handler(handler)
         handle = ProbeHandle(self._next_id, slot, handler)
         self._next_id += 1
         self._handles[slot_name] = handle
-        slot.probe_raw = raw_tuple
         slot.probe_fn = handler
         return handle
 
@@ -99,7 +109,6 @@ class ProbeRegistry:
         if current is not handle or not handle._registered:
             raise StaleHandleError(f"handle {handle.id} is not registered")
         handle._slot.probe_fn = None
-        handle._slot.probe_raw = False
         handle._registered = False
         del self._handles[handle.slot_name]
 
@@ -115,9 +124,5 @@ def invoke_through(slot, time_ns: int, task_name: str, *args):
     """
     fn = slot.probe_fn
     if fn is not None:
-        if slot.probe_raw:
-            fn((slot.name, slot.kind, args[0], time_ns, task_name))
-        else:
-            fn(_tuple_new(HookInvocation,
-                          (slot.name, slot.kind, args[0], time_ns, task_name)))
+        fn((slot.name, slot.kind, args[0], time_ns, task_name))
     return slot.target(*args)

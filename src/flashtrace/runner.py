@@ -10,9 +10,9 @@ up front because their whole point is to trace mount and tool traffic.
 from __future__ import annotations
 
 import gc as _gc
-import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -58,19 +58,9 @@ def _drain(fs: FlashFs) -> None:
 
 
 def _postmark_config(params: dict) -> PostmarkConfig:
-    defaults = PostmarkConfig()
-    return PostmarkConfig(
-        n_files=params.get("n_files", defaults.n_files),
-        file_size_min=params.get("file_size_min", defaults.file_size_min),
-        file_size_max=params.get("file_size_max", defaults.file_size_max),
-        n_transactions=params.get("n_transactions", defaults.n_transactions),
-        io_size=params.get("io_size", defaults.io_size),
-        read_append_ratio=params.get("read_append_ratio",
-                                     defaults.read_append_ratio),
-        create_delete_ratio=params.get("create_delete_ratio",
-                                       defaults.create_delete_ratio),
-        n_subdirs=params.get("n_subdirs", defaults.n_subdirs),
-        rng_seed=params.get("rng_seed", defaults.rng_seed))
+    return PostmarkConfig(**{f.name: params[f.name]
+                             for f in fields(PostmarkConfig)
+                             if f.name in params})
 
 
 def _run_postmark(spec: ScenarioSpec, dev: MtdDevice,
@@ -90,22 +80,20 @@ def _run_postmark(spec: ScenarioSpec, dev: MtdDevice,
 def _run_boot(spec: ScenarioSpec, dev: MtdDevice,
               attach_monitor: bool) -> ScenarioResult:
     params = spec.params
-    part = dev.partition(params["partition"])
-    page_size = dev.chip.geometry.page_size
-    rootfs_bytes = params.get("rootfs_bytes", 0)
-    image_pages = math.ceil(rootfs_bytes / page_size)
-    if image_pages > part.page_count:
-        raise FfsError("root image does not fit the partition")
-    if image_pages > 0:
-        dev.chip.install_image(part.first_page, image_pages)
     monitor = attach(dev, _monitor_config(spec)) if attach_monitor else None
     script = params.get("script")
-    cfg = BootScenarioConfig(
-        rootfs_bytes=0,  # installed above, before monitor attachment
-        partition=part.label,
-        flavor=params.get("flavor", "jffs2_like"),
-        **({"post_mount_script": tuple(script)} if script is not None else {}))
-    boot_scenario_run(dev, cfg, boots=params.get("boots", 2))
+    try:
+        cfg = BootScenarioConfig(
+            rootfs_bytes=params.get("rootfs_bytes", 0),
+            partition=params["partition"],
+            flavor=params.get("flavor", "jffs2_like"),
+            **({"post_mount_script": tuple(script)}
+               if script is not None else {}))
+        # Installing the root image emits no events, so the monitor may
+        # attach before it.
+        boot_scenario_run(dev, cfg, boots=params.get("boots", 2))
+    except ValueError as exc:  # bad scenario input, e.g. an oversized image
+        raise FfsError(str(exc)) from exc
     return ScenarioResult(dev, monitor, None)
 
 

@@ -181,21 +181,16 @@ def boot_scenario_run(dev: MtdDevice, cfg: BootScenarioConfig, boots: int = 1,
     return fs
 
 
-def _partition_of(dev: MtdDevice, partition):
-    return dev.partition(partition) if not hasattr(partition, "first_page") \
-        else partition
-
-
 def raw_erase(dev: MtdDevice, partition) -> None:
     """Whole-partition erase, the way the flash_erase tool does it."""
-    part = _partition_of(dev, partition)
+    part = dev.partition(partition)
     with dev.task("flash_erase"):
         dev.mtd_erase(part.first_block, part.block_count)
 
 
 def raw_write(dev: MtdDevice, partition, nbytes: int) -> None:
     """Sequential page writes from the partition start (nandwrite)."""
-    part = _partition_of(dev, partition)
+    part = dev.partition(partition)
     count = math.ceil(nbytes / dev.chip.geometry.page_size)
     if count > part.page_count:
         raise OutOfRangeError(f"{nbytes} bytes exceed partition "
@@ -207,7 +202,7 @@ def raw_write(dev: MtdDevice, partition, nbytes: int) -> None:
 
 def raw_read(dev: MtdDevice, partition, nbytes: int) -> None:
     """Sequential page reads from the partition start (nanddump)."""
-    part = _partition_of(dev, partition)
+    part = dev.partition(partition)
     count = math.ceil(nbytes / dev.chip.geometry.page_size)
     if count > part.page_count:
         raise OutOfRangeError(f"{nbytes} bytes exceed partition "

@@ -54,9 +54,3 @@ def dev400():
     dev = MtdDevice(FlashChip())
     dev.add_partition(0, 400, "p0")
     return dev
-
-
-def make_dev400():
-    dev = MtdDevice(FlashChip())
-    dev.add_partition(0, 400, "p0")
-    return dev

@@ -246,14 +246,15 @@ class TestCliErrors:
             == EXIT_CONFIG
 
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
-        ini = ("[chip]\nn_blocks = 64\npage_size = 512\n"
-               "pages_per_block = 32\n"
-               "[scenario]\nkind = raw\nwrite_bytes = 50000000\n")
-        config = write_ini(tmp_path, ini)
-        code = main(["run", "--config", config, "--out",
-                     str(tmp_path / "out")])
-        assert code == EXIT_RUNTIME
-        assert "scenario failed" in capsys.readouterr().err
+        chip = ("[chip]\nn_blocks = 64\npage_size = 512\n"
+                "pages_per_block = 32\n")
+        for scenario in ("kind = raw\nwrite_bytes = 50000000\n",
+                         "kind = boot\nrootfs_bytes = 50000000\n"):
+            config = write_ini(tmp_path, chip + "[scenario]\n" + scenario)
+            code = main(["run", "--config", config, "--out",
+                         str(tmp_path / "out")])
+            assert code == EXIT_RUNTIME
+            assert "scenario failed" in capsys.readouterr().err
 
     def test_overhead_runs_guard(self, tmp_path):
         config = write_ini(tmp_path, BASE_INI)

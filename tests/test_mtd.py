@@ -135,6 +135,7 @@ class TestPartitions:
         assert index == 0
         part = dev.partition("data")
         assert part is dev.partition(0)
+        assert dev.partition(part) is part
         assert isinstance(part, Partition)
         assert part.first_block == 2
         assert part.block_count == 4
@@ -158,6 +159,8 @@ class TestPartitions:
             dev.add_partition(3, 2, "c")
         with pytest.raises(PartitionError):
             dev.add_partition(0, 16, "d")
+        with pytest.raises(PartitionError, match="duplicate"):
+            dev.add_partition(8, 4, "a")
 
     def test_unknown_lookup(self, dev):
         with pytest.raises(PartitionError):

@@ -136,12 +136,13 @@ class TestRawTupleMode:
         assert HookInvocation(*raw).address == 0
 
     def test_mode_resets_on_unregister(self, dev):
-        slot = dev.slot("lower.write_page")
         handle = dev.hooks.register_probe("lower.write_page",
                                           lambda inv: None, raw_tuple=True)
-        assert slot.probe_raw
         dev.hooks.unregister_probe(handle)
-        assert not slot.probe_raw
+        seen = []
+        dev.hooks.register_probe("lower.write_page", seen.append)
+        dev.mtd_write(0, 1)
+        assert isinstance(seen[0], HookInvocation)
 
 
 class TestTransparency:
