@@ -6,8 +6,12 @@
     flashtrace overhead --config exp.ini --runs 5
 
 Without --config a built-in default spec runs Postmark on a 400-block
-partition of the default chip.  Exit codes: 0 success, 1 configuration
-problem, 2 scenario runtime failure.
+partition of the default chip.
+
+Every scenario value is checked when the config is loaded and again
+after the flags are applied.  ``main`` is the one place that turns an
+error into a message and an exit code: 0 success, 1 configuration error
+(``config error: ...``), 2 scenario failure (``scenario failed: ...``).
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .config import ConfigError, ScenarioSpec, default_spec, load_scenario_spec
+from .config import (ConfigError, ScenarioSpec, default_spec,
+                     load_scenario_spec, validate)
 from .ffs import FfsError
 from .nand import FlashError
 from .runner import (compute_stats, execute_scenario, overhead_harness,
-                     run_scenario, write_outputs, write_plot_data)
+                     run_scenario, write_plot_data)
 from .analysis import render_stats
 
 EXIT_OK = 0
@@ -67,25 +72,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     spec = load_scenario_spec(args.config) if args.config else default_spec()
     if args.partition is not None:
+        labels = spec.partition_labels()
         label = args.partition
-        if label.isdigit():
-            index = int(label)
-            labels = spec.partition_labels()
-            if not 0 <= index < len(labels):
-                raise ConfigError(f"no partition with index {index}")
-            label = labels[index]
-        elif label not in spec.partition_labels():
-            raise ConfigError(f"no partition labeled {label!r}")
+        if label.isdigit() and int(label) < len(labels):
+            label = labels[int(label)]
         spec.traced_partition = label
     if args.log_size is not None:
-        if args.log_size < 1:
-            raise ConfigError("--log-size must be >= 1")
         spec.log_capacity = args.log_size
     if args.no_tasknames:
         spec.record_task_names = False
     if args.seed is not None:
         spec.params["rng_seed"] = args.seed
     spec.out_dir = args.out
+    validate(spec)
     return spec
 
 
@@ -93,41 +92,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "run":
-            status = run_scenario(spec)
-            if status == 0:
-                print(f"wrote spatial.txt, temporal.log, stats.txt "
-                      f"to {spec.out_dir}")
-            return status
-        if args.command == "stats":
+            run_scenario(spec)
+            print(f"wrote spatial.txt, temporal.log, stats.txt "
+                  f"to {spec.out_dir}")
+        elif args.command == "stats":
             result = execute_scenario(spec)
             print(render_stats(compute_stats(result.monitor)), end="")
-            return EXIT_OK
-        if args.command == "plotdata":
-            result = execute_scenario(spec)
-            names = write_plot_data(spec, result)
+        elif args.command == "plotdata":
+            names = write_plot_data(spec, execute_scenario(spec))
             print(f"wrote {', '.join(names)} to {spec.out_dir}")
-            return EXIT_OK
-        if args.command == "overhead":
+        else:
             if args.runs < 1:
-                print("config error: --runs must be >= 1", file=sys.stderr)
-                return EXIT_CONFIG
+                raise ConfigError("--runs must be >= 1")
             percent = overhead_harness(spec, runs=args.runs)
             print(f"monitor overhead: {percent:+.2f}% host CPU "
                   f"({args.runs} paired runs)")
-            return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FlashError, FfsError, OSError) as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from typing import Optional
 from .ffs import FLAVOR_DEFAULTS
 from .mtd import PartitionError, check_partition
 from .nand import FlashGeometry, LatencyModel
+from .workloads import postmark_config
 
 SCENARIO_KINDS = ("postmark", "boot", "raw", "custom")
 
@@ -27,16 +28,19 @@ _CHIP_KEYS = {"page_size", "pages_per_block", "n_blocks", "read_latency_ns",
               "write_latency_ns", "erase_latency_ns", "endurance_limit"}
 _PARTITION_KEYS = {"first_block", "block_count"}
 _MONITOR_KEYS = {"traced_partition", "log_capacity", "record_task_names"}
-_SCENARIO_KEYS = {
-    "kind", "partition", "flavor", "rng_seed",
+# Integer scenario keys; none of them may be negative.
+_SCENARIO_INT_KEYS = (
+    "rng_seed",
     # postmark
     "n_files", "file_size_min", "file_size_max", "n_transactions",
     "io_size", "read_append_ratio", "create_delete_ratio", "n_subdirs",
     # boot
-    "rootfs_bytes", "boots", "script",
+    "rootfs_bytes", "boots",
     # raw
-    "erase_first", "write_bytes", "read_bytes",
-}
+    "write_bytes", "read_bytes",
+)
+_SCENARIO_KEYS = {"kind", "partition", "flavor", "script", "erase_first",
+                  *_SCENARIO_INT_KEYS}
 
 
 class ConfigError(Exception):
@@ -70,10 +74,8 @@ class ScenarioSpec:
 def default_spec() -> ScenarioSpec:
     """A runnable spec used when no config file is given: the default
     chip, one 400-block partition, and a Postmark run on it."""
-    spec = ScenarioSpec()
-    spec.partitions = [PartitionSpec("main", 0, 400)]
-    spec.traced_partition = "main"
-    spec.params = {"partition": "main", "flavor": "jffs2_like"}
+    spec = ScenarioSpec(params={"flavor": "jffs2_like"})
+    validate(spec)
     return spec
 
 
@@ -149,8 +151,6 @@ def _parse_monitor(cp, spec: ScenarioSpec) -> None:
     spec.traced_partition = traced or None
     spec.log_capacity = _get_int(cp, "monitor", "log_capacity",
                                  spec.log_capacity)
-    if spec.log_capacity < 1:
-        raise ConfigError("[monitor] log_capacity must be >= 1")
     spec.record_task_names = _get_bool(cp, "monitor", "record_task_names",
                                        spec.record_task_names)
 
@@ -176,11 +176,7 @@ def _parse_scenario(cp, spec: ScenarioSpec) -> None:
     if not cp.has_section("scenario"):
         return
     _check_keys("scenario", cp.options("scenario"), _SCENARIO_KEYS)
-    kind = cp.get("scenario", "kind", fallback="postmark").strip()
-    if kind not in SCENARIO_KINDS:
-        raise ConfigError(f"unknown scenario kind {kind!r} "
-                          f"(expected one of {', '.join(SCENARIO_KINDS)})")
-    spec.kind = kind
+    spec.kind = cp.get("scenario", "kind", fallback="postmark").strip()
     params = spec.params
     partition = cp.get("scenario", "partition", fallback="").strip()
     if partition:
@@ -188,10 +184,7 @@ def _parse_scenario(cp, spec: ScenarioSpec) -> None:
     flavor = cp.get("scenario", "flavor", fallback="").strip()
     if flavor:
         params["flavor"] = flavor
-    for key in ("rng_seed", "n_files", "file_size_min", "file_size_max",
-                "n_transactions", "io_size", "read_append_ratio",
-                "create_delete_ratio", "n_subdirs", "rootfs_bytes", "boots",
-                "write_bytes", "read_bytes"):
+    for key in _SCENARIO_INT_KEYS:
         if cp.has_option("scenario", key):
             params[key] = _get_int(cp, "scenario", key, 0)
     if cp.has_option("scenario", "erase_first"):
@@ -200,30 +193,48 @@ def _parse_scenario(cp, spec: ScenarioSpec) -> None:
         params["script"] = _parse_script(cp.get("scenario", "script"))
 
 
-def _validate(spec: ScenarioSpec) -> None:
-    for i, part in enumerate(spec.partitions):
-        try:
-            check_partition(part, spec.partitions[:i],
-                            spec.geometry.blocks_per_chip)
-        except PartitionError as exc:
-            raise ConfigError(str(exc)) from None
+def validate(spec: ScenarioSpec) -> None:
+    """Check every scenario rule, raising ConfigError for the first broken one.
+
+    A spec without partitions gets one "main" partition of 400 blocks (or
+    the whole chip, if smaller), traced unless another is named; a
+    scenario without a partition runs on the first one.
+    """
+    if not spec.partitions:
+        spec.partitions = [PartitionSpec(
+            "main", 0, min(400, spec.geometry.blocks_per_chip))]
+        if spec.traced_partition is None:
+            spec.traced_partition = "main"
     labels = spec.partition_labels()
     if spec.traced_partition is not None \
             and spec.traced_partition not in labels:
         raise ConfigError(
             f"traced_partition {spec.traced_partition!r} is not defined")
-    if spec.kind in ("postmark", "boot", "raw", "custom"):
-        target = spec.params.get("partition")
-        if target is None:
-            if not spec.partitions:
-                raise ConfigError(f"scenario {spec.kind!r} needs a partition")
-            spec.params["partition"] = spec.partitions[0].label
-        elif target not in labels:
-            raise ConfigError(f"scenario partition {target!r} is not defined")
-    flavor = spec.params.get("flavor")
+    if spec.log_capacity < 1:
+        raise ConfigError("log_capacity must be >= 1")
+    if spec.kind not in SCENARIO_KINDS:
+        raise ConfigError(f"unknown scenario kind {spec.kind!r} "
+                          f"(expected one of {', '.join(SCENARIO_KINDS)})")
+    params = spec.params
+    target = params.setdefault("partition", labels[0])
+    if target not in labels:
+        raise ConfigError(f"scenario partition {target!r} is not defined")
+    flavor = params.get("flavor")
     if flavor is not None and flavor not in FLAVOR_DEFAULTS:
         raise ConfigError(f"unknown flavor {flavor!r} (expected one of "
                           f"{', '.join(sorted(FLAVOR_DEFAULTS))})")
+    for key in _SCENARIO_INT_KEYS:
+        if params.get(key, 0) < 0:
+            raise ConfigError(f"[scenario] {key} must be >= 0")
+    if any(nbytes < 0 for _, nbytes in params.get("script", ())):
+        raise ConfigError("script step sizes must be >= 0")
+    try:
+        for i, part in enumerate(spec.partitions):
+            check_partition(part, spec.partitions[:i],
+                            spec.geometry.blocks_per_chip)
+        postmark_config(params)
+    except (PartitionError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_scenario_spec(path: str) -> ScenarioSpec:
@@ -244,11 +255,5 @@ def load_scenario_spec(path: str) -> ScenarioSpec:
     _parse_partitions(cp, spec)
     _parse_monitor(cp, spec)
     _parse_scenario(cp, spec)
-    if not spec.partitions:
-        spec.partitions = [PartitionSpec("main", 0,
-                                         min(400,
-                                             spec.geometry.blocks_per_chip))]
-        if spec.traced_partition is None:
-            spec.traced_partition = "main"
-    _validate(spec)
+    validate(spec)
     return spec

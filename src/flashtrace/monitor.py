@@ -14,11 +14,12 @@ partition: page index for R/W events, block index for E events.
 
 Ingestion is deliberately cheap: the probe sink appends the raw
 invocation to a pending list and all bucketing/filtering is folded into
-the views the next time one is read or a control command runs.  With
-subscribers present the monitor switches to an eager sink so each
-recorded event is delivered as it happens.  Either way the observable
-views are identical, and the cost added to the operation path stays a
-small fraction of the simulated driver work.
+the views the next time one (``counters`` and ``log`` included) is read
+or a control command runs.  With subscribers present the monitor
+switches to an eager sink so each recorded event is delivered as it
+happens.  Either way the observable views are identical, and the cost
+added to the operation path stays a small fraction of the simulated
+driver work.
 """
 
 from __future__ import annotations
@@ -82,11 +83,13 @@ def parse_time(text: str) -> int:
     return int(seconds) * NS_PER_SECOND + int(fraction)
 
 
-def format_event(event: TraceEvent, with_task: bool) -> str:
+def format_events(events, with_task: bool) -> str:
+    """The temporal log lines of ``events``, in order."""
     if with_task:
-        return (f"{format_time_ns(event.time_ns)};{event.kind};"
-                f"{event.address};{event.task_name}\n")
-    return f"{format_time_ns(event.time_ns)};{event.kind};{event.address}\n"
+        return "".join(f"{format_time_ns(t)};{kind};{address};{task}\n"
+                       for t, kind, address, task in events)
+    return "".join(f"{format_time_ns(t)};{kind};{address}\n"
+                   for t, kind, address, _ in events)
 
 
 def parse_temporal(text: str) -> list[TraceEvent]:
@@ -144,6 +147,9 @@ class RingLog:
 
     def entries(self) -> list[TraceEvent]:
         return list(self._entries)
+
+    def __iter__(self):
+        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -236,8 +242,9 @@ class FlashMonitor:
         self._first_block = first_block
         self._block_limit = block_limit
         self._pages_per_block = geometry.pages_per_block
-        self.counters = SpatialCounters(first_block, block_limit - first_block)
-        self.log = RingLog(config.log_capacity)
+        self._counters = SpatialCounters(first_block,
+                                         block_limit - first_block)
+        self._log = RingLog(config.log_capacity)
         self._pending: list[tuple] = []
         self._mode = "running"
         self._subscribers: dict[int, Callable] = {}
@@ -282,7 +289,7 @@ class FlashMonitor:
             block = address // self._pages_per_block
         if not self._first_block <= block < self._block_limit:
             return None
-        counters = self.counters
+        counters = self._counters
         i = block - counters.first_block
         if kind == "R":
             counters.reads[i] += 1
@@ -295,7 +302,7 @@ class FlashMonitor:
             task = truncate_task_name(raw_task)
             self._task_cache[raw_task] = task
         event = TraceEvent(time_ns, kind, address, task)
-        self.log.insert(event)
+        self._log.insert(event)
         return event
 
     def _ingest_eager(self, invocation) -> None:
@@ -320,9 +327,18 @@ class FlashMonitor:
         return self._mode
 
     @property
+    def counters(self) -> SpatialCounters:
+        self._drain()
+        return self._counters
+
+    @property
+    def log(self) -> RingLog:
+        self._drain()
+        return self._log
+
+    @property
     def total_inserted(self) -> int:
         self._require_attached()
-        self._drain()
         return self.log.total_inserted
 
     def control(self, command: str) -> None:
@@ -344,7 +360,6 @@ class FlashMonitor:
             self.counters.zero()
             self.log.clear()
         elif command == "flush":
-            self._drain()
             self.log.clear()
         else:
             raise UnknownCommandError(f"unknown control command {command!r}")
@@ -353,12 +368,10 @@ class FlashMonitor:
 
     def events(self) -> list[TraceEvent]:
         self._require_attached()
-        self._drain()
         return self.log.entries()
 
     def render_spatial(self) -> str:
         self._require_attached()
-        self._drain()
         counters = self.counters
         reads, writes, erases = counters.reads, counters.writes, counters.erases
         return "".join(f"{reads[i]} {writes[i]} {erases[i]}\n"
@@ -366,14 +379,7 @@ class FlashMonitor:
 
     def render_temporal(self) -> str:
         self._require_attached()
-        self._drain()
-        if self.config.record_task_names:
-            return "".join(
-                f"{format_time_ns(t)};{kind};{address};{task}\n"
-                for t, kind, address, task in self.log._entries)
-        return "".join(
-            f"{format_time_ns(t)};{kind};{address}\n"
-            for t, kind, address, _ in self.log._entries)
+        return format_events(self.log, self.config.record_task_names)
 
     # -- subscribers -----------------------------------------------------
 

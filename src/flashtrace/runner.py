@@ -5,25 +5,27 @@ The Postmark scenario attaches the monitor only after the mount and
 its background work have finished, so the trace covers the benchmark
 itself rather than boot activity.  The boot and raw scenarios attach
 up front because their whole point is to trace mount and tool traffic.
+
+Nothing here catches or prints an error: a spec is checked by
+``config.validate`` before it runs, and ``cli.main`` turns what a run
+raises into a message and an exit code.
 """
 
 from __future__ import annotations
 
 import gc as _gc
-import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .analysis import TraceStats, emit_plot_data, render_stats, trace_stats
-from .config import ConfigError, ScenarioSpec
+from .config import ScenarioSpec
 from .ffs import FfsError, FlashFs, flavor_config
 from .monitor import FlashMonitor, MonitorConfig, attach
 from .mtd import MtdDevice
-from .nand import FlashChip, FlashError
-from .workloads import (BootScenarioConfig, PostmarkConfig, PostmarkReport,
-                        boot_scenario_run, postmark_run, raw_erase, raw_read,
+from .nand import FlashChip
+from .workloads import (BootScenarioConfig, PostmarkReport, boot_scenario_run,
+                        postmark_config, postmark_run, raw_erase, raw_read,
                         raw_write)
 
 SPATIAL_FILE = "spatial.txt"
@@ -57,12 +59,6 @@ def _drain(fs: FlashFs) -> None:
         pass
 
 
-def _postmark_config(params: dict) -> PostmarkConfig:
-    return PostmarkConfig(**{f.name: params[f.name]
-                             for f in fields(PostmarkConfig)
-                             if f.name in params})
-
-
 def _run_postmark(spec: ScenarioSpec, dev: MtdDevice,
                   attach_monitor: bool) -> ScenarioResult:
     params = spec.params
@@ -71,7 +67,7 @@ def _run_postmark(spec: ScenarioSpec, dev: MtdDevice,
     fs.mount()
     _drain(fs)
     monitor = attach(dev, _monitor_config(spec)) if attach_monitor else None
-    report = postmark_run(fs, _postmark_config(params))
+    report = postmark_run(fs, postmark_config(params))
     _drain(fs)
     fs.unmount()
     return ScenarioResult(dev, monitor, report)
@@ -82,17 +78,17 @@ def _run_boot(spec: ScenarioSpec, dev: MtdDevice,
     params = spec.params
     monitor = attach(dev, _monitor_config(spec)) if attach_monitor else None
     script = params.get("script")
+    cfg = BootScenarioConfig(
+        rootfs_bytes=params.get("rootfs_bytes", 0),
+        partition=params["partition"],
+        flavor=params.get("flavor", "jffs2_like"),
+        **({"post_mount_script": tuple(script)}
+           if script is not None else {}))
     try:
-        cfg = BootScenarioConfig(
-            rootfs_bytes=params.get("rootfs_bytes", 0),
-            partition=params["partition"],
-            flavor=params.get("flavor", "jffs2_like"),
-            **({"post_mount_script": tuple(script)}
-               if script is not None else {}))
         # Installing the root image emits no events, so the monitor may
         # attach before it.
         boot_scenario_run(dev, cfg, boots=params.get("boots", 2))
-    except ValueError as exc:  # bad scenario input, e.g. an oversized image
+    except ValueError as exc:  # the root image does not fit the partition
         raise FfsError(str(exc)) from exc
     return ScenarioResult(dev, monitor, None)
 
@@ -152,8 +148,7 @@ def execute_scenario(spec: ScenarioSpec,
 
 
 def compute_stats(monitor: FlashMonitor) -> TraceStats:
-    events = monitor.events()  # folds any pending raw events into both views
-    return trace_stats(events, monitor.counters)
+    return trace_stats(monitor.events(), monitor.counters)
 
 
 def write_outputs(spec: ScenarioSpec, result: ScenarioResult) -> TraceStats:
@@ -180,16 +175,9 @@ def write_plot_data(spec: ScenarioSpec, result: ScenarioResult) -> list[str]:
     return written
 
 
-def run_scenario(spec: ScenarioSpec) -> int:
-    """Run and write spatial/temporal/stats files; 0 on success, 2 on a
-    scenario runtime failure."""
-    try:
-        result = execute_scenario(spec)
-        write_outputs(spec, result)
-    except (FlashError, FfsError, ConfigError, OSError) as exc:
-        print(f"scenario failed: {exc}", file=sys.stderr)
-        return 2
-    return 0
+def run_scenario(spec: ScenarioSpec) -> TraceStats:
+    """Run the scenario and write the spatial, temporal and stats files."""
+    return write_outputs(spec, execute_scenario(spec))
 
 
 def overhead_harness(spec: ScenarioSpec, runs: int = 5) -> float:

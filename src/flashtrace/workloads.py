@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 from .ffs import FlashFs, OutOfSpaceError, flavor_config
@@ -43,6 +43,13 @@ class PostmarkConfig:
             raise ValueError("create_delete_ratio must be in [0, 100]")
         if self.n_subdirs < 1:
             raise ValueError("n_subdirs must be >= 1")
+
+
+def postmark_config(params: dict) -> PostmarkConfig:
+    """A PostmarkConfig from the scenario params that name its fields."""
+    return PostmarkConfig(**{f.name: params[f.name]
+                             for f in fields(PostmarkConfig)
+                             if f.name in params})
 
 
 @dataclass

@@ -18,7 +18,7 @@ from flashtrace import (FlashChip, FlashError, FlashGeometry, LatencyModel,
                         boot_scenario_run, BootScenarioConfig, default_spec,
                         execute_scenario, footprint_estimate, overhead_harness,
                         parse_temporal, raw_erase, raw_read, raw_write)
-from flashtrace.monitor import format_event
+from flashtrace.monitor import format_events
 from flashtrace.runner import compute_stats
 
 from conftest import SMALL, queue_verdict
@@ -71,8 +71,7 @@ def test_temporal_log_byte_exactness():
     expected = ("13.551048336;R;22655;cat\n"
                 "13.552904998;W;6935;sync_supers\n"
                 "13.563917567;E;1025;jffs2_gcd_mtd6\n")
-    rendered = "".join(format_event(event, with_task=True)
-                       for event in events)
+    rendered = format_events(events, with_task=True)
     assert rendered.encode("utf-8") == expected.encode("utf-8")
     assert parse_temporal(expected) == events
 

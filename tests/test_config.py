@@ -131,6 +131,14 @@ class TestLoadSpec:
          "[partition.a]\nfirst_block = 0\nblock_count = 4\n", "nope"),
         ("[scenario]\nkind = boot\nscript =\n    trim 42\n", "script"),
         ("[scenario]\nkind = boot\nscript =\n    read lots\n", "script"),
+        ("[scenario]\nkind = boot\nscript =\n    write -5\n", "script"),
+        ("[scenario]\nkind = custom\nscript =\n    write -5\n", "script"),
+        ("[scenario]\nn_subdirs = 0\n", "n_subdirs"),
+        ("[scenario]\nfile_size_min = 900\nfile_size_max = 100\n",
+         "file_size_min"),
+        ("[scenario]\nread_append_ratio = 150\n", "read_append_ratio"),
+        ("[scenario]\nkind = raw\nwrite_bytes = -4096\n", "write_bytes"),
+        ("[scenario]\nkind = boot\nboots = -1\n", "boots"),
         ("no section header\n", "malformed"),
         ("[partition.a]\nfirst_block = 0\nblock_count = 4\n"
          "[partition.a]\nfirst_block = 8\nblock_count = 4\n", "malformed"),
@@ -255,6 +263,13 @@ class TestCliErrors:
                          str(tmp_path / "out")])
             assert code == EXIT_RUNTIME
             assert "scenario failed" in capsys.readouterr().err
+
+    def test_bad_scenario_value_is_exit_1(self, tmp_path, capsys):
+        config = write_ini(tmp_path, BOOT_INI.replace("write 512",
+                                                      "write -5"))
+        assert main(["run", "--config", config, "--out",
+                     str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_overhead_runs_guard(self, tmp_path):
         config = write_ini(tmp_path, BASE_INI)

@@ -193,6 +193,9 @@ class TestScope:
         mon = attach(rig)
         rig.mtd_write(0, 1)
         rig.mtd_write(SMALL.total_pages - SMALL.pages_per_block, 1)
+        # Read before any other view: both fold the pending events.
+        assert mon.counters.sums() == (0, 2, 0)
+        assert len(mon.log) == 2
         assert len(mon.events()) == 2
 
     def test_addresses_are_absolute(self, rig):
