@@ -122,7 +122,9 @@ def _parse_chip(cp, spec: ScenarioSpec) -> None:
     except ValueError as exc:
         raise ConfigError(f"[chip]: {exc}") from None
     limit = _get_int(cp, "chip", "endurance_limit", 0)
-    spec.endurance_limit = limit if limit > 0 else None
+    if limit < 0:
+        raise ConfigError("[chip] endurance_limit must be >= 0 (0: no limit)")
+    spec.endurance_limit = limit or None
 
 
 def _parse_partitions(cp, spec: ScenarioSpec) -> None:

@@ -12,14 +12,11 @@ formats:
 Addresses are absolute chip-level indices even when tracing a single
 partition: page index for R/W events, block index for E events.
 
-Ingestion is deliberately cheap: the probe sink appends the raw
-invocation to a pending list and all bucketing/filtering is folded into
-the views the next time one (``counters`` and ``log`` included) is read
-or a control command runs.  With subscribers present the monitor
-switches to an eager sink so each recorded event is delivered as it
-happens.  Either way the observable views are identical, and the cost
-added to the operation path stays a small fraction of the simulated
-driver work.
+Collection is lazy and has one path: each probe only appends the raw
+invocation to a pending list, and the scope filter, the counters and
+the log are folded from that list the next time a view (``counters``
+and ``log`` included) is read or a control command runs.  There is no
+callback API; when the fold runs never changes what the views show.
 """
 
 from __future__ import annotations
@@ -27,9 +24,10 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .mtd import MtdDevice
+from .probes import ProbeError
 
 TASK_NAME_BYTES = 16
 STATIC_BASE_BYTES = 8861
@@ -98,7 +96,7 @@ def parse_temporal(text: str) -> list[TraceEvent]:
     for line in text.splitlines():
         if not line:
             continue
-        parts = line.split(";")
+        parts = line.split(";", 3)
         if len(parts) == 3:
             stamp, kind, address = parts
             task = ""
@@ -187,18 +185,12 @@ class SpatialCounters:
     def sums(self) -> tuple[int, int, int]:
         return (sum(self.reads), sum(self.writes), sum(self.erases))
 
-    def allocated_bytes(self) -> int:
-        return (self.reads.itemsize * len(self.reads)
-                + self.writes.itemsize * len(self.writes)
-                + self.erases.itemsize * len(self.erases))
-
 
 @dataclass(frozen=True)
 class MonitorConfig:
     traced_partition: Optional[int] = None  # None traces the whole chip
     log_capacity: int = 40_000
     record_task_names: bool = True
-    static_base_bytes: int = STATIC_BASE_BYTES
 
     def __post_init__(self):
         if self.log_capacity < 1:
@@ -212,7 +204,7 @@ class MonitorConfig:
 
 def footprint_estimate(config: MonitorConfig, n_blocks: int) -> int:
     """Modeled RAM usage: static base + counters + preallocated log."""
-    return (config.static_base_bytes
+    return (STATIC_BASE_BYTES
             + COUNTER_BYTES_PER_BLOCK * n_blocks
             + config.log_entry_bytes * config.log_capacity)
 
@@ -247,28 +239,26 @@ class FlashMonitor:
         self._log = RingLog(config.log_capacity)
         self._pending: list[tuple] = []
         self._mode = "running"
-        self._subscribers: dict[int, Callable] = {}
-        self._next_subscription = 1
         self._task_cache: dict[str, str] = {}
-        self.target_report = dev.resolve_probe_targets("lower")
-        self._target_slots = (self.target_report.read_slot,
-                              self.target_report.write_slot,
-                              self.target_report.erase_slot)
+        self.target_report = report = dev.resolve_probe_targets("lower")
         self._handles = []
-        self._register_sink(self._pending.append)
+        try:
+            for name in (report.read_slot, report.write_slot,
+                         report.erase_slot):
+                self._handles.append(dev.hooks.register_probe(
+                    name, self._pending.append, raw_tuple=True))
+        except ProbeError:
+            self._unregister_probes()
+            raise
         self._attached = True
         dev._attached_monitor = self
 
     # -- probe plumbing --------------------------------------------------
 
-    def _register_sink(self, sink: Callable) -> None:
-        registry = self.dev.hooks
+    def _unregister_probes(self) -> None:
         for handle in self._handles:
-            registry.unregister_probe(handle)
-        self._handles = [registry.register_probe(name, sink, raw_tuple=True)
-                         for name in self._target_slots]
-        if self._mode != "running":
-            self._set_probes_active(False)
+            self.dev.hooks.unregister_probe(handle)
+        self._handles = []
 
     def _set_probes_active(self, value: bool) -> None:
         for handle in self._handles:
@@ -280,44 +270,35 @@ class FlashMonitor:
 
     # -- ingestion -------------------------------------------------------
 
-    def _record(self, invocation) -> Optional[TraceEvent]:
-        """Fold one invocation into both views; None if out of scope."""
-        _, kind, address, time_ns, raw_task = invocation
-        if kind == "E":
-            block = address
-        else:
-            block = address // self._pages_per_block
-        if not self._first_block <= block < self._block_limit:
-            return None
-        counters = self._counters
-        i = block - counters.first_block
-        if kind == "R":
-            counters.reads[i] += 1
-        elif kind == "W":
-            counters.writes[i] += 1
-        else:
-            counters.erases[i] += 1
-        task = self._task_cache.get(raw_task)
-        if task is None:
-            task = truncate_task_name(raw_task)
-            self._task_cache[raw_task] = task
-        event = TraceEvent(time_ns, kind, address, task)
-        self._log.insert(event)
-        return event
-
-    def _ingest_eager(self, invocation) -> None:
-        event = self._record(invocation)
-        if event is not None:
-            for subscriber in self._subscribers.values():
-                subscriber(event)
-
     def _drain(self) -> None:
+        """Fold every pending invocation into both views."""
         pending = self._pending
         if not pending:
             return
-        record = self._record
-        for invocation in pending:
-            record(invocation)
+        first_block, block_limit = self._first_block, self._block_limit
+        pages_per_block = self._pages_per_block
+        counters = self._counters
+        reads, writes, erases = counters.reads, counters.writes, counters.erases
+        task_cache = self._task_cache
+        insert = self._log.insert
+        for _, kind, address, time_ns, raw_task in pending:
+            if kind == "E":
+                block = address
+            else:
+                block = address // pages_per_block
+            if not first_block <= block < block_limit:
+                continue
+            i = block - first_block
+            if kind == "R":
+                reads[i] += 1
+            elif kind == "W":
+                writes[i] += 1
+            else:
+                erases[i] += 1
+            task = task_cache.get(raw_task)
+            if task is None:
+                task = task_cache[raw_task] = truncate_task_name(raw_task)
+            insert(TraceEvent(time_ns, kind, address, task))
         pending.clear()
 
     # -- control and state -----------------------------------------------
@@ -357,8 +338,8 @@ class FlashMonitor:
             self._set_probes_active(False)
         elif command == "reset":
             self._pending.clear()
-            self.counters.zero()
-            self.log.clear()
+            self._counters.zero()
+            self._log.clear()
         elif command == "flush":
             self.log.clear()
         else:
@@ -381,46 +362,20 @@ class FlashMonitor:
         self._require_attached()
         return format_events(self.log, self.config.record_task_names)
 
-    # -- subscribers -----------------------------------------------------
-
-    def subscribe(self, subscriber: Callable) -> int:
-        self._require_attached()
-        self._drain()
-        if not self._subscribers:
-            self._register_sink(self._ingest_eager)
-        subscription = self._next_subscription
-        self._next_subscription += 1
-        self._subscribers[subscription] = subscriber
-        return subscription
-
-    def unsubscribe(self, subscription: int) -> None:
-        self._require_attached()
-        if subscription not in self._subscribers:
-            raise MonitorError(f"unknown subscription {subscription}")
-        del self._subscribers[subscription]
-        if not self._subscribers:
-            self._register_sink(self._pending.append)
-
     # -- accounting ------------------------------------------------------
 
     def footprint_bytes(self) -> int:
         """The monitor's own accounting of its modeled allocations."""
-        return (self.config.static_base_bytes
-                + self.counters.allocated_bytes()
-                + self.config.log_entry_bytes * self.log.capacity)
+        return footprint_estimate(self.config, self._counters.block_count)
 
     # -- teardown --------------------------------------------------------
 
     def detach(self) -> None:
         self._require_attached()
-        registry = self.dev.hooks
-        for handle in self._handles:
-            registry.unregister_probe(handle)
-        self._handles = []
+        self._unregister_probes()
         self._pending.clear()
-        self.log.clear()
-        self.counters.zero()
-        self._subscribers.clear()
+        self._log.clear()
+        self._counters.zero()
         self._attached = False
         self.dev._attached_monitor = None
 

@@ -107,7 +107,6 @@ class MtdDevice:
 
     def __init__(self, chip: FlashChip, legacy: bool = False):
         self.chip = chip
-        self.legacy = legacy
         self.partitions: list[Partition] = []
         self.current_task = ""
         meta = not legacy

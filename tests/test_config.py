@@ -118,6 +118,7 @@ class TestLoadSpec:
         ("[scenario]\nquantum = 1\n", "unknown key"),
         ("[chip]\npage_size = banana\n", "page_size"),
         ("[chip]\npages_per_block = 48\n", "[chip]"),
+        ("[chip]\nendurance_limit = -3\n", "endurance_limit"),
         ("[partition.]\nfirst_block = 0\nblock_count = 1\n", "label"),
         ("[partition.a]\nfirst_block = 0\n", "block_count"),
         ("[partition.a]\nfirst_block = 0\nblock_count = 4000\n", "fit"),

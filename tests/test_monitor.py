@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashtrace import (AlreadyAttachedError, FlashChip, FlashMonitor,
-                        MonitorConfig, MtdDevice, NotAttachedError, RingLog,
-                        SpatialCounters, TraceEvent, UnknownCommandError,
-                        attach, footprint_estimate, format_time_ns,
-                        parse_spatial, parse_temporal, truncate_task_name)
+from flashtrace import (AlreadyAttachedError, DuplicateProbeError, FlashChip,
+                        FlashError, MonitorConfig, MtdDevice, NotAttachedError,
+                        RingLog, TraceEvent, UnknownCommandError, attach,
+                        footprint_estimate, format_time_ns, parse_spatial,
+                        parse_temporal, truncate_task_name)
 from flashtrace.monitor import parse_time
 
 from conftest import SMALL
@@ -63,6 +63,8 @@ class TestTemporalFormat:
         rig.mtd_write(0, 2)
         with rig.task("cat"):
             rig.mtd_read(0, 1)
+        with rig.task("sh;x"):
+            rig.mtd_read(1, 1)
         text = mon.render_temporal()
         events = parse_temporal(text)
         assert events == mon.events()
@@ -160,6 +162,13 @@ class TestAttachment:
         with pytest.raises(NotAttachedError):
             mon.events()
 
+    def test_failed_attach_leaves_no_probes(self, rig):
+        rig.hooks.register_probe("lower.write_page", lambda inv: None)
+        with pytest.raises(DuplicateProbeError):
+            attach(rig)
+        assert not rig.hooks.is_probed("lower.read_page")
+        assert rig.slot("lower.read_page").probe_fn is None
+
     def test_targets_lower_level(self, rig):
         mon = attach(rig)
         assert mon.target_report.read_slot == "lower.read_page"
@@ -201,8 +210,10 @@ class TestScope:
     def test_addresses_are_absolute(self, rig):
         mon = attach(rig, MonitorConfig(traced_partition="p1"))
         p1 = rig.partition("p1")
-        rig.mtd_write(p1.first_page, 1)
+        with rig.task("a-task-name-way-over-sixteen-bytes"):
+            rig.mtd_write(p1.first_page, 1)
         assert mon.events()[0].address == p1.first_page
+        assert mon.events()[0].task_name == "a-task-name-way-"
         assert mon.counters.triple(p1.first_block) == (0, 1, 0)
 
 
@@ -259,36 +270,6 @@ class TestControl:
             mon.control("restart")
 
 
-class TestSubscribers:
-    def test_live_delivery(self, rig):
-        mon = attach(rig)
-        rig.mtd_write(0, 1)  # before subscribing: folded, not delivered
-        received = []
-        token = mon.subscribe(received.append)
-        rig.mtd_write(1, 2)
-        assert [e.address for e in received] == [1, 2]
-        mon.unsubscribe(token)
-        rig.mtd_write(3, 1)
-        assert len(received) == 2
-        assert len(mon.events()) == 4
-
-    def test_subscriber_sees_truncated_scoped_events(self, rig):
-        mon = attach(rig, MonitorConfig(traced_partition="p0"))
-        p1 = rig.partition("p1")
-        received = []
-        mon.subscribe(received.append)
-        with rig.task("a-task-name-way-over-sixteen-bytes"):
-            rig.mtd_write(0, 1)
-            rig.mtd_write(p1.first_page, 1)  # out of scope
-        assert len(received) == 1
-        assert received[0].task_name == "a-task-name-way-"
-
-    def test_unknown_subscription(self, rig):
-        mon = attach(rig)
-        with pytest.raises(Exception):
-            mon.unsubscribe(99)
-
-
 class TestFootprint:
     def test_default_chip_full_log_exact_value(self):
         config = MonitorConfig(log_capacity=40_000, record_task_names=True)
@@ -308,7 +289,6 @@ class TestFootprint:
 
 class TestConservation:
     def test_random_traffic_sums_agree(self, rig):
-        from flashtrace import FlashError
         mon = attach(rig, MonitorConfig(log_capacity=10_000))
         rng = random.Random(7)
         for _ in range(300):
@@ -327,3 +307,47 @@ class TestConservation:
         for kind, total in zip("RWE", mon.counters.sums()):
             assert total == sum(e.kind == kind for e in events)
         assert mon.total_inserted == len(events)
+
+
+_OPS = st.tuples(st.sampled_from(("read", "write", "erase")),
+                 st.integers(min_value=0, max_value=SMALL.total_pages - 1),
+                 st.integers(min_value=1, max_value=4),
+                 st.sampled_from(("", "app", "a-task-name-way-over-sixteen")),
+                 st.sampled_from((None, "events", "counters", "len", "temporal")))
+
+
+def _replay(ops, capacity, peek):
+    """Run ``ops`` on a fresh device; read a view between calls if ``peek``."""
+    dev = MtdDevice(FlashChip(SMALL))
+    dev.add_partition(0, 8, "p0")
+    dev.add_partition(8, 8, "p1")
+    mon = attach(dev, MonitorConfig(traced_partition="p1",
+                                    log_capacity=capacity))
+    for verb, address, count, task, view in ops:
+        try:
+            with dev.task(task):
+                if verb == "read":
+                    dev.mtd_read(address, count)
+                elif verb == "write":
+                    dev.mtd_write(address, count)
+                else:
+                    dev.mtd_erase(address % SMALL.blocks_per_chip, 1)
+        except FlashError:
+            pass
+        if peek and view == "events":
+            mon.events()
+        elif peek and view == "counters":
+            mon.counters.sums()
+        elif peek and view == "len":
+            len(mon.log)
+        elif peek and view == "temporal":
+            mon.render_temporal()
+    return mon.render_spatial(), mon.render_temporal()
+
+
+@pytest.mark.parametrize("capacity", [5, 10_000])  # wraps / never wraps
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_OPS, max_size=40))
+def test_fold_timing_does_not_change_the_views(capacity, ops):
+    assert _replay(ops, capacity, peek=True) == \
+        _replay(ops, capacity, peek=False)
