@@ -26,15 +26,14 @@ from .monitor import (AlreadyAttachedError, FlashMonitor, MonitorConfig,
                       UnknownCommandError, attach, footprint_estimate,
                       format_time_ns, parse_spatial, parse_temporal,
                       truncate_task_name)
-from .ffs import (FLAVOR_DEFAULTS, AlreadyMountedError, FfsError,
-                  FfsModelConfig, FileAlreadyExistsError, FlashFs,
+from .ffs import (BACKGROUND_TASK, FLAVOR_DEFAULTS, AlreadyMountedError,
+                  FfsError, FfsModelConfig, FileAlreadyExistsError, FlashFs,
                   NotMountedError, OutOfSpaceError, UnknownFileError,
                   flavor_config)
 from .workloads import (BootScenarioConfig, PostmarkConfig, boot_scenario_run,
                         postmark_run, raw_erase, raw_read, raw_write)
-from .analysis import (BACKGROUND_TASK, PHASE_MIN_EVENTS, Phase,
-                       detect_phases, emit_plot_data, render_stats,
-                       trace_stats, wear_report)
+from .analysis import (PHASE_MIN_EVENTS, Phase, detect_phases,
+                       emit_plot_data, render_stats, trace_stats, wear_report)
 from .config import (ConfigError, PartitionSpec, ScenarioSpec, default_spec,
                      load_scenario_spec)
 from .runner import (build_device, execute_scenario, overhead_harness,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import statistics
 from typing import NamedTuple, Optional, Sequence
 
+from .ffs import BACKGROUND_TASK
 from .monitor import SpatialCounters, TraceEvent, format_time_ns
 
 PHASE_DOMINANCE = 0.90
 PHASE_MIN_EVENTS = 8
-BACKGROUND_TASK = "gc_thread"
 
 KINDS = ("R", "W", "E")
 

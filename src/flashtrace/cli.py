@@ -24,8 +24,9 @@ from .config import (ConfigError, ScenarioSpec, default_spec,
                      load_scenario_spec, validate)
 from .ffs import FfsError
 from .nand import FlashError
-from .runner import (compute_stats, execute_scenario, overhead_harness,
-                     run_scenario, write_plot_data)
+from .runner import (SPATIAL_FILE, STATS_FILE, TEMPORAL_FILE, compute_stats,
+                     execute_scenario, overhead_harness, run_scenario,
+                     write_plot_data)
 from .analysis import render_stats
 
 EXIT_OK = 0
@@ -94,7 +95,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         spec = _spec_from_args(args)
         if args.command == "run":
             run_scenario(spec)
-            print(f"wrote spatial.txt, temporal.log, stats.txt "
+            print(f"wrote {SPATIAL_FILE}, {TEMPORAL_FILE}, {STATS_FILE} "
                   f"to {spec.out_dir}")
         elif args.command == "stats":
             result = execute_scenario(spec)

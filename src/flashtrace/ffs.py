@@ -33,6 +33,13 @@ from typing import Optional
 
 from .mtd import MtdDevice, Partition
 
+# Task name of the background thread that runs deferred work and GC.
+BACKGROUND_TASK = "gc_thread"
+# GC latches on above this invalid-page ratio; its aggressive phase
+# relocates at most GC_AGGRESSIVE_BATCH victims per background step.
+GC_INVALID_THRESHOLD = 0.25
+GC_AGGRESSIVE_BATCH = 4
+
 
 class FfsError(Exception):
     pass
@@ -64,10 +71,7 @@ class FfsModelConfig:
     compression_factor: float  # applied to every logical write volume
     write_buffer_bytes: int  # 0 means synchronous
     metadata_pages_per_file_op: int
-    gc_invalid_threshold: float = 0.25
     gc_free_blocks_low_watermark: int = 8
-    gc_aggressive_batch: int = 4
-    gc_soft_batch: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.compression_factor <= 1.0:
@@ -76,12 +80,8 @@ class FfsModelConfig:
             raise ValueError("write_buffer_bytes must be >= 0")
         if self.metadata_pages_per_file_op < 0:
             raise ValueError("metadata_pages_per_file_op must be >= 0")
-        if not 0.0 <= self.gc_invalid_threshold <= 1.0:
-            raise ValueError("gc_invalid_threshold must be in [0, 1]")
         if self.gc_free_blocks_low_watermark < 0:
             raise ValueError("gc_free_blocks_low_watermark must be >= 0")
-        if self.gc_aggressive_batch < 1 or self.gc_soft_batch < 1:
-            raise ValueError("GC batch sizes must be >= 1")
 
     @property
     def buffered(self) -> bool:
@@ -130,15 +130,13 @@ class _Extent:
 
 
 class _FileEntry:
-    __slots__ = ("file_id", "logical_size", "compressed_size", "extents",
-                 "pending_bytes")
+    __slots__ = ("file_id", "logical_size", "compressed_size", "extents")
 
     def __init__(self, file_id: str):
         self.file_id = file_id
         self.logical_size = 0
         self.compressed_size = 0
         self.extents: list[_Extent] = []
-        self.pending_bytes = 0
 
 
 class FlashFs:
@@ -154,6 +152,7 @@ class FlashFs:
         geometry = dev.chip.geometry
         self._ppb = geometry.pages_per_block
         self._page_size = geometry.page_size
+        self._meta_bytes = config.metadata_pages_per_file_op * self._page_size
         n = self.partition.block_count
         # Per-block page accounting, indexed by block offset within the
         # partition; invalid pages are written minus valid.
@@ -274,7 +273,7 @@ class FlashFs:
     def _check_gc_trigger(self) -> None:
         if self._gc_latched:
             return
-        if (self.invalid_ratio() > self.config.gc_invalid_threshold
+        if (self.invalid_ratio() > GC_INVALID_THRESHOLD
                 or self._free_blocks < self.config.gc_free_blocks_low_watermark):
             self._gc_latched = True
 
@@ -318,25 +317,21 @@ class FlashFs:
         self._check_gc_trigger()
         if not self._gc_latched:
             return False
-        threshold = self.config.gc_invalid_threshold
-        if self.invalid_ratio() > threshold:
-            done_any = False
-            for _ in range(self.config.gc_aggressive_batch):
-                if self.invalid_ratio() <= threshold:
-                    break
-                victim = self._most_invalid()
-                if victim is None:
-                    break
-                self._gc_reclaim(victim)
-                done_any = True
-            if done_any:
-                return True
-        for _ in range(self.config.gc_soft_batch):
-            victim = self._find_fully_invalid()
+        reclaimed = 0
+        while (reclaimed < GC_AGGRESSIVE_BATCH
+               and self.invalid_ratio() > GC_INVALID_THRESHOLD):
+            victim = self._most_invalid()
             if victim is None:
-                self._gc_latched = False
-                return False
-            self._erase_block(victim)
+                break
+            self._gc_reclaim(victim)
+            reclaimed += 1
+        if reclaimed:
+            return True
+        victim = self._find_fully_invalid()
+        if victim is None:
+            self._gc_latched = False
+            return False
+        self._erase_block(victim)
         return True
 
     # -- mount / unmount / background ------------------------------------
@@ -353,6 +348,7 @@ class FlashFs:
                 self.dev.mtd_read(part.first_page, part.page_count)
             self._sync_media_accounting()
             self._adopt_unclaimed()
+            self._invalid_total = sum(self._written) - sum(self._valid)
             if not self.first_mount_done:
                 data_free = [off for off in range(part.block_count)
                              if self._valid[off] == 0]
@@ -378,15 +374,10 @@ class FlashFs:
         self.mounted = False
 
     def _sync_media_accounting(self) -> None:
-        chip = self.dev.chip
-        first = self.partition.first_block
-        free = 0
-        for off in range(self.partition.block_count):
-            self._written[off] = chip.blocks[first + off].written
-            if self._written[off] == 0:
-                free += 1
-        self._free_blocks = free
-        self._invalid_total = (sum(self._written) - sum(self._valid))
+        part = self.partition
+        blocks = self.dev.chip.blocks[part.first_block:part.block_limit]
+        self._written = [block.written for block in blocks]
+        self._free_blocks = self._written.count(0)
 
     def _adopt_unclaimed(self) -> None:
         """First mount over a flashed image: claim its pages as one file.
@@ -411,7 +402,6 @@ class FlashFs:
         entry.extents.append(extent)
         self.files["rootfs"] = entry
         self._attach(extent)
-        self._invalid_total = sum(self._written) - sum(self._valid)
 
     def _data_page_runs(self) -> list[tuple[int, int]]:
         """Contiguous runs of live data pages, at most one block long."""
@@ -446,53 +436,53 @@ class FlashFs:
         return True
 
     def background_step(self) -> bool:
-        """Run one unit of deferred work; False when nothing is left."""
+        """Run one unit of deferred work; False when nothing is left.
+
+        The crc scan and the format queue take turns; a step with nothing
+        to do hands the call to the other, and GC runs when neither works.
+        """
         self._require_mounted()
-        with self.dev.task("gc_thread"):
-            if self._crc_queue or self._format_queue:
-                if self._bg_prefer_crc or not self._format_queue:
-                    if self._crc_step():
-                        self._bg_prefer_crc = False
-                        return True
-                if self._format_step():
-                    self._bg_prefer_crc = True
-                    return True
-                if self._crc_step():
-                    self._bg_prefer_crc = False
+        with self.dev.task(BACKGROUND_TASK):
+            crc, fmt = self._crc_step, self._format_step
+            for step in (crc, fmt) if self._bg_prefer_crc else (fmt, crc):
+                if step():
+                    self._bg_prefer_crc = step is fmt
                     return True
             return self._gc_step()
 
     # -- file operations -------------------------------------------------
 
-    def _write_data_extent(self, entry: _FileEntry, nbytes: int) -> None:
-        pages = self._write_pages(math.ceil(nbytes / self._page_size))
-        extent = _Extent(pages, 0, nbytes)
-        entry.extents.append(extent)
-        self._attach(extent)
-
-    def _write_journal_pages(self) -> None:
-        meta_pages = self.config.metadata_pages_per_file_op
-        if meta_pages == 0:
+    def _commit(self, records: list) -> None:
+        """Write `(owner, nbytes)` records packed at the log head, one
+        extent each; owner None is the journal, superseding the last."""
+        total = 0
+        for _, nbytes in records:
+            total += nbytes
+        if total == 0:
             return
-        pages = self._write_pages(meta_pages)
-        extent = _Extent(pages, 0, meta_pages * self._page_size)
-        previous = self._journal
-        self._journal = extent
-        self._attach(extent)
-        if previous is not None:
-            self._detach(previous)
-
-    def _meta_bytes(self) -> int:
-        return self.config.metadata_pages_per_file_op * self._page_size
+        page_size = self._page_size
+        pages = self._write_pages(math.ceil(total / page_size))
+        cursor = 0
+        for owner, nbytes in records:
+            first = cursor // page_size
+            last = (cursor + nbytes - 1) // page_size
+            extent = _Extent(pages[first:last + 1], cursor % page_size, nbytes)
+            self._attach(extent)
+            if owner is None:
+                previous, self._journal = self._journal, extent
+                if previous is not None:
+                    self._detach(previous)
+            else:
+                owner.extents.append(extent)
+            cursor += nbytes
 
     def _buffer_meta(self) -> None:
-        if not self._meta_dirty and self._meta_bytes() > 0:
+        if not self._meta_dirty and self._meta_bytes > 0:
             self._meta_dirty = True
-            self._pending_total += self._meta_bytes()
+            self._pending_total += self._meta_bytes
 
     def _buffer_data(self, entry: _FileEntry, nbytes: int) -> None:
         if nbytes > 0:
-            entry.pending_bytes += nbytes
             self._pending_order[entry.file_id] = (
                 self._pending_order.get(entry.file_id, 0) + nbytes)
             self._pending_total += nbytes
@@ -501,34 +491,14 @@ class FlashFs:
             self._flush_buffer()
 
     def _flush_buffer(self) -> None:
-        total = self._pending_total
-        if total == 0:
-            return
-        page_size = self._page_size
-        pages = self._write_pages(math.ceil(total / page_size))
-        cursor = 0
-        for file_id, nbytes in self._pending_order.items():
-            entry = self.files[file_id]
-            first = cursor // page_size
-            last = (cursor + nbytes - 1) // page_size
-            extent = _Extent(pages[first:last + 1], cursor % page_size, nbytes)
-            entry.extents.append(extent)
-            entry.pending_bytes -= nbytes
-            self._attach(extent)
-            cursor += nbytes
+        records = [(self.files[file_id], nbytes)
+                   for file_id, nbytes in self._pending_order.items()]
         if self._meta_dirty:
-            nbytes = self._meta_bytes()
-            first = cursor // page_size
-            last = (cursor + nbytes - 1) // page_size
-            extent = _Extent(pages[first:last + 1], cursor % page_size, nbytes)
-            previous = self._journal
-            self._journal = extent
-            self._attach(extent)
-            if previous is not None:
-                self._detach(previous)
-            self._meta_dirty = False
+            records.append((None, self._meta_bytes))
+        self._commit(records)
         self._pending_order.clear()
         self._pending_total = 0
+        self._meta_dirty = False
 
     def create_file(self, file_id: str, size: int) -> None:
         self._require_mounted()
@@ -556,9 +526,9 @@ class FlashFs:
         if self.config.buffered:
             self._buffer_data(entry, compressed)
         else:
-            if compressed > 0:
-                self._write_data_extent(entry, compressed)
-            self._write_journal_pages()
+            # Two commits, so data and journal never share a page.
+            self._commit([(entry, compressed)])
+            self._commit([(None, self._meta_bytes)])
         self._check_gc_trigger()
 
     def read_file(self, file_id: str, offset: int = 0,
@@ -621,7 +591,7 @@ class FlashFs:
                 self._pending_total -= pending
             self._buffer_meta()
         else:
-            self._write_journal_pages()
+            self._commit([(None, self._meta_bytes)])
         self._check_gc_trigger()
 
     def sync(self) -> None:

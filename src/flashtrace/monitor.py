@@ -307,19 +307,23 @@ class FlashMonitor:
     def mode(self) -> str:
         return self._mode
 
+    # Every view reads through these two properties, which raise
+    # NotAttachedError once the monitor is detached.
+
     @property
     def counters(self) -> SpatialCounters:
+        self._require_attached()
         self._drain()
         return self._counters
 
     @property
     def log(self) -> RingLog:
+        self._require_attached()
         self._drain()
         return self._log
 
     @property
     def total_inserted(self) -> int:
-        self._require_attached()
         return self.log.total_inserted
 
     def control(self, command: str) -> None:
@@ -348,24 +352,22 @@ class FlashMonitor:
     # -- views -----------------------------------------------------------
 
     def events(self) -> list[TraceEvent]:
-        self._require_attached()
         return self.log.entries()
 
     def render_spatial(self) -> str:
-        self._require_attached()
         counters = self.counters
         reads, writes, erases = counters.reads, counters.writes, counters.erases
         return "".join(f"{reads[i]} {writes[i]} {erases[i]}\n"
                        for i in range(counters.block_count))
 
     def render_temporal(self) -> str:
-        self._require_attached()
         return format_events(self.log, self.config.record_task_names)
 
     # -- accounting ------------------------------------------------------
 
     def footprint_bytes(self) -> int:
         """The monitor's own accounting of its modeled allocations."""
+        self._require_attached()
         return footprint_estimate(self.config, self._counters.block_count)
 
     # -- teardown --------------------------------------------------------

@@ -5,7 +5,8 @@ slots accept multi-page (or multi-block) ranges and chunk them into
 single-page calls on the lower slots; lower slots talk to the chip
 directly.  Every call, at both levels, is dispatched through the probe
 registry so observers can interpose without changing behavior; every
-probe is called with the plain 5-tuple the registry defines.
+probe is called with the plain 5-tuple the registry defines, and an
+exception it raises is counted, not propagated.
 
 Slots are replaceable: rebinding a slot models substituting one driver
 implementation for another.  A device built in legacy mode keeps the
@@ -169,8 +170,12 @@ class MtdDevice:
             name = slot.name
             kind = slot.kind
             task = self.current_task
+            hooks = self.hooks
             for unit in range(start, start + count):
-                fn((name, kind, unit, chip.clock_ns, task))
+                try:
+                    fn((name, kind, unit, chip.clock_ns, task))
+                except Exception:
+                    hooks.handler_errors += 1
                 append(target(unit))
         return receipts
 
@@ -203,16 +208,19 @@ class MtdDevice:
     # -- public operation entry points -----------------------------------
 
     def mtd_read(self, start_page: int, page_count: int):
-        return invoke_through(self._slots["upper.read"], self.chip.clock_ns,
-                              self.current_task, start_page, page_count)
+        return invoke_through(self.hooks, self._slots["upper.read"],
+                              self.chip.clock_ns, self.current_task,
+                              start_page, page_count)
 
     def mtd_write(self, start_page: int, page_count: int):
-        return invoke_through(self._slots["upper.write"], self.chip.clock_ns,
-                              self.current_task, start_page, page_count)
+        return invoke_through(self.hooks, self._slots["upper.write"],
+                              self.chip.clock_ns, self.current_task,
+                              start_page, page_count)
 
     def mtd_erase(self, start_block: int, block_count: int):
-        return invoke_through(self._slots["upper.erase"], self.chip.clock_ns,
-                              self.current_task, start_block, block_count)
+        return invoke_through(self.hooks, self._slots["upper.erase"],
+                              self.chip.clock_ns, self.current_task,
+                              start_block, block_count)
 
     # -- partitions ------------------------------------------------------
 

@@ -2,8 +2,10 @@
 
 A probe is a pre-handler attached to a named slot: it runs synchronously
 on the caller's path, sees the call's kind/address/time/task before the
-slot's behavior executes, and cannot change the call's outcome.  At most
-one probe may be attached to a slot at a time.
+slot's behavior executes, and cannot change the call's outcome.  A
+handler that raises is contained at dispatch: the exception is counted
+in ``ProbeRegistry.handler_errors`` and the slot's behavior runs anyway.
+At most one probe may be attached to a slot at a time.
 
 Every slot calls its probe with the plain 5-tuple ``(slot_name, kind,
 address, time_ns, task_name)``.  A handler registered with
@@ -88,6 +90,7 @@ class ProbeRegistry:
         self._slots = dict(slots)
         self._handles: dict[str, ProbeHandle] = {}
         self._next_id = 1
+        self.handler_errors = 0  # exceptions raised by probe handlers
 
     def register_probe(self, slot_name: str, handler: Callable,
                        raw_tuple: bool = False) -> ProbeHandle:
@@ -116,13 +119,18 @@ class ProbeRegistry:
         return slot_name in self._handles
 
 
-def invoke_through(slot, time_ns: int, task_name: str, *args):
+def invoke_through(registry: ProbeRegistry, slot, time_ns: int,
+                   task_name: str, *args):
     """Dispatch one call through a slot: fire its probe, then run the target.
 
     The handler fires on entry, so it also runs for calls whose behavior
     subsequently fails; behavior results and errors pass through unchanged.
+    An exception from the handler is counted in ``registry`` and dropped.
     """
     fn = slot.probe_fn
     if fn is not None:
-        fn((slot.name, slot.kind, args[0], time_ns, task_name))
+        try:
+            fn((slot.name, slot.kind, args[0], time_ns, task_name))
+        except Exception:
+            registry.handler_errors += 1
     return slot.target(*args)

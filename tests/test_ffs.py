@@ -12,6 +12,7 @@ from flashtrace import (AlreadyMountedError, FLAVOR_DEFAULTS, FfsModelConfig,
                         MonitorConfig, MtdDevice, NotMountedError,
                         OutOfSpaceError, UnknownFileError, attach,
                         flavor_config)
+from flashtrace.ffs import GC_AGGRESSIVE_BATCH, GC_INVALID_THRESHOLD
 
 from conftest import SMALL
 
@@ -47,11 +48,9 @@ class TestFlavorDefaults:
         assert u.write_buffer_bytes > 0 and u.buffered
 
     def test_gc_defaults(self):
+        assert (GC_INVALID_THRESHOLD, GC_AGGRESSIVE_BATCH) == (0.25, 4)
         for config in FLAVOR_DEFAULTS.values():
-            assert config.gc_invalid_threshold == 0.25
             assert config.gc_free_blocks_low_watermark == 8
-            assert config.gc_aggressive_batch == 4
-            assert config.gc_soft_batch == 1
 
     def test_overrides(self):
         config = flavor_config("jffs2_like", metadata_pages_per_file_op=3)
@@ -67,8 +66,6 @@ class TestFlavorDefaults:
         {"compression_factor": 1.5},
         {"write_buffer_bytes": -1},
         {"metadata_pages_per_file_op": -1},
-        {"gc_invalid_threshold": 1.5},
-        {"gc_aggressive_batch": 0},
     ])
     def test_validation(self, kwargs):
         base = dict(flavor="x", compression_factor=0.5, write_buffer_bytes=0,
@@ -190,6 +187,30 @@ class TestAdoptionAndCrcScan:
             fs.background_step()
             kinds.append(mon.events()[-1].kind)
         assert kinds == ["R", "E", "R", "E", "R", "E"]
+
+    def test_format_step_skips_blocks_the_log_took(self):
+        dev = rig()
+        dev.chip.install_image(0, 100)  # blocks 0..3; queued format: 4..7
+        mon = attach(dev)
+        fs = FlashFs(dev, "fs", quiet("jffs2_like",
+                                      metadata_pages_per_file_op=0))
+        fs.mount()
+        fs.create_file("a", 2 * PAGE)  # one page at the log head, block 4
+
+        def step():
+            mon.control("reset")
+            assert fs.background_step()
+            return sorted({(e.kind, e.address if e.kind == "E"
+                            else e.address // PPB) for e in mon.events()})
+
+        assert step() == [("R", 0)]
+        assert step() == [("E", 5)]  # block 4 holds log data: dropped
+        assert step() == [("R", 1)]
+        fs.create_file("b", 2 * 3 * PPB * PAGE)  # rest of 4, 5, 6, 1 of 7
+        # Format goes first, drops 6 and 7, and the same call reads.
+        assert step() == [("R", 2)]
+        assert not fs._format_queue
+        assert {e.task_name for e in mon.events()} == {"gc_thread"}
 
     def test_remount_does_not_readopt_deleted_data(self):
         dev = rig()

@@ -162,6 +162,15 @@ class TestAttachment:
         with pytest.raises(NotAttachedError):
             mon.events()
 
+    def test_detached_monitor_raises_on_every_accessor(self, rig):
+        mon = attach(rig)
+        rig.mtd_read(0, 1)
+        mon.detach()
+        for read in (lambda: mon.counters, lambda: mon.log,
+                     mon.footprint_bytes):
+            with pytest.raises(NotAttachedError):
+                read()
+
     def test_failed_attach_leaves_no_probes(self, rig):
         rig.hooks.register_probe("lower.write_page", lambda inv: None)
         with pytest.raises(DuplicateProbeError):

@@ -152,6 +152,16 @@ class TestTransparency:
         control = MtdDevice(FlashChip(SMALL)).mtd_write(0, 3)
         assert probed == control
 
+    def test_raising_handlers_are_contained_and_counted(self, dev):
+        def boom(inv):
+            raise RuntimeError(inv.slot_name)
+        dev.hooks.register_probe("upper.write", boom)
+        dev.hooks.register_probe("lower.write_page", boom)
+        control = MtdDevice(FlashChip(SMALL))
+        assert dev.mtd_write(0, 2) == control.mtd_write(0, 2)
+        assert dev.chip.snapshot() == control.chip.snapshot()
+        assert dev.hooks.handler_errors == 3
+
     def test_handler_return_value_is_ignored(self, dev):
         dev.hooks.register_probe("lower.read_page", lambda inv: "ignored")
         receipts = dev.mtd_read(0, 1)
