@@ -13,10 +13,15 @@ Addresses are absolute chip-level indices even when tracing a single
 partition: page index for R/W events, block index for E events.
 
 Collection is lazy and has one path: each probe only appends the raw
-invocation to a pending list, and the scope filter, the counters and
-the log are folded from that list the next time a view (``counters``
-and ``log`` included) is read or a control command runs.  There is no
-callback API; when the fold runs never changes what the views show.
+record to a pending list, and the scope filter, the counters and the
+log are folded from that list the next time a view (``counters``,
+``log`` and ``health()`` included) is read or a control command runs.
+The driver hands the monitor one record per chunked call (a start
+address, its start time and a unit count), so the pending list grows
+with the number of driver calls, not of pages; the fold expands each
+record into per-page (or per-block) counters and events, as if each
+unit had been seen on its own.  There is no callback API; when the fold
+runs never changes what the views show.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from typing import NamedTuple, Optional
 
 from .mtd import MtdDevice
 from .probes import ProbeError
+
+_tuple_new = tuple.__new__
 
 TASK_NAME_BYTES = 16
 STATIC_BASE_BYTES = 8861
@@ -139,6 +146,12 @@ class RingLog:
         self._entries.append(event)
         self.total_inserted += 1
 
+    def extend(self, events, inserted: int) -> None:
+        """Insert ``inserted`` events given only the newest of them,
+        ``events``, in order; the ring would overwrite the others."""
+        self._entries.extend(events)
+        self.total_inserted += inserted
+
     def clear(self) -> None:
         self._entries.clear()
         self.total_inserted = 0
@@ -234,6 +247,10 @@ class FlashMonitor:
         self._first_block = first_block
         self._block_limit = block_limit
         self._pages_per_block = geometry.pages_per_block
+        latency = dev.chip.latency
+        self._step_ns = (latency.read_ns, latency.write_ns,
+                         latency.erase_ns)
+        self._filtered = 0  # units outside the traced scope
         self._counters = SpatialCounters(first_block,
                                          block_limit - first_block)
         self._log = RingLog(config.log_capacity)
@@ -246,7 +263,7 @@ class FlashMonitor:
             for name in (report.read_slot, report.write_slot,
                          report.erase_slot):
                 self._handles.append(dev.hooks.register_probe(
-                    name, self._pending.append, raw_tuple=True))
+                    name, self._pending.append, records=True))
         except ProbeError:
             self._unregister_probes()
             raise
@@ -271,35 +288,101 @@ class FlashMonitor:
     # -- ingestion -------------------------------------------------------
 
     def _drain(self) -> None:
-        """Fold every pending invocation into both views."""
+        """Fold every pending record into both views.
+
+        A record ``(slot, kind, address, time_ns, task, count)`` stands
+        for ``count`` units from ``address``; unit i started at
+        ``time_ns + i * latency(kind)``.  Records are walked newest
+        first: the counters take every unit in scope, but only the
+        newest ``log_capacity`` of them become events, because the ring
+        would overwrite the rest.
+        """
         pending = self._pending
         if not pending:
             return
         first_block, block_limit = self._first_block, self._block_limit
         pages_per_block = self._pages_per_block
+        first_page = first_block * pages_per_block
+        page_limit = block_limit * pages_per_block
         counters = self._counters
         reads, writes, erases = counters.reads, counters.writes, counters.erases
+        read_ns, write_ns, erase_ns = self._step_ns
         task_cache = self._task_cache
-        insert = self._log.insert
-        for _, kind, address, time_ns, raw_task in pending:
-            if kind == "E":
-                block = address
-            else:
-                block = address // pages_per_block
-            if not first_block <= block < block_limit:
+        newest = []  # events, newest first
+        add = newest.append
+        room = self._log.capacity
+        seen = filtered = 0
+        for _, kind, address, time_ns, raw_task, count in reversed(pending):
+            if count == 1:
+                if kind == "E":
+                    block = address
+                else:
+                    block = address // pages_per_block
+                if not first_block <= block < block_limit:
+                    filtered += 1
+                    continue
+                i = block - first_block
+                if kind == "R":
+                    reads[i] += 1
+                elif kind == "W":
+                    writes[i] += 1
+                else:
+                    erases[i] += 1
+                seen += 1
+                if room:
+                    room -= 1
+                    task = task_cache.get(raw_task)
+                    if task is None:
+                        task = task_cache[raw_task] = truncate_task_name(raw_task)
+                    add(_tuple_new(TraceEvent, (time_ns, kind, address, task)))
                 continue
-            i = block - first_block
-            if kind == "R":
-                reads[i] += 1
-            elif kind == "W":
-                writes[i] += 1
+            end = address + count
+            if kind == "E":
+                lo = address if address > first_block else first_block
+                hi = end if end < block_limit else block_limit
             else:
-                erases[i] += 1
-            task = task_cache.get(raw_task)
-            if task is None:
-                task = task_cache[raw_task] = truncate_task_name(raw_task)
-            insert(TraceEvent(time_ns, kind, address, task))
+                lo = address if address > first_page else first_page
+                hi = end if end < page_limit else page_limit
+            if lo >= hi:
+                filtered += count
+                continue
+            n = hi - lo
+            filtered += count - n
+            seen += n
+            if kind == "E":
+                step = erase_ns
+                for i in range(lo - first_block, hi - first_block):
+                    erases[i] += 1
+            else:
+                if kind == "R":
+                    step, column = read_ns, reads
+                else:
+                    step, column = write_ns, writes
+                lo_in, hi_in = lo - first_page, hi - first_page
+                head = lo_in // pages_per_block
+                tail = (hi_in - 1) // pages_per_block
+                if head == tail:
+                    column[head] += n
+                else:  # the first and last blocks may be partly covered
+                    column[head] += (head + 1) * pages_per_block - lo_in
+                    for i in range(head + 1, tail):
+                        column[i] += pages_per_block
+                    column[tail] += hi_in - tail * pages_per_block
+            if room:
+                if n > room:
+                    lo = hi - room
+                    n = room
+                room -= n
+                task = task_cache.get(raw_task)
+                if task is None:
+                    task = task_cache[raw_task] = truncate_task_name(raw_task)
+                t0 = time_ns - address * step
+                for unit in range(hi - 1, lo - 1, -1):
+                    add(_tuple_new(TraceEvent,
+                                   (t0 + unit * step, kind, unit, task)))
         pending.clear()
+        self._filtered += filtered
+        self._log.extend(reversed(newest), seen)
 
     # -- control and state -----------------------------------------------
 
@@ -326,6 +409,16 @@ class FlashMonitor:
     def total_inserted(self) -> int:
         return self.log.total_inserted
 
+    def health(self) -> dict:
+        """The monitor's own counters: events recorded, units filtered out
+        of the traced scope, events the ring overwrote, and exceptions
+        raised by the device's probe handlers."""
+        log = self.log
+        return {"events": log.total_inserted,
+                "filtered": self._filtered,
+                "overwritten": log.total_inserted - len(log),
+                "handler_errors": self.dev.hooks.handler_errors}
+
     def control(self, command: str) -> None:
         self._require_attached()
         if command == "start":
@@ -342,6 +435,7 @@ class FlashMonitor:
             self._set_probes_active(False)
         elif command == "reset":
             self._pending.clear()
+            self._filtered = 0
             self._counters.zero()
             self._log.clear()
         elif command == "flush":
@@ -376,6 +470,7 @@ class FlashMonitor:
         self._require_attached()
         self._unregister_probes()
         self._pending.clear()
+        self._filtered = 0
         self._log.clear()
         self._counters.zero()
         self._attached = False

@@ -5,8 +5,12 @@ slots accept multi-page (or multi-block) ranges and chunk them into
 single-page calls on the lower slots; lower slots talk to the chip
 directly.  Every call, at both levels, is dispatched through the probe
 registry so observers can interpose without changing behavior; every
-probe is called with the plain 5-tuple the registry defines, and an
-exception it raises is counted, not propagated.
+probe is called with the plain record the registry defines, and an
+exception it raises is counted, not propagated.  A HookInvocation probe
+on a lower slot fires before each single unit.  A record-taking probe
+(the monitor's sink) on a lower slot still bound to the chip gets one
+record per multi-unit call, handed over after the units ran; it covers
+every unit that was tried, the failing one included.
 
 Slots are replaceable: rebinding a slot models substituting one driver
 implementation for another.  A device built in legacy mode keeps the
@@ -36,22 +40,27 @@ class FunctionSlot:
 
     ``exposes_address`` records whether a probe on this slot can learn
     per-call addresses from the call itself; legacy lower slots cannot.
-    ``probe_fn`` is managed by the probe registry and holds the currently
-    active pre-handler (or None), called with the raw 5-tuple
-    ``(name, kind, address, time_ns, task_name)``.
+    ``probe_fn`` and ``takes_records`` are managed by the probe registry:
+    the currently active handler (or None), called with the record
+    ``(name, kind, address, time_ns, task_name, count)``, and whether it
+    accepts records with ``count > 1``.  ``step_ns`` is the clock advance
+    of one unit while the target is the chip's own method, and 0 once
+    the slot is rebound.
     """
 
     __slots__ = ("name", "level", "kind", "target", "exposes_address",
-                 "probe_fn")
+                 "probe_fn", "takes_records", "step_ns")
 
     def __init__(self, name: str, level: str, kind: str, target: Callable,
-                 exposes_address: bool = True):
+                 exposes_address: bool = True, step_ns: int = 0):
         self.name = name
         self.level = level
         self.kind = kind
         self.target = target
         self.exposes_address = exposes_address
         self.probe_fn = None
+        self.takes_records = False
+        self.step_ns = step_ns
 
     def __repr__(self):
         return f"FunctionSlot({self.name!r}, level={self.level!r}, kind={self.kind!r})"
@@ -111,16 +120,20 @@ class MtdDevice:
         self.partitions: list[Partition] = []
         self.current_task = ""
         meta = not legacy
+        latency = chip.latency
         self._slots = {
             "upper.read": FunctionSlot("upper.read", "upper", "R", self._upper_read),
             "upper.write": FunctionSlot("upper.write", "upper", "W", self._upper_write),
             "upper.erase": FunctionSlot("upper.erase", "upper", "E", self._upper_erase),
             "lower.read_page": FunctionSlot(
-                "lower.read_page", "lower", "R", chip.read_page, meta),
+                "lower.read_page", "lower", "R", chip.read_page, meta,
+                latency.read_ns),
             "lower.write_page": FunctionSlot(
-                "lower.write_page", "lower", "W", chip.write_page, meta),
+                "lower.write_page", "lower", "W", chip.write_page, meta,
+                latency.write_ns),
             "lower.erase_block": FunctionSlot(
-                "lower.erase_block", "lower", "E", chip.erase_block, meta),
+                "lower.erase_block", "lower", "E", chip.erase_block, meta,
+                latency.erase_ns),
         }
         self.hooks = ProbeRegistry(self._slots)
 
@@ -145,16 +158,23 @@ class MtdDevice:
             raise UnknownSlotError(f"no slot named {name!r}") from None
 
     def rebind_slot(self, name: str, target: Callable) -> None:
-        self.slot(name).target = target
+        """Replace a slot's behavior.  The new target need not advance the
+        clock by one latency per unit, so its probe gets one record per
+        unit from then on."""
+        slot = self.slot(name)
+        slot.target = target
+        slot.step_ns = 0
 
     # -- upper-layer behaviors (bound into the upper slots) --------------
     #
     # Each upper behavior chunks its range into single-unit lower-slot
     # calls.  The loop is the hot path of every simulation, so the lower
     # slot's probe is resolved once per call and the dispatch is
-    # specialized on it; both loops are observably identical to
-    # running invoke_through per unit (probes cannot change mid-call on
-    # the serialized operation path).
+    # specialized on it; every loop is observably identical to running
+    # invoke_through per unit (probes cannot change mid-call on the
+    # serialized operation path).  A record-taking probe on a chip-backed
+    # slot gets one record for a multi-unit call instead: unit i started
+    # at t0 + i * step_ns, so the record loses nothing.
 
     def _chunked(self, slot_name: str, start: int, count: int):
         chip = self.chip
@@ -166,16 +186,36 @@ class MtdDevice:
         if fn is None:
             for unit in range(start, start + count):
                 append(target(unit))
+            return receipts
+        name = slot.name
+        kind = slot.kind
+        task = self.current_task
+        if count == 1:  # the common call, without the loop
+            try:
+                fn((name, kind, start, chip.clock_ns, task, 1))
+            except Exception:
+                self.hooks.handler_errors += 1
+            append(target(start))
+        elif count > 1 and slot.takes_records and slot.step_ns:
+            t0 = chip.clock_ns
+            try:
+                for unit in range(start, start + count):
+                    append(target(unit))
+            finally:
+                # A failing unit's probe would have fired before it raised.
+                tried = len(receipts)
+                if tried < count:
+                    tried += 1
+                try:
+                    fn((name, kind, start, t0, task, tried))
+                except Exception:
+                    self.hooks.handler_errors += 1
         else:
-            name = slot.name
-            kind = slot.kind
-            task = self.current_task
-            hooks = self.hooks
             for unit in range(start, start + count):
                 try:
-                    fn((name, kind, unit, chip.clock_ns, task))
+                    fn((name, kind, unit, chip.clock_ns, task, 1))
                 except Exception:
-                    hooks.handler_errors += 1
+                    self.hooks.handler_errors += 1
                 append(target(unit))
         return receipts
 

@@ -7,13 +7,16 @@ handler that raises is contained at dispatch: the exception is counted
 in ``ProbeRegistry.handler_errors`` and the slot's behavior runs anyway.
 At most one probe may be attached to a slot at a time.
 
-Every slot calls its probe with the plain 5-tuple ``(slot_name, kind,
-address, time_ns, task_name)``.  A handler registered with
-``raw_tuple=True`` receives that tuple directly; that skips one
-allocation per event and exists for sinks that run on every single flash
-operation (the monitor's ingestion path, mirroring a real trace handler
-that only appends to preallocated RAM).  Any other handler is wrapped
-once, at registration, so it receives a HookInvocation.
+Every slot calls its probe with the plain record ``(slot_name, kind,
+address, time_ns, task_name, count)``: ``count`` consecutive units
+starting at ``address``.  A handler registered with ``records=True``
+receives that tuple directly, and the registry marks its slot
+(``takes_records``) so the driver may hand it one record for a whole
+multi-unit call instead of one per unit; that is the monitor's
+ingestion path, like a block tracer that logs one event per request
+with its start and length and leaves the expansion to its readers.
+Any other handler is wrapped once, at registration, so it receives one
+HookInvocation (the first five fields) before each single unit.
 
 The active handler is stashed directly on the slot object (``probe_fn``)
 so the dispatch shim pays one attribute load when deciding whether to
@@ -54,9 +57,9 @@ class HookInvocation(NamedTuple):
 
 
 def _invocation_handler(handler: Callable) -> Callable:
-    """Adapt a HookInvocation handler to the slots' raw 5-tuple call."""
-    def fire(raw: tuple) -> None:
-        handler(_tuple_new(HookInvocation, raw))
+    """Adapt a HookInvocation handler to the slots' one-unit records."""
+    def fire(record: tuple) -> None:
+        handler(_tuple_new(HookInvocation, record[:5]))
     return fire
 
 
@@ -93,17 +96,18 @@ class ProbeRegistry:
         self.handler_errors = 0  # exceptions raised by probe handlers
 
     def register_probe(self, slot_name: str, handler: Callable,
-                       raw_tuple: bool = False) -> ProbeHandle:
+                       records: bool = False) -> ProbeHandle:
         slot = self._slots.get(slot_name)
         if slot is None:
             raise UnknownSlotError(f"no slot named {slot_name!r}")
         if slot_name in self._handles:
             raise DuplicateProbeError(f"slot {slot_name!r} already probed")
-        if not raw_tuple:
+        if not records:
             handler = _invocation_handler(handler)
         handle = ProbeHandle(self._next_id, slot, handler)
         self._next_id += 1
         self._handles[slot_name] = handle
+        slot.takes_records = records
         slot.probe_fn = handler
         return handle
 
@@ -123,14 +127,15 @@ def invoke_through(registry: ProbeRegistry, slot, time_ns: int,
                    task_name: str, *args):
     """Dispatch one call through a slot: fire its probe, then run the target.
 
-    The handler fires on entry, so it also runs for calls whose behavior
-    subsequently fails; behavior results and errors pass through unchanged.
-    An exception from the handler is counted in ``registry`` and dropped.
+    The handler fires on entry with a one-unit record (the call is the
+    unit), so it also runs for calls whose behavior subsequently fails;
+    behavior results and errors pass through unchanged.  An exception
+    from the handler is counted in ``registry`` and dropped.
     """
     fn = slot.probe_fn
     if fn is not None:
         try:
-            fn((slot.name, slot.kind, args[0], time_ns, task_name))
+            fn((slot.name, slot.kind, args[0], time_ns, task_name, 1))
         except Exception:
             registry.handler_errors += 1
     return slot.target(*args)

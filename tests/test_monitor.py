@@ -3,14 +3,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashtrace import (AlreadyAttachedError, DuplicateProbeError, FlashChip,
-                        FlashError, MonitorConfig, MtdDevice, NotAttachedError,
-                        RingLog, TraceEvent, UnknownCommandError, attach,
-                        footprint_estimate, format_time_ns, parse_spatial,
-                        parse_temporal, truncate_task_name)
+                        FlashError, FlashGeometry, MonitorConfig, MtdDevice,
+                        NotAttachedError, RingLog, TraceEvent,
+                        UnknownCommandError, attach, footprint_estimate,
+                        format_time_ns, parse_spatial, parse_temporal,
+                        raw_erase, raw_read, raw_write, truncate_task_name)
 from flashtrace.monitor import parse_time
 
 from conftest import SMALL
@@ -167,7 +168,7 @@ class TestAttachment:
         rig.mtd_read(0, 1)
         mon.detach()
         for read in (lambda: mon.counters, lambda: mon.log,
-                     mon.footprint_bytes):
+                     mon.footprint_bytes, mon.health):
             with pytest.raises(NotAttachedError):
                 read()
 
@@ -360,3 +361,109 @@ def _replay(ops, capacity, peek):
 def test_fold_timing_does_not_change_the_views(capacity, ops):
     assert _replay(ops, capacity, peek=True) == \
         _replay(ops, capacity, peek=False)
+
+
+class TestHealth:
+    def test_counts_events_filtered_overwritten_and_handler_errors(self, rig):
+        mon = attach(rig, MonitorConfig(traced_partition="p1",
+                                        log_capacity=5))
+        p1 = rig.partition("p1")
+        rig.mtd_read(p1.first_page - 3, 6)  # 3 pages in p0, 3 in p1
+        rig.mtd_write(0, 2)  # p0 only
+        rig.mtd_erase(p1.first_block, 2)
+
+        def boom(inv):
+            raise RuntimeError("probe fault")
+        rig.hooks.register_probe("upper.read", boom)
+        rig.mtd_read(p1.first_page, 1)
+        assert mon.health() == {"events": 6, "filtered": 5,
+                                "overwritten": 1, "handler_errors": 1}
+        mon.control("reset")
+        assert mon.health() == {"events": 0, "filtered": 0,
+                                "overwritten": 0, "handler_errors": 1}
+
+
+def test_pending_is_bounded_by_driver_calls():
+    dev = MtdDevice(FlashChip(SMALL))
+    dev.add_partition(0, SMALL.blocks_per_chip, "all")
+    mon = attach(dev)
+    raw_erase(dev, "all")
+    raw_write(dev, "all", SMALL.total_bytes)
+    raw_read(dev, "all", SMALL.total_bytes)
+    assert len(mon._pending) == 3
+    assert mon.counters.sums() == (SMALL.total_pages, SMALL.total_pages,
+                                   SMALL.blocks_per_chip)
+    assert mon.total_inserted == 2 * SMALL.total_pages + SMALL.blocks_per_chip
+
+
+# The differential test: a device whose lower slots are the chip's own
+# methods hands the monitor one record per multi-unit call, while one
+# whose lower slots are rebound hands it one record per unit.  The views
+# must not tell them apart.  Blocks 2-5 are traced, so long ranges are
+# clipped at both ends; an endurance limit of 2 makes bad blocks.
+_DIFF = FlashGeometry(blocks_per_chip=8, pages_per_block=32, page_size=512)
+_LONG_TASK = "ünïcode-task-over-sixteen-bytes"
+
+_RANGE_OPS = st.tuples(
+    st.sampled_from(("read", "write", "append", "erase")),
+    st.integers(min_value=0, max_value=_DIFF.total_pages),
+    st.integers(min_value=0, max_value=_DIFF.total_pages),
+    st.sampled_from(("", "app", _LONG_TASK)))
+
+_EDGE_CASES = [
+    ("erase", 0, 8, _LONG_TASK),  # whole chip: clipped at both ends
+    ("append", 0, 200, "app"),  # pages 0-199
+    ("read", 10, 240, ""),  # pages 10-249
+    ("write", 0, 5, "app"),  # OverwriteError on the first unit
+    ("erase", 3, 1, ""),
+    ("append", 3, 40, _LONG_TASK),  # OverwriteError at page 128
+    ("erase", 4, 1, ""),
+    ("erase", 4, 1, ""),  # block 4 wears out
+    ("erase", 2, 4, "app"),  # block 3 wears out; BadBlockError at block 4
+    ("read", 80, 20, _LONG_TASK),  # BadBlockError at page 96
+    ("read", 250, 10, ""),  # OutOfRangeError before any unit
+    ("erase", 7, 3, "app"),  # OutOfRangeError before any unit
+]
+
+
+def _differential_run(ops, capacity, rebound):
+    chip = FlashChip(_DIFF, endurance_limit=2)
+    dev = MtdDevice(chip)
+    dev.add_partition(0, 2, "head")
+    dev.add_partition(2, 4, "traced")
+    dev.add_partition(6, 2, "tail")
+    if rebound:
+        for name, method in (("lower.read_page", chip.read_page),
+                             ("lower.write_page", chip.write_page),
+                             ("lower.erase_block", chip.erase_block)):
+            dev.rebind_slot(name, lambda unit, method=method: method(unit))
+    mon = attach(dev, MonitorConfig(traced_partition="traced",
+                                    log_capacity=capacity))
+    ppb = _DIFF.pages_per_block
+    for verb, address, count, task in ops:
+        try:
+            with dev.task(task):
+                if verb == "read":
+                    dev.mtd_read(address, count)
+                elif verb == "write":
+                    dev.mtd_write(address, count)
+                elif verb == "append":  # from the block's next free page
+                    block = address % _DIFF.blocks_per_chip
+                    dev.mtd_write(block * ppb + chip.blocks[block].written,
+                                  count)
+                else:
+                    dev.mtd_erase(address % (_DIFF.blocks_per_chip + 1),
+                                  count % (_DIFF.blocks_per_chip + 1))
+        except FlashError:
+            pass
+    return (mon.render_spatial(), mon.render_temporal(), mon.total_inserted,
+            mon.health(), chip.snapshot())
+
+
+@pytest.mark.parametrize("capacity", [5, 10_000])  # wraps / never wraps
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_RANGE_OPS, max_size=12))
+@example(ops=_EDGE_CASES)
+def test_records_expand_to_the_per_unit_views(capacity, ops):
+    assert _differential_run(ops, capacity, rebound=False) == \
+        _differential_run(ops, capacity, rebound=True)

@@ -124,25 +124,72 @@ class TestInvocationContents:
 
 
 class TestRawTupleMode:
+    """A ``records=True`` handler receives the plain record tuple."""
+
     def test_plain_tuple_same_fields(self, dev):
         seen = []
         dev.hooks.register_probe("lower.write_page", seen.append,
-                                 raw_tuple=True)
+                                 records=True)
         with dev.task("t"):
             dev.mtd_write(0, 1)
-        raw = seen[0]
-        assert type(raw) is tuple
-        assert raw == ("lower.write_page", "W", 0, 0, "t")
-        assert HookInvocation(*raw).address == 0
+        assert seen == [("lower.write_page", "W", 0, 0, "t", 1)]
+        assert type(seen[0]) is tuple
+        assert HookInvocation(*seen[0][:5]).address == 0
+
+    def test_k_page_call_gives_one_record(self, dev):
+        seen = []
+        dev.hooks.register_probe("lower.read_page", seen.append,
+                                 records=True)
+        dev.mtd_write(0, 2)
+        start = dev.chip.clock_ns
+        with dev.task("t"):
+            dev.mtd_read(3, 5)
+        assert seen == [("lower.read_page", "R", 3, start, "t", 5)]
+
+    def test_failing_call_counts_the_failing_unit(self, dev):
+        seen = []
+        dev.hooks.register_probe("lower.write_page", seen.append,
+                                 records=True)
+        ppb = SMALL.pages_per_block
+        dev.mtd_write(ppb, 1)
+        with pytest.raises(OverwriteError):
+            dev.mtd_write(0, ppb + 2)  # block 0 lands, page ppb raises
+        assert seen[1] == ("lower.write_page", "W", 0,
+                           dev.chip.latency.write_ns, "", ppb + 1)
+
+    def test_rebound_slot_gets_one_record_per_unit(self, dev):
+        chip = dev.chip
+        dev.rebind_slot("lower.read_page", lambda page: chip.read_page(page))
+        seen = []
+        dev.hooks.register_probe("lower.read_page", seen.append,
+                                 records=True)
+        dev.mtd_read(4, 3)
+        step = chip.latency.read_ns
+        assert seen == [("lower.read_page", "R", 4 + i, i * step, "", 1)
+                        for i in range(3)]
+
+    def test_raising_record_sink_is_contained(self, dev):
+        def boom(record):
+            raise RuntimeError(record[0])
+        dev.hooks.register_probe("lower.write_page", boom, records=True)
+        control = MtdDevice(FlashChip(SMALL))
+        assert dev.mtd_write(0, 3) == control.mtd_write(0, 3)
+        with pytest.raises(OverwriteError):
+            dev.mtd_write(0, 2)
+        with pytest.raises(OverwriteError):
+            control.mtd_write(0, 2)
+        assert dev.chip.snapshot() == control.chip.snapshot()
+        assert dev.hooks.handler_errors == 2
 
     def test_mode_resets_on_unregister(self, dev):
         handle = dev.hooks.register_probe("lower.write_page",
-                                          lambda inv: None, raw_tuple=True)
+                                          lambda inv: None, records=True)
         dev.hooks.unregister_probe(handle)
         seen = []
         dev.hooks.register_probe("lower.write_page", seen.append)
-        dev.mtd_write(0, 1)
-        assert isinstance(seen[0], HookInvocation)
+        dev.mtd_write(0, 3)
+        assert all(isinstance(inv, HookInvocation) for inv in seen)
+        assert [inv.address for inv in seen] == [0, 1, 2]
 
 
 class TestTransparency:
