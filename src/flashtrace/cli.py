@@ -40,7 +40,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                              "built-in default scenario")
     parser.add_argument("--partition", metavar="ID",
                         help="partition label or index the monitor traces "
-                             "(default: whole chip or config value)")
+                             "(default: the config's traced_partition, else "
+                             "the whole chip; without --config, the "
+                             "400-block 'main' partition)")
     parser.add_argument("--log-size", type=int, metavar="N",
                         help="temporal log capacity in events")
     parser.add_argument("--no-tasknames", action="store_true",

@@ -257,7 +257,7 @@ class FlashMonitor:
         self._pending: list[tuple] = []
         self._mode = "running"
         self._task_cache: dict[str, str] = {}
-        self.target_report = report = dev.resolve_probe_targets("lower")
+        self.target_report = report = dev.resolve_probe_targets()
         self._handles = []
         try:
             for name in (report.read_slot, report.write_slot,

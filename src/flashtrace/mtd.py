@@ -1,16 +1,17 @@
 """Layered driver facade over a raw NAND chip.
 
 The driver is organized as a small stack of named function slots.  Upper
-slots accept multi-page (or multi-block) ranges and chunk them into
-single-page calls on the lower slots; lower slots talk to the chip
-directly.  Every call, at both levels, is dispatched through the probe
-registry so observers can interpose without changing behavior; every
-probe is called with the plain record the registry defines, and an
-exception it raises is counted, not propagated.  A HookInvocation probe
-on a lower slot fires before each single unit.  A record-taking probe
-(the monitor's sink) on a lower slot still bound to the chip gets one
-record per multi-unit call, handed over after the units ran; it covers
-every unit that was tried, the failing one included.
+slots accept multi-page (or multi-block) ranges, check them against the
+chip and chunk them into single-unit calls on the lower slots; lower
+slots talk to the chip directly.  This module is the one place a probe
+fires: every call, at both levels, fires its slot's probe (if any) on
+entry with the plain record the probe registry defines, then runs the
+slot's target; an exception the probe raises is counted, not
+propagated.  A HookInvocation probe on a lower slot fires before each
+single unit.  A record-taking probe (the monitor's sink) on a lower slot
+still bound to the chip gets one record per multi-unit call, handed over
+after the units ran; it covers every unit that was tried, the failing
+one included.
 
 Slots are replaceable: rebinding a slot models substituting one driver
 implementation for another.  A device built in legacy mode keeps the
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .nand import FlashChip, OutOfRangeError
-from .probes import ProbeRegistry, UnknownSlotError, invoke_through
+from .probes import ProbeRegistry, UnknownSlotError
 
 UPPER_SLOTS = ("upper.read", "upper.write", "upper.erase")
 LOWER_SLOTS = ("lower.read_page", "lower.write_page", "lower.erase_block")
@@ -121,19 +123,25 @@ class MtdDevice:
         self.current_task = ""
         meta = not legacy
         latency = chip.latency
+        read = FunctionSlot("lower.read_page", "lower", "R", chip.read_page,
+                            meta, latency.read_ns)
+        write = FunctionSlot("lower.write_page", "lower", "W",
+                             chip.write_page, meta, latency.write_ns)
+        erase = FunctionSlot("lower.erase_block", "lower", "E",
+                             chip.erase_block, meta, latency.erase_ns)
+        pages = chip.geometry.total_pages
+        blocks = chip.geometry.blocks_per_chip
+        chunked = self._chunked
         self._slots = {
-            "upper.read": FunctionSlot("upper.read", "upper", "R", self._upper_read),
-            "upper.write": FunctionSlot("upper.write", "upper", "W", self._upper_write),
-            "upper.erase": FunctionSlot("upper.erase", "upper", "E", self._upper_erase),
-            "lower.read_page": FunctionSlot(
-                "lower.read_page", "lower", "R", chip.read_page, meta,
-                latency.read_ns),
-            "lower.write_page": FunctionSlot(
-                "lower.write_page", "lower", "W", chip.write_page, meta,
-                latency.write_ns),
-            "lower.erase_block": FunctionSlot(
-                "lower.erase_block", "lower", "E", chip.erase_block, meta,
-                latency.erase_ns),
+            "upper.read": FunctionSlot("upper.read", "upper", "R", partial(
+                chunked, read, pages, "page")),
+            "upper.write": FunctionSlot("upper.write", "upper", "W", partial(
+                chunked, write, pages, "page")),
+            "upper.erase": FunctionSlot("upper.erase", "upper", "E", partial(
+                chunked, erase, blocks, "block")),
+            read.name: read,
+            write.name: write,
+            erase.name: erase,
         }
         self.hooks = ProbeRegistry(self._slots)
 
@@ -165,20 +173,41 @@ class MtdDevice:
         slot.target = target
         slot.step_ns = 0
 
-    # -- upper-layer behaviors (bound into the upper slots) --------------
-    #
-    # Each upper behavior chunks its range into single-unit lower-slot
-    # calls.  The loop is the hot path of every simulation, so the lower
-    # slot's probe is resolved once per call and the dispatch is
-    # specialized on it; every loop is observably identical to running
-    # invoke_through per unit (probes cannot change mid-call on the
-    # serialized operation path).  A record-taking probe on a chip-backed
-    # slot gets one record for a multi-unit call instead: unit i started
-    # at t0 + i * step_ns, so the record loses nothing.
+    # -- dispatch --------------------------------------------------------
 
-    def _chunked(self, slot_name: str, start: int, count: int):
-        chip = self.chip
-        slot = self._slots[slot_name]
+    def _call(self, slot: FunctionSlot, start: int, count: int):
+        """Dispatch one call through an upper slot: fire its probe with a
+        one-unit record (the call is the unit), then run the target.
+
+        The probe fires on entry, so it also runs for calls that then
+        fail; results and errors of the target pass through unchanged.
+        """
+        fn = slot.probe_fn
+        if fn is not None:
+            try:
+                fn((slot.name, slot.kind, start, self.chip.clock_ns,
+                    self.current_task, 1))
+            except Exception:
+                self.hooks.handler_errors += 1
+        return slot.target(start, count)
+
+    # The one upper-slot behavior, bound into each upper slot with its
+    # lower slot, the chip's size in units and the unit's name.  It checks
+    # the range, then chunks it into single-unit lower-slot calls.  The
+    # loop is the hot path of every simulation, so the lower slot's probe
+    # is resolved once per call and the loop is specialized on it; each
+    # branch fires the probe before every unit as _call would (probes
+    # cannot change mid-call on the serialized operation path).  A
+    # record-taking probe on a chip-backed slot gets one record for a
+    # multi-unit call instead: unit i started at t0 + i * step_ns, so the
+    # record loses nothing.
+
+    def _chunked(self, slot: FunctionSlot, limit: int, unit_name: str,
+                 start: int, count: int):
+        if start < 0 or count < 0 or start + count > limit:
+            raise OutOfRangeError(
+                f"{unit_name} range [{start}, {start + count}) "
+                f"outside chip of {limit} {unit_name}s")
         target = slot.target
         fn = slot.probe_fn
         receipts = []
@@ -187,6 +216,7 @@ class MtdDevice:
             for unit in range(start, start + count):
                 append(target(unit))
             return receipts
+        chip = self.chip
         name = slot.name
         kind = slot.kind
         task = self.current_task
@@ -219,48 +249,17 @@ class MtdDevice:
                 append(target(unit))
         return receipts
 
-    def _upper_read(self, start_page: int, page_count: int):
-        self._check_page_range(start_page, page_count)
-        return self._chunked("lower.read_page", start_page, page_count)
-
-    def _upper_write(self, start_page: int, page_count: int):
-        self._check_page_range(start_page, page_count)
-        return self._chunked("lower.write_page", start_page, page_count)
-
-    def _upper_erase(self, start_block: int, block_count: int):
-        self._check_block_range(start_block, block_count)
-        return self._chunked("lower.erase_block", start_block, block_count)
-
-    def _check_page_range(self, start_page: int, page_count: int) -> None:
-        if (start_page < 0 or page_count < 0
-                or start_page + page_count > self.chip.geometry.total_pages):
-            raise OutOfRangeError(
-                f"page range [{start_page}, {start_page + page_count}) "
-                f"outside chip of {self.chip.geometry.total_pages} pages")
-
-    def _check_block_range(self, start_block: int, block_count: int) -> None:
-        if (start_block < 0 or block_count < 0
-                or start_block + block_count > self.chip.geometry.blocks_per_chip):
-            raise OutOfRangeError(
-                f"block range [{start_block}, {start_block + block_count}) "
-                f"outside chip of {self.chip.geometry.blocks_per_chip} blocks")
-
     # -- public operation entry points -----------------------------------
 
     def mtd_read(self, start_page: int, page_count: int):
-        return invoke_through(self.hooks, self._slots["upper.read"],
-                              self.chip.clock_ns, self.current_task,
-                              start_page, page_count)
+        return self._call(self._slots["upper.read"], start_page, page_count)
 
     def mtd_write(self, start_page: int, page_count: int):
-        return invoke_through(self.hooks, self._slots["upper.write"],
-                              self.chip.clock_ns, self.current_task,
-                              start_page, page_count)
+        return self._call(self._slots["upper.write"], start_page, page_count)
 
     def mtd_erase(self, start_block: int, block_count: int):
-        return invoke_through(self.hooks, self._slots["upper.erase"],
-                              self.chip.clock_ns, self.current_task,
-                              start_block, block_count)
+        return self._call(self._slots["upper.erase"], start_block,
+                          block_count)
 
     # -- partitions ------------------------------------------------------
 
@@ -294,13 +293,9 @@ class MtdDevice:
 
     # -- probe-target resolution (the function finder) -------------------
 
-    def resolve_probe_targets(self, preferred_level: str = "lower") -> ProbeTargetReport:
-        if preferred_level not in ("lower", "upper"):
-            raise ValueError(f"preferred_level must be lower or upper, "
-                             f"got {preferred_level!r}")
-        if preferred_level == "lower":
-            lower = [self._slots[name] for name in LOWER_SLOTS]
-            if all(slot.exposes_address for slot in lower):
-                return ProbeTargetReport(*LOWER_SLOTS, fallback_used=False)
-            return ProbeTargetReport(*UPPER_SLOTS, fallback_used=True)
-        return ProbeTargetReport(*UPPER_SLOTS, fallback_used=False)
+    def resolve_probe_targets(self) -> ProbeTargetReport:
+        """The lower slots if every one of them exposes addresses, else
+        the upper slots as a fallback."""
+        if all(self._slots[name].exposes_address for name in LOWER_SLOTS):
+            return ProbeTargetReport(*LOWER_SLOTS, fallback_used=False)
+        return ProbeTargetReport(*UPPER_SLOTS, fallback_used=True)

@@ -1,11 +1,12 @@
-"""Probe interposition for driver function slots.
+"""Probe registration for driver function slots.
 
 A probe is a pre-handler attached to a named slot: it runs synchronously
 on the caller's path, sees the call's kind/address/time/task before the
-slot's behavior executes, and cannot change the call's outcome.  A
-handler that raises is contained at dispatch: the exception is counted
-in ``ProbeRegistry.handler_errors`` and the slot's behavior runs anyway.
-At most one probe may be attached to a slot at a time.
+slot's behavior executes, and cannot change the call's outcome.  At most
+one probe may be attached to a slot at a time.  This module only
+registers probes; the driver (``mtd``) fires them, and contains a
+handler that raises by counting the exception in
+``ProbeRegistry.handler_errors`` and running the slot's behavior anyway.
 
 Every slot calls its probe with the plain record ``(slot_name, kind,
 address, time_ns, task_name, count)``: ``count`` consecutive units
@@ -19,8 +20,8 @@ Any other handler is wrapped once, at registration, so it receives one
 HookInvocation (the first five fields) before each single unit.
 
 The active handler is stashed directly on the slot object (``probe_fn``)
-so the dispatch shim pays one attribute load when deciding whether to
-fire; toggling a handle's ``active`` flag swaps that field in and out.
+so the driver pays one attribute load when deciding whether to fire;
+toggling a handle's ``active`` flag swaps that field in and out.
 """
 
 from __future__ import annotations
@@ -122,20 +123,3 @@ class ProbeRegistry:
     def is_probed(self, slot_name: str) -> bool:
         return slot_name in self._handles
 
-
-def invoke_through(registry: ProbeRegistry, slot, time_ns: int,
-                   task_name: str, *args):
-    """Dispatch one call through a slot: fire its probe, then run the target.
-
-    The handler fires on entry with a one-unit record (the call is the
-    unit), so it also runs for calls whose behavior subsequently fails;
-    behavior results and errors pass through unchanged.  An exception
-    from the handler is counted in ``registry`` and dropped.
-    """
-    fn = slot.probe_fn
-    if fn is not None:
-        try:
-            fn((slot.name, slot.kind, args[0], time_ns, task_name, 1))
-        except Exception:
-            registry.handler_errors += 1
-    return slot.target(*args)

@@ -260,7 +260,7 @@ def test_multi_page_probe_fidelity():
         dev = MtdDevice(FlashChip(geometry), legacy=legacy)
         dev.add_partition(0, 64, "all")
         seen = []
-        report = dev.resolve_probe_targets("lower")
+        report = dev.resolve_probe_targets()
         dev.hooks.register_probe(report.read_slot,
                                  lambda inv: seen.append(inv))
         dev.mtd_read(10, k)

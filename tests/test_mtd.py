@@ -85,6 +85,45 @@ class TestChunking:
             dev.mtd_read(0, -1)
 
 
+# SMALL has 16 blocks of 32 pages: 512 pages.
+OUT_OF_RANGE = [
+    ("read", -1, 1, "page range [-1, 0) outside chip of 512 pages"),
+    ("read", 0, -1, "page range [0, -1) outside chip of 512 pages"),
+    ("read", 511, 2, "page range [511, 513) outside chip of 512 pages"),
+    ("read", 512, 1, "page range [512, 513) outside chip of 512 pages"),
+    ("write", -1, 1, "page range [-1, 0) outside chip of 512 pages"),
+    ("write", 0, -1, "page range [0, -1) outside chip of 512 pages"),
+    ("write", 511, 2, "page range [511, 513) outside chip of 512 pages"),
+    ("write", 512, 1, "page range [512, 513) outside chip of 512 pages"),
+    ("erase", -1, 1, "block range [-1, 0) outside chip of 16 blocks"),
+    ("erase", 0, -1, "block range [0, -1) outside chip of 16 blocks"),
+    ("erase", 15, 2, "block range [15, 17) outside chip of 16 blocks"),
+    ("erase", 16, 1, "block range [16, 17) outside chip of 16 blocks"),
+]
+
+
+@pytest.mark.parametrize("op,start,count,message", OUT_OF_RANGE,
+                         ids=[f"{c[0]}({c[1]},{c[2]})" for c in OUT_OF_RANGE])
+def test_out_of_range_call_is_refused_before_any_unit(op, start, count,
+                                                      message):
+    dev = MtdDevice(FlashChip(SMALL))
+    dev.mtd_write(0, 3)
+    dev.mtd_erase(SMALL.blocks_per_chip - 1, 1)
+    before = dev.chip.snapshot()
+    upper, lower = [], []
+    dev.hooks.register_probe(f"upper.{op}", upper.append, records=True)
+    for name in LOWER_SLOTS:
+        dev.hooks.register_probe(name, lower.append)
+    with pytest.raises(OutOfRangeError) as excinfo:
+        getattr(dev, f"mtd_{op}")(start, count)
+    assert str(excinfo.value) == message
+    assert dev.chip.snapshot() == before
+    assert len(upper) == 1
+    assert upper[0][2] == start and upper[0][5] == 1
+    assert lower == []
+    assert dev.hooks.handler_errors == 0
+
+
 class TestTaskAttribution:
     def test_default_is_empty(self, dev):
         seen = []
@@ -127,6 +166,20 @@ class TestUpperProbes:
         dev.hooks.register_probe("lower.write_page", lower.append)
         dev.mtd_write(0, 3)
         assert len(upper) == 1 and len(lower) == 3
+
+    def test_rebound_upper_slot_runs_after_its_probe(self, dev):
+        order = []
+        dev.hooks.register_probe(
+            "upper.read", lambda inv: order.append(("probe", inv.address)))
+
+        def replacement(start, count):
+            order.append(("target", start, count))
+            return "replaced"
+
+        dev.rebind_slot("upper.read", replacement)
+        assert dev.mtd_read(3, 2) == "replaced"
+        assert order == [("probe", 3), ("target", 3, 2)]
+        assert dev.chip.clock_ns == 0
 
 
 class TestPartitions:
@@ -171,26 +224,17 @@ class TestPartitions:
 
 class TestProbeTargetResolution:
     def test_prefers_lower_when_addresses_exposed(self, dev):
-        report = dev.resolve_probe_targets("lower")
+        report = dev.resolve_probe_targets()
         assert (report.read_slot, report.write_slot, report.erase_slot) == \
             LOWER_SLOTS
         assert report.fallback_used is False
 
     def test_falls_back_to_upper_in_legacy_mode(self):
         legacy = MtdDevice(FlashChip(SMALL), legacy=True)
-        report = legacy.resolve_probe_targets("lower")
+        report = legacy.resolve_probe_targets()
         assert (report.read_slot, report.write_slot, report.erase_slot) == \
             UPPER_SLOTS
         assert report.fallback_used is True
-
-    def test_upper_preference_never_falls_back(self, dev):
-        report = dev.resolve_probe_targets("upper")
-        assert report.read_slot == "upper.read"
-        assert report.fallback_used is False
-
-    def test_rejects_unknown_level(self, dev):
-        with pytest.raises(ValueError):
-            dev.resolve_probe_targets("middle")
 
 
 @settings(max_examples=40, deadline=None)
