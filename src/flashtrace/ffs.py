@@ -16,7 +16,11 @@ blocks; superseded or deleted pages become invalid and are reclaimed by
 garbage collection.  GC latches on when the invalid ratio or the free
 block count crosses its threshold, runs an aggressive phase (relocating
 victims' live pages) while the ratio stays high, then a soft phase that
-erases only fully invalid blocks.
+erases only fully invalid blocks.  The aggressive phase takes the
+greedy victim: the block with the most invalid pages, the lowest block
+offset among equals, never the open log block.  The soft phase takes
+the lowest-offset fully invalid block, again never the open log block.
+An index kept as page counts change answers both without a scan.
 
 File content is never stored; the model tracks page occupancy, per-file
 extents (byte ranges over pages, so packed commits can share boundary
@@ -139,6 +143,13 @@ class _FileEntry:
         self.extents: list[_Extent] = []
 
 
+def _lowest_except(blocks: set, head: Optional[int]) -> Optional[int]:
+    """The lowest block offset in ``blocks`` other than ``head``."""
+    if head not in blocks:
+        return min(blocks, default=None)
+    return min((off for off in blocks if off != head), default=None)
+
+
 class FlashFs:
     """One mounted-file-system model over one partition."""
 
@@ -160,6 +171,18 @@ class FlashFs:
         self._valid = [0] * n
         self._free_blocks = n
         self._invalid_total = 0
+        # GC victim index.  Blocks with k >= 1 invalid pages sit in
+        # _buckets[k] (_bucket_of[off] == k; slot 0 stays empty), and
+        # blocks with written pages but no valid one in _fully_invalid.
+        # Every change to _written or _valid marks its block stale; the
+        # index folds stale blocks in at the next query.  The greedy
+        # victim is the lowest offset in the highest non-empty bucket,
+        # the soft victim the lowest fully invalid offset, and neither
+        # is ever the log head.
+        self._bucket_of = [0] * n
+        self._buckets: list[set[int]] = [set() for _ in range(self._ppb + 1)]
+        self._fully_invalid: set[int] = set()
+        self._stale: set[int] = set()
         # page -> list of (extent, index) for every live byte owner
         self._page_contents: dict[int, list] = {}
         self._journal: Optional[_Extent] = None
@@ -203,7 +226,9 @@ class FlashFs:
             entries = contents.get(page)
             if entries is None:
                 contents[page] = [(extent, i)]
-                self._valid[self._block_of_page(page)] += 1
+                off = self._block_of_page(page)
+                self._valid[off] += 1
+                self._stale.add(off)
             else:
                 entries.append((extent, i))
 
@@ -214,7 +239,9 @@ class FlashFs:
             entries.remove((extent, i))
             if not entries:
                 del contents[page]
-                self._valid[self._block_of_page(page)] -= 1
+                off = self._block_of_page(page)
+                self._valid[off] -= 1
+                self._stale.add(off)
                 self._invalid_total += 1
 
     # -- log head allocation ---------------------------------------------
@@ -252,6 +279,7 @@ class FlashFs:
                 self._free_blocks -= 1
             self.dev.mtd_write(start, take)
             self._written[self._head] += take
+            self._stale.add(self._head)
             self._head_off += take
             pages.extend(range(start, start + take))
             remaining -= take
@@ -263,6 +291,7 @@ class FlashFs:
         if self._written[off] != 0:
             self._free_blocks += 1
         self._written[off] = 0
+        self._stale.add(off)
         if self._head == off:
             self._head = None
             self._head_off = 0
@@ -277,23 +306,38 @@ class FlashFs:
                 or self._free_blocks < self.config.gc_free_blocks_low_watermark):
             self._gc_latched = True
 
+    def _fold_stale(self) -> None:
+        """Bring the victim index up to date with the stale blocks."""
+        written, valid = self._written, self._valid
+        bucket_of, buckets = self._bucket_of, self._buckets
+        fully_invalid = self._fully_invalid
+        for off in self._stale:
+            invalid = written[off] - valid[off]
+            old = bucket_of[off]
+            if invalid != old:
+                if old:
+                    buckets[old].remove(off)
+                if invalid:
+                    buckets[invalid].add(off)
+                bucket_of[off] = invalid
+            if written[off] and not valid[off]:
+                fully_invalid.add(off)
+            else:
+                fully_invalid.discard(off)
+        self._stale.clear()
+
     def _find_fully_invalid(self) -> Optional[int]:
-        for off in range(self.partition.block_count):
-            if off == self._head:
-                continue
-            if self._written[off] > 0 and self._valid[off] == 0:
-                return off
-        return None
+        self._fold_stale()
+        return _lowest_except(self._fully_invalid, self._head)
 
     def _most_invalid(self) -> Optional[int]:
-        best, best_invalid = None, 0
-        for off in range(self.partition.block_count):
-            if off == self._head:
-                continue
-            invalid = self._written[off] - self._valid[off]
-            if invalid > best_invalid:
-                best, best_invalid = off, invalid
-        return best
+        self._fold_stale()
+        for bucket in reversed(self._buckets):
+            if bucket:
+                victim = _lowest_except(bucket, self._head)
+                if victim is not None:
+                    return victim
+        return None
 
     def _gc_reclaim(self, off: int) -> None:
         """Relocate a victim's live pages to the log head, then erase it."""
@@ -310,7 +354,9 @@ class FlashFs:
                 extent.pages[i] = new_page
             self._valid[off] -= 1
             self._invalid_total += 1
-            self._valid[self._block_of_page(new_page)] += 1
+            new_off = self._block_of_page(new_page)
+            self._valid[new_off] += 1
+            self._stale.update((off, new_off))
         self._erase_block(off)
 
     def _gc_step(self) -> bool:
@@ -378,6 +424,7 @@ class FlashFs:
         blocks = self.dev.chip.blocks[part.first_block:part.block_limit]
         self._written = [block.written for block in blocks]
         self._free_blocks = self._written.count(0)
+        self._stale.update(range(part.block_count))
 
     def _adopt_unclaimed(self) -> None:
         """First mount over a flashed image: claim its pages as one file.
@@ -608,19 +655,34 @@ class FlashFs:
         return entry.logical_size
 
     def accounting_ok(self) -> bool:
-        """Cross-check internal page accounting against the chip."""
+        """Cross-check internal page accounting against the chip, and
+        the GC victim index against the page accounting."""
         chip = self.dev.chip
         first = self.partition.first_block
         owned = [0] * self.partition.block_count
         for page in self._page_contents:
             owned[self._block_of_page(page)] += 1
+        self._fold_stale()
+        bucketed = {}
+        for k, bucket in enumerate(self._buckets):
+            for off in bucket:
+                if k == 0 or off in bucketed:
+                    return False
+                bucketed[off] = k
         invalid = 0
         for off in range(self.partition.block_count):
-            if self._written[off] != chip.blocks[first + off].written:
+            written, valid = self._written[off], self._valid[off]
+            if written != chip.blocks[first + off].written:
                 return False
-            if self._valid[off] != owned[off]:
+            if valid != owned[off]:
                 return False
-            if self._valid[off] > self._written[off]:
+            if valid > written:
                 return False
-            invalid += self._written[off] - self._valid[off]
+            # The victim index: bucket written - valid, none for 0.
+            if not (bucketed.get(off, 0) == self._bucket_of[off]
+                    == written - valid):
+                return False
+            if (off in self._fully_invalid) != (written > 0 and valid == 0):
+                return False
+            invalid += written - valid
         return invalid == self._invalid_total

@@ -3,7 +3,8 @@
 Attaches probes to a device's driver slots and maintains two views of
 the traffic: per-block spatial counters and a bounded temporal event
 log.  Both views are rendered to text on demand in stable, bit-exact
-formats:
+formats (the temporal log can also be streamed to a file in chunks,
+from the same line generator):
 
     spatial   one line per traced block, ascending:  "<reads> <writes> <erases>\n"
     temporal  one line per event, insertion order:
@@ -29,7 +30,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import islice
+from typing import NamedTuple, Optional, TextIO
 
 from .mtd import MtdDevice
 from .probes import ProbeError
@@ -43,6 +45,8 @@ LOG_ENTRY_BYTES_BARE = 20
 LOG_ENTRY_BYTES_WITH_TASKS = LOG_ENTRY_BYTES_BARE + TASK_NAME_BYTES
 
 NS_PER_SECOND = 1_000_000_000
+# Lines per write when the temporal log is streamed to a file.
+TEMPORAL_CHUNK_LINES = 4096
 
 
 class MonitorError(Exception):
@@ -88,13 +92,18 @@ def parse_time(text: str) -> int:
     return int(seconds) * NS_PER_SECOND + int(fraction)
 
 
+def temporal_lines(events, with_task: bool):
+    """The temporal log line of each of ``events``, lazily, in order."""
+    if with_task:
+        return (f"{format_time_ns(t)};{kind};{address};{task}\n"
+                for t, kind, address, task in events)
+    return (f"{format_time_ns(t)};{kind};{address}\n"
+            for t, kind, address, _ in events)
+
+
 def format_events(events, with_task: bool) -> str:
     """The temporal log lines of ``events``, in order."""
-    if with_task:
-        return "".join(f"{format_time_ns(t)};{kind};{address};{task}\n"
-                       for t, kind, address, task in events)
-    return "".join(f"{format_time_ns(t)};{kind};{address}\n"
-                   for t, kind, address, _ in events)
+    return "".join(temporal_lines(events, with_task))
 
 
 def parse_temporal(text: str) -> list[TraceEvent]:
@@ -456,6 +465,14 @@ class FlashMonitor:
 
     def render_temporal(self) -> str:
         return format_events(self.log, self.config.record_task_names)
+
+    def write_temporal(self, out: TextIO) -> None:
+        """Write what render_temporal returns to the text file ``out``,
+        TEMPORAL_CHUNK_LINES lines at a time, so the whole log is never
+        one string."""
+        lines = temporal_lines(self.log, self.config.record_task_names)
+        while chunk := "".join(islice(lines, TEMPORAL_CHUNK_LINES)):
+            out.write(chunk)
 
     # -- accounting ------------------------------------------------------
 

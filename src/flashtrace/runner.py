@@ -158,8 +158,8 @@ def write_outputs(spec: ScenarioSpec, result: ScenarioResult) -> TraceStats:
     stats = compute_stats(monitor)
     (out_dir / SPATIAL_FILE).write_text(monitor.render_spatial(),
                                         encoding="utf-8")
-    (out_dir / TEMPORAL_FILE).write_text(monitor.render_temporal(),
-                                         encoding="utf-8")
+    with open(out_dir / TEMPORAL_FILE, "w", encoding="utf-8") as out:
+        monitor.write_temporal(out)
     (out_dir / STATS_FILE).write_text(render_stats(stats), encoding="utf-8")
     return stats
 

@@ -26,6 +26,34 @@ def rig(blocks=8, label="fs"):
     return dev
 
 
+def reference_most_invalid(fs):
+    """The greedy victim by linear scan: most invalid pages, then the
+    lowest offset, never the log head; None with no invalid page."""
+    best, best_invalid = None, 0
+    for off in range(fs.partition.block_count):
+        if off == fs._head:
+            continue
+        invalid = fs._written[off] - fs._valid[off]
+        if invalid > best_invalid:
+            best, best_invalid = off, invalid
+    return best
+
+
+def reference_fully_invalid(fs):
+    """The lowest written block with no valid page, never the log head."""
+    for off in range(fs.partition.block_count):
+        if off == fs._head:
+            continue
+        if fs._written[off] > 0 and fs._valid[off] == 0:
+            return off
+    return None
+
+
+def assert_victims_match_scan(fs):
+    assert fs._most_invalid() == reference_most_invalid(fs)
+    assert fs._find_fully_invalid() == reference_fully_invalid(fs)
+
+
 def quiet(flavor, **overrides):
     """Flavor config that will not latch GC from a small free pool."""
     overrides.setdefault("gc_free_blocks_low_watermark", 0)
@@ -221,6 +249,19 @@ class TestAdoptionAndCrcScan:
         fs.unmount()
         fs.mount()
         assert fs.files == {}  # invalidated pages stay invalid
+
+    def test_remount_indexes_pages_written_while_unmounted(self):
+        dev = rig()
+        fs = FlashFs(dev, "fs", quiet("yaffs2_like"))
+        fs.mount()
+        fs.create_file("a", 4 * PAGE)
+        assert fs.accounting_ok()
+        fs.unmount()
+        dev.mtd_write(5 * PPB, 3)  # raw pages no file owns
+        fs.mount()
+        assert_victims_match_scan(fs)
+        assert fs._find_fully_invalid() == 5
+        assert fs.accounting_ok()
 
 
 class TestSynchronousFileOps:
@@ -481,6 +522,68 @@ class TestGarbageCollection:
         assert dev.chip.blocks[0].erase_count == erases_before + 1
         assert fs.read_file("c") == 4
 
+    def test_victim_ties_go_to_the_lowest_offset_and_skip_the_head(self):
+        dev = rig()
+        fs = FlashFs(dev, "fs", quiet("yaffs2_like",
+                                      metadata_pages_per_file_op=0))
+        fs.mount()
+        for block in "abc":  # blocks 0-2, full
+            fs.create_file(f"{block}0", 8 * PAGE)
+            fs.create_file(f"{block}1", (PPB - 8) * PAGE)
+        fs.create_file("h0", 12 * PAGE)  # block 3, the open log head
+        fs.create_file("h1", 4 * PAGE)
+        assert fs._head == 3
+        for name in ("c0", "a0", "b0", "h0"):
+            fs.delete_file(name)
+        # Blocks 0-2 tie at 8 invalid pages; the head has 12.
+        assert fs._most_invalid() == 0
+        assert fs._find_fully_invalid() is None
+        fs.delete_file("h1")  # the head alone is fully invalid
+        assert fs._find_fully_invalid() is None
+        assert fs._most_invalid() == 0
+        fs.delete_file("c1")
+        assert fs._most_invalid() == 2
+        assert fs._find_fully_invalid() == 2
+        fs.delete_file("a1")  # blocks 0 and 2 tie, fully invalid
+        assert fs._most_invalid() == 0
+        assert fs._find_fully_invalid() == 0
+        assert_victims_match_scan(fs)
+        assert fs.accounting_ok()
+
+    def test_index_follows_a_write_that_reclaims_midway(self):
+        dev = MtdDevice(FlashChip(SMALL))
+        dev.add_partition(0, 3, "tiny")
+        fs = FlashFs(dev, "tiny", quiet("yaffs2_like",
+                                        metadata_pages_per_file_op=0))
+        fs.mount()
+        fs.create_file("a", PPB * PAGE)
+        fs.create_file("b", PPB * PAGE)
+        fs.delete_file("a")
+        # Fills block 2, then reclaims block 0 inline, which queries the
+        # index before block 2's pages are attached.
+        fs.create_file("c", (PPB + 4) * PAGE)
+        assert dev.chip.blocks[0].erase_count == 2
+        assert_victims_match_scan(fs)
+        assert fs._most_invalid() is None
+        assert fs.accounting_ok()
+
+    def test_index_sees_pages_a_failed_write_left_behind(self):
+        dev = MtdDevice(FlashChip(SMALL))
+        dev.add_partition(0, 2, "tiny")
+        fs = FlashFs(dev, "tiny", quiet("yaffs2_like",
+                                        metadata_pages_per_file_op=0))
+        fs.mount()
+        fs.create_file("a", PPB * PAGE)
+        assert fs.accounting_ok()
+        with pytest.raises(OutOfSpaceError):
+            fs.create_file("b", (PPB + 4) * PAGE)  # fills block 1 first
+        fs.delete_file("a")
+        fs.create_file("c", 4 * PAGE)  # reclaims block 0 inline
+        # Block 1 holds only the failed write's pages.
+        assert fs._head == 0
+        assert_victims_match_scan(fs)
+        assert fs._find_fully_invalid() == 1
+
     def test_out_of_space_when_nothing_is_reclaimable(self):
         dev = MtdDevice(FlashChip(SMALL))
         dev.add_partition(0, 2, "tiny")
@@ -527,46 +630,89 @@ _op_strategy = st.lists(
               st.integers(min_value=0, max_value=3 * PPB * PAGE // 2)),
     max_size=40)
 
+# Churn in whole pages over four names: enough deletes and background
+# steps that GC latches, relocates and erases (the op strategy above,
+# with its smaller sizes, did not latch GC in 40 examples).
+_churn_strategy = st.lists(
+    st.tuples(st.sampled_from(["create", "create", "delete", "delete",
+                               "append", "step", "step", "remount"]),
+              st.integers(min_value=0, max_value=3),
+              st.integers(min_value=1, max_value=PPB).map(lambda n: n * PAGE)),
+    min_size=60, max_size=150)
 
-@settings(max_examples=40, deadline=None)
-@given(ops=_op_strategy,
-       flavor=st.sampled_from(["jffs2_like", "yaffs2_like", "ubifs_like"]))
-def test_random_op_sequences_keep_all_invariants(ops, flavor):
-    """Out-of-place discipline, accounting, and GC soundness in one go:
-    no chip write-rule error can surface, bookkeeping always matches the
-    media, and live data stays readable after any background work."""
+_flavors = st.sampled_from(["jffs2_like", "yaffs2_like", "ubifs_like"])
+
+
+def _random_op_rig(flavor):
     dev = rig()
     fs = FlashFs(dev, "fs", quiet(flavor, write_buffer_bytes=0
                                   if flavor != "ubifs_like" else 4096))
     fs.mount()
+    return fs
+
+
+def _apply_op(fs, verb, name, size):
+    if verb == "create" and name not in fs.files:
+        fs.create_file(name, size)
+    elif verb == "append" and name in fs.files:
+        fs.append_file(name, size)
+    elif verb == "read" and name in fs.files:
+        fs.read_file(name)
+    elif verb == "delete" and name in fs.files:
+        fs.delete_file(name)
+    elif verb == "sync":
+        fs.sync()
+    elif verb == "step":
+        fs.background_step()
+    elif verb == "remount":
+        fs.unmount()
+        fs.mount()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_op_strategy, flavor=_flavors)
+def test_random_op_sequences_keep_all_invariants(ops, flavor):
+    """Out-of-place discipline, accounting, and GC soundness in one go:
+    no chip write-rule error can surface, bookkeeping always matches the
+    media, the GC victim index always agrees with a linear scan, and
+    live data stays readable after any background work."""
+    fs = _random_op_rig(flavor)
     for verb, slot, size in ops:
-        name = f"f{slot}"
         try:
-            if verb == "create" and name not in fs.files:
-                fs.create_file(name, size)
-            elif verb == "append" and name in fs.files:
-                fs.append_file(name, size)
-            elif verb == "read" and name in fs.files:
-                fs.read_file(name)
-            elif verb == "delete" and name in fs.files:
-                fs.delete_file(name)
-            elif verb == "sync":
-                fs.sync()
-            elif verb == "step":
-                fs.background_step()
-            elif verb == "remount":
-                fs.unmount()
-                fs.mount()
+            _apply_op(fs, verb, f"f{slot}", size)
         except OutOfSpaceError:
             break
+        finally:
+            assert_victims_match_scan(fs)
     sizes = {name: fs.file_size(name) for name in fs.files}
     try:
         while fs.background_step():
-            pass
+            assert_victims_match_scan(fs)
     except OutOfSpaceError:
         pass
+    assert_victims_match_scan(fs)
     assert fs.accounting_ok()
     for name, size in sizes.items():
         assert fs.file_size(name) == size
         fs.read_file(name)
     assert fs.accounting_ok()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_churn_strategy, flavor=_flavors)
+def test_gc_victims_match_a_linear_scan_under_churn(ops, flavor):
+    """With GC busy, both victim queries equal the linear scans after
+    every op, and accounting_ok, which checks the index, holds after
+    every op that completes."""
+    fs = _random_op_rig(flavor)
+    for verb, slot, size in ops:
+        try:
+            _apply_op(fs, verb, f"f{slot}", size)
+        except OutOfSpaceError:
+            # A write cut short by a full partition leaves the pages it
+            # wrote out of _invalid_total (an open fault, see ROADMAP),
+            # so only the victim queries are checked here.
+            assert_victims_match_scan(fs)
+            break
+        assert_victims_match_scan(fs)
+        assert fs.accounting_ok()

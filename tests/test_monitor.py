@@ -12,7 +12,7 @@ from flashtrace import (AlreadyAttachedError, DuplicateProbeError, FlashChip,
                         UnknownCommandError, attach, footprint_estimate,
                         format_time_ns, parse_spatial, parse_temporal,
                         raw_erase, raw_read, raw_write, truncate_task_name)
-from flashtrace.monitor import parse_time
+from flashtrace.monitor import TEMPORAL_CHUNK_LINES, parse_time
 
 from conftest import SMALL
 
@@ -77,6 +77,27 @@ class TestTemporalFormat:
         assert ";" in text and text.count(";") == 2 * 2
         events = parse_temporal(text)
         assert [e.task_name for e in events] == ["", ""]
+
+    @pytest.mark.parametrize("task_names", [True, False],
+                             ids=["tasks", "no-tasks"])
+    @pytest.mark.parametrize("capacity", [2 * TEMPORAL_CHUNK_LINES + 7,
+                                          4 * TEMPORAL_CHUNK_LINES],
+                             ids=["wraps", "no-wrap"])
+    def test_streamed_file_equals_render(self, rig, tmp_path, task_names,
+                                         capacity):
+        mon = attach(rig, MonitorConfig(log_capacity=capacity,
+                                        record_task_names=task_names))
+        events = 40 * 256  # more than two chunks either way
+        for i in range(40):
+            with rig.task(f"task{i}"):
+                rig.mtd_read(0, 256)
+        assert (mon.total_inserted > len(mon.log)) == (capacity < events)
+        path = tmp_path / "temporal.log"
+        with open(path, "w", encoding="utf-8") as out:
+            mon.write_temporal(out)
+        text = mon.render_temporal()
+        assert text.count("\n") == min(capacity, events)
+        assert path.read_bytes() == text.encode("utf-8")
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):

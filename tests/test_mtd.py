@@ -72,18 +72,6 @@ class TestChunking:
         assert dev.mtd_read(0, 0) == []
         assert dev.chip.clock_ns == 0
 
-    def test_range_checked_before_any_op(self, dev):
-        with pytest.raises(OutOfRangeError):
-            dev.mtd_write(SMALL.total_pages - 1, 2)
-        assert dev.chip.clock_ns == 0
-        assert dev.chip.blocks[-1].written == 0
-        with pytest.raises(OutOfRangeError):
-            dev.mtd_read(-1, 1)
-        with pytest.raises(OutOfRangeError):
-            dev.mtd_erase(SMALL.blocks_per_chip, 1)
-        with pytest.raises(OutOfRangeError):
-            dev.mtd_read(0, -1)
-
 
 # SMALL has 16 blocks of 32 pages: 512 pages.
 OUT_OF_RANGE = [
