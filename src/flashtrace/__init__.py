@@ -21,9 +21,10 @@ from .nand import (BadBlockError, FlashChip, FlashError, FlashGeometry,
 from .mtd import MtdDevice, Partition, PartitionError
 from .probes import (DuplicateProbeError, HookInvocation, StaleHandleError,
                      UnknownSlotError)
-from .monitor import (AlreadyAttachedError, FlashMonitor, MonitorConfig,
-                      NotAttachedError, RingLog, SpatialCounters, TraceEvent,
-                      UnknownCommandError, attach, footprint_estimate,
+from .monitor import (AlreadyAttachedError, EventRing, FlashMonitor,
+                      MonitorConfig, NotAttachedError, RingLog,
+                      SpatialCounters, TraceEvent, UnknownCommandError,
+                      attach, footprint_estimate,
                       format_time_ns, parse_spatial, parse_temporal,
                       truncate_task_name)
 from .ffs import (BACKGROUND_TASK, FLAVOR_DEFAULTS, AlreadyMountedError,
@@ -44,7 +45,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKGROUND_TASK", "PHASE_MIN_EVENTS", "AlreadyAttachedError",
     "AlreadyMountedError", "BadBlockError", "BootScenarioConfig",
-    "ConfigError", "DuplicateProbeError", "FfsError", "FfsModelConfig",
+    "ConfigError", "DuplicateProbeError", "EventRing", "FfsError",
+    "FfsModelConfig",
     "FileAlreadyExistsError", "FlashChip", "FlashError", "FlashFs",
     "FlashGeometry", "FlashMonitor", "FLAVOR_DEFAULTS", "HookInvocation",
     "LatencyModel", "MonitorConfig", "MtdDevice", "NonSequentialWriteError",

@@ -6,20 +6,32 @@ formatting erase burst right after it, a write-dominated creation
 region, a mixed transaction region, and a trailing erase-dominated
 garbage collection region.  The 90% dominance share and the 8-event
 minimum segment length are tuning constants, not measured quantities.
+
+One routine finds the phases, from the log's kinds as ASCII bytes (so
+the scans are ``bytes`` methods) and random access to a few entries.
+It reads a monitor's ``EventRing`` column by column, and a list of
+``TraceEvent``s after joining their kinds.
 """
 
 from __future__ import annotations
 
 import statistics
-from typing import NamedTuple, Optional, Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence, Union
 
 from .ffs import BACKGROUND_TASK
-from .monitor import SpatialCounters, TraceEvent, format_time_ns
+from .monitor import EventRing, SpatialCounters, TraceEvent, format_time_ns
 
-PHASE_DOMINANCE = 0.90
+# A kind dominates a segment when 10 * its events >= 9 * the segment's
+# length: the 90% share, in integers.
+PHASE_DOMINANT_TENTHS = 9
 PHASE_MIN_EVENTS = 8
 
 KINDS = ("R", "W", "E")
+# Each event's term in 10 * writes - 9 * length, the creation test.
+_CREATION_SCORE = {ord("W"): 10 - PHASE_DOMINANT_TENTHS,
+                   ord("R"): -PHASE_DOMINANT_TENTHS,
+                   ord("E"): -PHASE_DOMINANT_TENTHS}
 
 
 class Phase(NamedTuple):
@@ -46,90 +58,63 @@ class TraceStats(NamedTuple):
     wear: WearSpread
 
 
-def _kind_counts(events: Sequence[TraceEvent]) -> dict:
-    counts = {"R": 0, "W": 0, "E": 0}
-    for event in events:
-        counts[event.kind] += 1
-    return counts
-
-
-def _dominant_kind(events: Sequence[TraceEvent]) -> str:
-    counts = _kind_counts(events)
-    return max(KINDS, key=lambda kind: counts[kind])
-
-
-def _phase(label: str, events: Sequence[TraceEvent], lo: int, hi: int,
-           dominant: Optional[str] = None) -> Phase:
-    chunk = events[lo:hi]
-    if dominant is None:
-        dominant = _dominant_kind(chunk)
-    return Phase(label, chunk[0].time_ns, chunk[-1].time_ns, dominant,
-                 hi - lo)
-
-
-def detect_phases(events: Sequence[TraceEvent]) -> list[Phase]:
+def detect_phases(events: Union[Sequence[TraceEvent], EventRing]) -> list[Phase]:
     """Split a time-ordered log into labeled, gap-free segments.
 
-    The returned phases are time ordered, never overlap, and their
-    event counts sum to the log length.
+    ``events`` is a sequence of ``TraceEvent``s or a monitor's log.  The
+    returned phases are time ordered, never overlap, and their event
+    counts sum to the log length.
     """
-    n = len(events)
-    if n == 0:
-        return []
+    if isinstance(events, EventRing):
+        kinds = events.kind_bytes()
+    else:
+        kinds = "".join([event.kind for event in events]).encode("ascii")
+    n = len(kinds)
     phases: list[Phase] = []
+
+    def add(label: str, lo: int, hi: int, dominant: str) -> None:
+        phases.append(Phase(label, events[lo][0], events[hi - 1][0],
+                            dominant, hi - lo))
+
+    # Leading all-read region: a mount scan, and a contiguous erase run
+    # right after it: first-mount format.
     i = 0
-
-    # Leading all-read region: a mount scan.
-    j = i
-    while j < n and events[j].kind == "R":
-        j += 1
-    if j - i >= PHASE_MIN_EVENTS:
-        phases.append(_phase("scan", events, i, j, "R"))
-        i = j
-
-    # A contiguous erase run right after the scan: first-mount format.
-    if phases:
-        j = i
-        while j < n and events[j].kind == "E":
-            j += 1
-        if j > i:
-            phases.append(_phase("format", events, i, j, "E"))
-            i = j
+    scan = n - len(kinds.lstrip(b"R"))
+    if scan >= PHASE_MIN_EVENTS:
+        add("scan", 0, scan, "R")
+        i = n - len(kinds[scan:].lstrip(b"E"))
+        if i > scan:
+            add("format", scan, i, "E")
 
     # Trailing erase-dominated region after the last foreground write:
     # garbage collection.  Background relocation writes do not anchor.
+    last = kinds.rfind(b"W", i)
+    while last != -1 and events[last][3] == BACKGROUND_TASK:
+        last = kinds.rfind(b"W", i, last)
+    candidate = max(last + 1, i)
     tail_start = n
-    last_fg_write = i - 1
-    for k in range(n - 1, i - 1, -1):
-        if events[k].kind == "W" and events[k].task_name != BACKGROUND_TASK:
-            last_fg_write = k
-            break
-    candidate = last_fg_write + 1
-    region = events[candidate:n]
-    if len(region) >= PHASE_MIN_EVENTS:
-        erase_share = sum(ev.kind == "E" for ev in region) / len(region)
-        if erase_share >= PHASE_DOMINANCE:
-            tail_start = candidate
+    if n - candidate >= PHASE_MIN_EVENTS and (
+            10 * kinds.count(b"E", candidate)
+            >= PHASE_DOMINANT_TENTHS * (n - candidate)):
+        tail_start = candidate
 
-    # Middle: a maximal write-dominated prefix is creation; the rest is
-    # the transaction mix.
+    # Middle: the longest write-dominated prefix (at least the minimum
+    # length) is creation; the rest is the transaction mix.  Prefix k
+    # is write-dominated when its running score is >= 0.
     if tail_start > i:
-        writes = 0
-        best = 0
-        for k in range(i, tail_start):
-            writes += events[k].kind == "W"
-            length = k - i + 1
-            if length >= PHASE_MIN_EVENTS and writes / length >= PHASE_DOMINANCE:
-                best = length
-        if best:
-            phases.append(_phase("creation", events, i, i + best, "W"))
+        dominated = bytes(map((0).__le__, accumulate(
+            map(_CREATION_SCORE.__getitem__, kinds[i:tail_start]))))
+        best = dominated.rfind(1) + 1
+        if best >= PHASE_MIN_EVENTS:
+            add("creation", i, i + best, "W")
             i += best
         if tail_start > i:
-            phases.append(_phase("transactions", events, i, tail_start))
-            i = tail_start
+            add("transactions", i, tail_start,
+                max(KINDS, key=lambda kind: kinds.count(kind.encode(), i,
+                                                        tail_start)))
 
     if tail_start < n:
-        phases.append(_phase("gc", events, tail_start, n, "E"))
+        add("gc", tail_start, n, "E")
     return phases
 
 
@@ -142,10 +127,11 @@ def wear_report(counters: SpatialCounters) -> WearSpread:
                       statistics.fmean(erases), statistics.pstdev(erases))
 
 
-def trace_stats(events: Sequence[TraceEvent],
+def trace_stats(events: Union[Sequence[TraceEvent], EventRing],
                 counters: SpatialCounters) -> TraceStats:
     """Per-kind totals come from the counters (they never overflow);
-    phases come from the log."""
+    phases come from the log, a ``TraceEvent`` sequence or a monitor's
+    ``EventRing``."""
     reads, writes, erases = counters.sums()
     per_block = tuple(counters.triple(counters.first_block + i)
                       for i in range(counters.block_count))

@@ -271,7 +271,12 @@ class FlashFs:
         remaining = count
         while remaining > 0:
             if self._head is None or self._head_off == ppb:
-                self._head = self._next_free_block()
+                try:
+                    self._head = self._next_free_block()
+                except OutOfSpaceError:
+                    # The pages already written belong to no extent.
+                    self._invalid_total += len(pages)
+                    raise
                 self._head_off = 0
             take = min(remaining, ppb - self._head_off)
             start = part_first_page + self._head * ppb + self._head_off

@@ -23,6 +23,14 @@ with the number of driver calls, not of pages; the fold expands each
 record into per-page (or per-block) counters and events, as if each
 unit had been seen on its own.  There is no callback API; when the fold
 runs never changes what the views show.
+
+The temporal log is a ring of ``log_capacity`` fixed-size entries kept
+as columns (``EventRing``) and allocated at full size by the first fold:
+time ``array('q')``, address ``array('I')``, kind ``bytearray`` (ASCII)
+and, with task names on, task id ``array('I')`` into a table of the
+distinct truncated names.  That is 17 B per entry, 13 B without task
+names, within the 20 B the footprint formula charges for a bare entry.
+Views decode the columns on read; only ``events()`` builds TraceEvents.
 """
 
 from __future__ import annotations
@@ -30,13 +38,11 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat, starmap
 from typing import NamedTuple, Optional, TextIO
 
 from .mtd import MtdDevice
 from .probes import ProbeError
-
-_tuple_new = tuple.__new__
 
 TASK_NAME_BYTES = 16
 STATIC_BASE_BYTES = 8861
@@ -47,6 +53,11 @@ LOG_ENTRY_BYTES_WITH_TASKS = LOG_ENTRY_BYTES_BARE + TASK_NAME_BYTES
 NS_PER_SECOND = 1_000_000_000
 # Lines per write when the temporal log is streamed to a file.
 TEMPORAL_CHUNK_LINES = 4096
+# A fold writes runs of at least this many units to the log with one
+# slice fill per column; item stores cost less for shorter runs.
+SLICE_FILL_UNITS = 32
+# The mode each start/stop/pause control command sets.
+_MODES = {"start": "running", "stop": "stopped", "pause": "paused"}
 
 
 class MonitorError(Exception):
@@ -140,7 +151,8 @@ def parse_spatial(text: str) -> list[tuple[int, int, int]]:
 
 
 class RingLog:
-    """Bounded event log; once full, the oldest entry yields to the newest."""
+    """Bounded window of arbitrary objects; once full, the oldest entry
+    yields to the newest."""
 
     __slots__ = ("capacity", "total_inserted", "_entries")
 
@@ -151,28 +163,108 @@ class RingLog:
         self.total_inserted = 0
         self._entries = deque(maxlen=capacity)
 
-    def insert(self, event: TraceEvent) -> None:
+    def insert(self, event) -> None:
         self._entries.append(event)
         self.total_inserted += 1
-
-    def extend(self, events, inserted: int) -> None:
-        """Insert ``inserted`` events given only the newest of them,
-        ``events``, in order; the ring would overwrite the others."""
-        self._entries.extend(events)
-        self.total_inserted += inserted
 
     def clear(self) -> None:
         self._entries.clear()
         self.total_inserted = 0
 
-    def entries(self) -> list[TraceEvent]:
+    def entries(self) -> list:
         return list(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class _TaskIds(dict):
+    """Raw task name -> index into ``names``, the table that holds each
+    distinct truncated name once."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: list[str] = []
+
+    def __missing__(self, raw_task: str) -> int:
+        name = truncate_task_name(raw_task)
+        if name not in self.names:
+            self.names.append(name)
+        self[raw_task] = index = self.names.index(name)
+        return index
+
+
+class EventRing:
+    """The monitor's temporal log: the newest ``capacity`` events as
+    fixed-size entries in columns (see the module docstring), oldest
+    first at positions ``capacity - len(self)`` up to ``capacity``.
+
+    A fold writes its batch newest first from position 0, over free and
+    then the oldest entries; ``close_batch`` turns the batch around and
+    rotates it to the top.  Iterating yields ``(time_ns, kind, address,
+    task)`` tuples, oldest first.
+    """
+
+    __slots__ = ("capacity", "total_inserted", "times", "addresses", "kinds",
+                 "tasks", "task_ids")
+
+    def __init__(self, capacity: int, with_tasks: bool):
+        if capacity < 1:
+            raise ValueError("log capacity must be positive")
+        self.capacity = capacity
+        self.total_inserted = 0
+        # The columns; open_batch allocates them at full size.
+        self.times, self.addresses = array("q"), array("I")
+        self.kinds = bytearray()
+        self.tasks = array("I") if with_tasks else None
+        self.task_ids = _TaskIds()
+
+    def open_batch(self) -> tuple:
+        """The columns, allocated at full size on first use."""
+        if not self.kinds:
+            size = self.capacity
+            self.times = array("q", [0]) * size
+            self.addresses = array("I", [0]) * size
+            self.kinds = bytearray(size)
+            if self.tasks is not None:
+                self.tasks = array("I", [0]) * size
+        return self.times, self.addresses, self.kinds, self.tasks
+
+    def close_batch(self, written: int, inserted: int) -> None:
+        """Move the ``written`` entries from position 0, newest first, to
+        the top, oldest first; ``inserted`` counts the overwritten too."""
+        for column in (self.times, self.addresses, self.kinds, self.tasks):
+            if written and column is not None:
+                batch = column[:written]
+                batch.reverse()
+                column[:] = column[written:] + batch
+        self.total_inserted += inserted
+
+    def clear(self) -> None:
+        self.total_inserted = 0
+
+    def __len__(self) -> int:
+        return min(self.total_inserted, self.capacity)
+
+    def __iter__(self):
+        start, names = self.capacity - len(self), self.task_ids.names
+        return zip(islice(self.times, start, None),
+                   self.kinds[start:].decode("ascii"),
+                   islice(self.addresses, start, None),
+                   repeat("") if self.tasks is None
+                   else map(names.__getitem__, islice(self.tasks, start, None)))
+
+    def __getitem__(self, i: int) -> tuple:
+        """Entry ``i``, oldest first, without decoding the others."""
+        if not 0 <= i < len(self):
+            raise IndexError("log index out of range")
+        at = self.capacity - len(self) + i
+        task = "" if self.tasks is None else self.task_ids.names[self.tasks[at]]
+        return (self.times[at], chr(self.kinds[at]), self.addresses[at], task)
+
+    def kind_bytes(self) -> bytes:
+        """The entries' kinds as ASCII codes, oldest first."""
+        return bytes(self.kinds[self.capacity - len(self):])
 
 
 class SpatialCounters:
@@ -253,19 +345,21 @@ class FlashMonitor:
         else:
             part = dev.partition(config.traced_partition)
             first_block, block_limit = part.first_block, part.block_limit
-        self._first_block = first_block
-        self._block_limit = block_limit
-        self._pages_per_block = geometry.pages_per_block
-        latency = dev.chip.latency
-        self._step_ns = (latency.read_ns, latency.write_ns,
-                         latency.erase_ns)
         self._filtered = 0  # units outside the traced scope
-        self._counters = SpatialCounters(first_block,
-                                         block_limit - first_block)
-        self._log = RingLog(config.log_capacity)
+        self._counters = counters = SpatialCounters(first_block,
+                                                    block_limit - first_block)
+        # Per kind: latency, counter column, units per block, the traced
+        # units [first, limit), and the kind's code in the log.
+        ppb, latency = geometry.pages_per_block, dev.chip.latency
+        pages = (first_block * ppb, block_limit * ppb)
+        self._spans = {
+            "R": (latency.read_ns, counters.reads, ppb, *pages, ord("R")),
+            "W": (latency.write_ns, counters.writes, ppb, *pages, ord("W")),
+            "E": (latency.erase_ns, counters.erases, 1, first_block,
+                  block_limit, ord("E"))}
+        self._log = EventRing(config.log_capacity, config.record_task_names)
         self._pending: list[tuple] = []
         self._mode = "running"
-        self._task_cache: dict[str, str] = {}
         self.target_report = report = dev.resolve_probe_targets()
         self._handles = []
         try:
@@ -303,95 +397,71 @@ class FlashMonitor:
         for ``count`` units from ``address``; unit i started at
         ``time_ns + i * latency(kind)``.  Records are walked newest
         first: the counters take every unit in scope, but only the
-        newest ``log_capacity`` of them become events, because the ring
-        would overwrite the rest.
+        newest ``log_capacity`` of them are written to the log, because
+        the ring would overwrite the rest.  They go in newest first from
+        position 0 (see ``EventRing``), by item stores, or by one slice
+        fill per column for a run of SLICE_FILL_UNITS or more.
         """
         pending = self._pending
         if not pending:
             return
-        first_block, block_limit = self._first_block, self._block_limit
-        pages_per_block = self._pages_per_block
-        first_page = first_block * pages_per_block
-        page_limit = block_limit * pages_per_block
-        counters = self._counters
-        reads, writes, erases = counters.reads, counters.writes, counters.erases
-        read_ns, write_ns, erase_ns = self._step_ns
-        task_cache = self._task_cache
-        newest = []  # events, newest first
-        add = newest.append
-        room = self._log.capacity
+        spans = self._spans
+        log = self._log
+        times, addresses, kinds, tasks = log.open_batch()
+        task_ids, capacity = log.task_ids, log.capacity
+        p = 0  # the next log position; the batch goes newest first
         seen = filtered = 0
         for _, kind, address, time_ns, raw_task, count in reversed(pending):
-            if count == 1:
-                if kind == "E":
-                    block = address
-                else:
-                    block = address // pages_per_block
-                if not first_block <= block < block_limit:
-                    filtered += 1
-                    continue
-                i = block - first_block
-                if kind == "R":
-                    reads[i] += 1
-                elif kind == "W":
-                    writes[i] += 1
-                else:
-                    erases[i] += 1
-                seen += 1
-                if room:
-                    room -= 1
-                    task = task_cache.get(raw_task)
-                    if task is None:
-                        task = task_cache[raw_task] = truncate_task_name(raw_task)
-                    add(_tuple_new(TraceEvent, (time_ns, kind, address, task)))
-                continue
+            step, column, per_block, first, limit, code = spans[kind]
             end = address + count
-            if kind == "E":
-                lo = address if address > first_block else first_block
-                hi = end if end < block_limit else block_limit
-            else:
-                lo = address if address > first_page else first_page
-                hi = end if end < page_limit else page_limit
+            lo = address if address > first else first
+            hi = end if end < limit else limit
             if lo >= hi:
                 filtered += count
                 continue
             n = hi - lo
             filtered += count - n
+            lo_in, hi_in = lo - first, hi - first
+            head, tail = lo_in // per_block, (hi_in - 1) // per_block
+            if head == tail:
+                column[head] += n
+            else:  # the first and last blocks may be partly covered
+                column[head] += (head + 1) * per_block - lo_in
+                for i in range(head + 1, tail):
+                    column[i] += per_block
+                column[tail] += hi_in - tail * per_block
             seen += n
-            if kind == "E":
-                step = erase_ns
-                for i in range(lo - first_block, hi - first_block):
-                    erases[i] += 1
-            else:
-                if kind == "R":
-                    step, column = read_ns, reads
-                else:
-                    step, column = write_ns, writes
-                lo_in, hi_in = lo - first_page, hi - first_page
-                head = lo_in // pages_per_block
-                tail = (hi_in - 1) // pages_per_block
-                if head == tail:
-                    column[head] += n
-                else:  # the first and last blocks may be partly covered
-                    column[head] += (head + 1) * pages_per_block - lo_in
-                    for i in range(head + 1, tail):
-                        column[i] += pages_per_block
-                    column[tail] += hi_in - tail * pages_per_block
-            if room:
-                if n > room:
-                    lo = hi - room
-                    n = room
-                room -= n
-                task = task_cache.get(raw_task)
-                if task is None:
-                    task = task_cache[raw_task] = truncate_task_name(raw_task)
-                t0 = time_ns - address * step
-                for unit in range(hi - 1, lo - 1, -1):
-                    add(_tuple_new(TraceEvent,
-                                   (t0 + unit * step, kind, unit, task)))
+            if p < capacity:
+                if n > capacity - p:
+                    n = capacity - p
+                t = time_ns + (hi - 1 - address) * step  # of unit hi - 1
+                task = 0 if tasks is None else task_ids[raw_task]
+                if n >= SLICE_FILL_UNITS:  # one C-level fill per column
+                    q = p + n
+                    times[p:q] = array("q", range(t, t - n * step, -step))
+                    addresses[p:q] = array("I", range(hi - 1, hi - 1 - n, -1))
+                    kinds[p:q] = kind.encode() * n
+                    if tasks is not None:
+                        tasks[p:q] = array("I", (task,)) * n
+                    p = q
+                    continue
+                for unit in range(hi - 1, hi - 1 - n, -1):
+                    times[p] = t
+                    addresses[p] = unit
+                    kinds[p] = code
+                    if tasks is not None:
+                        tasks[p] = task
+                    t -= step
+                    p += 1
         pending.clear()
         self._filtered += filtered
-        self._log.extend(reversed(newest), seen)
+        log.close_batch(p, seen)
+
+    def _reset(self) -> None:
+        self._pending.clear()
+        self._filtered = 0
+        self._counters.zero()
+        self._log.clear()
 
     # -- control and state -----------------------------------------------
 
@@ -409,7 +479,7 @@ class FlashMonitor:
         return self._counters
 
     @property
-    def log(self) -> RingLog:
+    def log(self) -> EventRing:
         self._require_attached()
         self._drain()
         return self._log
@@ -430,23 +500,12 @@ class FlashMonitor:
 
     def control(self, command: str) -> None:
         self._require_attached()
-        if command == "start":
+        if command in _MODES:
             self._drain()
-            self._mode = "running"
-            self._set_probes_active(True)
-        elif command == "stop":
-            self._drain()
-            self._mode = "stopped"
-            self._set_probes_active(False)
-        elif command == "pause":
-            self._drain()
-            self._mode = "paused"
-            self._set_probes_active(False)
+            self._mode = _MODES[command]
+            self._set_probes_active(command == "start")
         elif command == "reset":
-            self._pending.clear()
-            self._filtered = 0
-            self._counters.zero()
-            self._log.clear()
+            self._reset()
         elif command == "flush":
             self.log.clear()
         else:
@@ -455,7 +514,7 @@ class FlashMonitor:
     # -- views -----------------------------------------------------------
 
     def events(self) -> list[TraceEvent]:
-        return self.log.entries()
+        return list(starmap(TraceEvent, self.log))
 
     def render_spatial(self) -> str:
         counters = self.counters
@@ -486,10 +545,7 @@ class FlashMonitor:
     def detach(self) -> None:
         self._require_attached()
         self._unregister_probes()
-        self._pending.clear()
-        self._filtered = 0
-        self._log.clear()
-        self._counters.zero()
+        self._reset()
         self._attached = False
         self.dev._attached_monitor = None
 

@@ -148,7 +148,7 @@ def execute_scenario(spec: ScenarioSpec,
 
 
 def compute_stats(monitor: FlashMonitor) -> TraceStats:
-    return trace_stats(monitor.events(), monitor.counters)
+    return trace_stats(monitor.log, monitor.counters)
 
 
 def write_outputs(spec: ScenarioSpec, result: ScenarioResult) -> TraceStats:

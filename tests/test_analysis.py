@@ -1,11 +1,12 @@
 """Phase detection, wear spread, and the stats/plot renderers."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flashtrace import (BACKGROUND_TASK, PHASE_MIN_EVENTS, SpatialCounters,
-                        TraceEvent, detect_phases, emit_plot_data,
+from flashtrace import (BACKGROUND_TASK, PHASE_MIN_EVENTS, FlashChip,
+                        MonitorConfig, MtdDevice, Phase, SpatialCounters,
+                        TraceEvent, attach, detect_phases, emit_plot_data,
                         render_stats, trace_stats, wear_report)
 
 STEP = 1000
@@ -120,6 +121,117 @@ def test_phases_always_tile_the_log(spec):
                for label in seen)
     assert seen == sorted(seen, key=["scan", "format", "creation",
                                      "transactions", "gc"].index)
+
+
+def reference_detect_phases(events):
+    """Phase detection written event by event over a TraceEvent list,
+    with a float share: the reference the column routine must match."""
+    def phase(label, lo, hi, dominant=None):
+        chunk = events[lo:hi]
+        if dominant is None:
+            counts = {"R": 0, "W": 0, "E": 0}
+            for event in chunk:
+                counts[event.kind] += 1
+            dominant = max(("R", "W", "E"), key=lambda kind: counts[kind])
+        return Phase(label, chunk[0].time_ns, chunk[-1].time_ns, dominant,
+                     hi - lo)
+
+    n = len(events)
+    if n == 0:
+        return []
+    phases = []
+    i = j = 0
+    while j < n and events[j].kind == "R":
+        j += 1
+    if j - i >= PHASE_MIN_EVENTS:
+        phases.append(phase("scan", i, j, "R"))
+        i = j
+    if phases:
+        j = i
+        while j < n and events[j].kind == "E":
+            j += 1
+        if j > i:
+            phases.append(phase("format", i, j, "E"))
+            i = j
+    tail_start = n
+    last_fg_write = i - 1
+    for k in range(n - 1, i - 1, -1):
+        if events[k].kind == "W" and events[k].task_name != BACKGROUND_TASK:
+            last_fg_write = k
+            break
+    region = events[last_fg_write + 1:n]
+    if len(region) >= PHASE_MIN_EVENTS:
+        if sum(ev.kind == "E" for ev in region) / len(region) >= 0.90:
+            tail_start = last_fg_write + 1
+    if tail_start > i:
+        writes = best = 0
+        for k in range(i, tail_start):
+            writes += events[k].kind == "W"
+            length = k - i + 1
+            if length >= PHASE_MIN_EVENTS and writes / length >= 0.90:
+                best = length
+        if best:
+            phases.append(phase("creation", i, i + best, "W"))
+            i += best
+        if tail_start > i:
+            phases.append(phase("transactions", i, tail_start))
+            i = tail_start
+    if tail_start < n:
+        phases.append(phase("gc", tail_start, n, "E"))
+    return phases
+
+
+def ring_of(events, capacity):
+    """A monitor log holding ``events`` (the newest ``capacity`` of
+    them), folded from one single-unit record per event."""
+    dev = MtdDevice(FlashChip())
+    mon = attach(dev, MonitorConfig(log_capacity=capacity))
+    mon._pending.extend(("slot", kind, address, time_ns, task, 1)
+                        for time_ns, kind, address, task in events)
+    return mon.log
+
+
+# Logs built from the segments the detector looks for: each segment is a
+# kind string and the task of its events, so scans, formats, creation
+# prefixes near the 90% line and gc tails with relocation writes all
+# come up often.
+_SEGMENT = st.tuples(
+    st.one_of(st.text("R", max_size=12), st.text("E", max_size=12),
+              st.text("W", max_size=12), st.text("RWE", max_size=12),
+              st.builds(lambda w, other: "W" * w + other,
+                        st.integers(0, 27), st.sampled_from("RE")),
+              st.builds(lambda other, e: other + "E" * e,
+                        st.sampled_from("RW"), st.integers(0, 27))),
+    st.sampled_from(("app", "", BACKGROUND_TASK)))
+_AT_THE_LINE = "R" * 8 + "W" * 18 + "R" * 2  # creation is exactly 90% W
+_GC_AT_THE_LINE = "W" * 10 + "R" + "E" * 9  # the tail is exactly 90% E
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=st.lists(_SEGMENT, max_size=8),
+       capacity=st.integers(1, 100))
+@example(segments=[], capacity=1)
+@example(segments=[("W" * 9, "app")], capacity=100)
+@example(segments=[("E" * 12, "app")], capacity=100)
+@example(segments=[(_AT_THE_LINE, "app")], capacity=100)
+@example(segments=[(_AT_THE_LINE + "R", "app")], capacity=100)
+@example(segments=[(_AT_THE_LINE[:-1], "app")], capacity=100)
+@example(segments=[(_GC_AT_THE_LINE, "app")], capacity=100)
+@example(segments=[(_GC_AT_THE_LINE[:-1], "app")], capacity=100)
+@example(segments=[("W" * 10 + "RR" + "E" * 18, "app")], capacity=100)
+@example(segments=[("W" * 9 + "R", "app"), ("W" * 9, "app"),
+                   ("E" * 9, "app"), ("W", BACKGROUND_TASK),
+                   ("E" * 9, "app")], capacity=100)
+def test_phases_match_the_reference_detector(segments, capacity):
+    events = stream([(kind, task) for kinds, task in segments
+                     for kind in kinds])
+    expected = reference_detect_phases(events)
+    assert detect_phases(events) == expected
+    log = ring_of(events, capacity)
+    kept = events[max(0, len(events) - capacity):]
+    assert detect_phases(log) == reference_detect_phases(kept)
+    assert trace_stats(log, SpatialCounters(0, 1)).phases == \
+        tuple(reference_detect_phases(kept))
 
 
 def counters_with_erases(values):

@@ -584,6 +584,19 @@ class TestGarbageCollection:
         assert_victims_match_scan(fs)
         assert fs._find_fully_invalid() == 1
 
+    def test_a_write_cut_short_counts_its_pages_invalid(self):
+        dev = MtdDevice(FlashChip(SMALL))
+        dev.add_partition(0, 2, "tiny")
+        fs = FlashFs(dev, "tiny", quiet("yaffs2_like",
+                                        metadata_pages_per_file_op=0))
+        fs.mount()
+        fs.create_file("a", PPB * PAGE)
+        with pytest.raises(OutOfSpaceError):
+            fs.create_file("b", (PPB + 4) * PAGE)  # fills block 1 first
+        # Block 1 holds the failed write's pages, and no extent owns them.
+        assert fs._invalid_total == PPB
+        assert fs.accounting_ok()
+
     def test_out_of_space_when_nothing_is_reclaimable(self):
         dev = MtdDevice(FlashChip(SMALL))
         dev.add_partition(0, 2, "tiny")
@@ -701,18 +714,16 @@ def test_random_op_sequences_keep_all_invariants(ops, flavor):
 @settings(max_examples=40, deadline=None)
 @given(ops=_churn_strategy, flavor=_flavors)
 def test_gc_victims_match_a_linear_scan_under_churn(ops, flavor):
-    """With GC busy, both victim queries equal the linear scans after
-    every op, and accounting_ok, which checks the index, holds after
-    every op that completes."""
+    """With GC busy, both victim queries equal the linear scans and
+    accounting_ok, which checks the index, holds after every op, a write
+    cut short by a full partition included."""
     fs = _random_op_rig(flavor)
     for verb, slot, size in ops:
         try:
             _apply_op(fs, verb, f"f{slot}", size)
         except OutOfSpaceError:
-            # A write cut short by a full partition leaves the pages it
-            # wrote out of _invalid_total (an open fault, see ROADMAP),
-            # so only the victim queries are checked here.
             assert_victims_match_scan(fs)
+            assert fs.accounting_ok()
             break
         assert_victims_match_scan(fs)
         assert fs.accounting_ok()

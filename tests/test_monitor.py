@@ -1,18 +1,23 @@
 """Monitor: formats, ring log, counters, control, scope, footprint."""
 
+import gc
 import random
+import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashtrace import (AlreadyAttachedError, DuplicateProbeError, FlashChip,
-                        FlashError, FlashGeometry, MonitorConfig, MtdDevice,
+                        FlashError, FlashGeometry, LatencyModel,
+                        MonitorConfig, MtdDevice,
                         NotAttachedError, RingLog, TraceEvent,
                         UnknownCommandError, attach, footprint_estimate,
                         format_time_ns, parse_spatial, parse_temporal,
                         raw_erase, raw_read, raw_write, truncate_task_name)
-from flashtrace.monitor import TEMPORAL_CHUNK_LINES, parse_time
+from flashtrace.monitor import (TEMPORAL_CHUNK_LINES, format_events,
+                                parse_time)
 
 from conftest import SMALL
 
@@ -488,3 +493,121 @@ def _differential_run(ops, capacity, rebound):
 def test_records_expand_to_the_per_unit_views(capacity, ops):
     assert _differential_run(ops, capacity, rebound=False) == \
         _differential_run(ops, capacity, rebound=True)
+
+
+# The reference model for the log: records expanded unit by unit, oldest
+# first, into a bounded deque of TraceEvents.  Records go straight into
+# the pending list, in batches, with a view read (and so a fold) between
+# batches.
+_REF = FlashGeometry(blocks_per_chip=64, pages_per_block=32, page_size=512)
+_REF_TASKS = ("", "app", "gc_thread", "semi;colon;task",
+              "a-task-name-way-over-sixteen", "a-task-name-way-over-seventeen",
+              _LONG_TASK)
+
+
+@st.composite
+def _ring_batches(draw):
+    capacity = draw(st.one_of(st.integers(1, 64), st.just(5000)))
+    records = []
+    for kind in draw(st.lists(st.sampled_from("RWE"), min_size=1,
+                              max_size=30)):
+        units = _REF.blocks_per_chip if kind == "E" else _REF.total_pages
+        count = draw(st.integers(1, min(3 * capacity, units, 200)))
+        address = draw(st.integers(0, units - count))
+        records.append((f"slot-{kind}", kind, address,
+                        draw(st.integers(0, 1 << 40)),
+                        draw(st.sampled_from(_REF_TASKS)), count))
+    cuts = sorted(draw(st.sets(st.integers(1, len(records)), max_size=4)))
+    return capacity, [records[lo:hi] for lo, hi
+                      in zip([0, *cuts], [*cuts, len(records)]) if lo < hi]
+
+
+def _reference_fold(model, records, first_block, block_limit, task_names):
+    latency = {"R": LatencyModel().read_ns, "W": LatencyModel().write_ns,
+               "E": LatencyModel().erase_ns}
+    for _, kind, address, time_ns, task, count in records:
+        for i in range(count):
+            unit = address + i
+            block = unit if kind == "E" else unit // _REF.pages_per_block
+            if not first_block <= block < block_limit:
+                model["filtered"] += 1
+                continue
+            model["log"].append(TraceEvent(
+                time_ns + i * latency[kind], kind, unit,
+                truncate_task_name(task) if task_names else ""))
+            model["inserted"] += 1
+
+
+@pytest.mark.parametrize("task_names", [True, False],
+                         ids=["tasks", "no-tasks"])
+@settings(max_examples=60, deadline=None)
+@given(case=_ring_batches(),
+       view=st.sampled_from(("events", "len", "health", "temporal")))
+def test_ring_matches_a_deque_of_events(task_names, case, view):
+    capacity, batches = case
+    dev = MtdDevice(FlashChip(_REF))
+    dev.add_partition(0, 16, "head")
+    dev.add_partition(16, 32, "traced")
+    mon = attach(dev, MonitorConfig(traced_partition="traced",
+                                    log_capacity=capacity,
+                                    record_task_names=task_names))
+    model = {"log": deque(maxlen=capacity), "inserted": 0, "filtered": 0}
+    for batch in batches:
+        mon._pending.extend(batch)
+        _reference_fold(model, batch, 16, 48, task_names)
+        if view == "events":
+            mon.events()
+        elif view == "len":
+            len(mon.log)
+        elif view == "health":
+            mon.health()
+        else:
+            mon.render_temporal()
+    expected = list(model["log"])
+    assert mon.events() == expected
+    assert mon.render_temporal() == format_events(expected, task_names)
+    assert len(mon.log) == len(expected)
+    assert mon.total_inserted == model["inserted"]
+    assert mon.health() == {
+        "events": model["inserted"], "filtered": model["filtered"],
+        "overwritten": model["inserted"] - len(expected),
+        "handler_errors": 0}
+    if expected:
+        assert [mon.log[i] for i in (0, len(expected) - 1)] == \
+            [expected[0], expected[-1]]
+
+
+@pytest.mark.parametrize("task_names", [True, False],
+                         ids=["tasks", "no-tasks"])
+def test_retained_memory_stays_within_the_footprint(task_names):
+    """What a monitor holds after its log has wrapped is at most what
+    footprint_bytes() claims, and it does not grow with more traffic."""
+    capacity = 2000
+    dev = MtdDevice(FlashChip(SMALL))
+    dev.add_partition(0, SMALL.blocks_per_chip, "all")
+
+    def traffic(events):
+        for i in range(events // 200):
+            with dev.task(_REF_TASKS[i % len(_REF_TASKS)]):
+                dev.mtd_read(0, 200)
+
+    traffic(1024)  # the device's own state settles before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mon = attach(dev, MonitorConfig(log_capacity=capacity,
+                                        record_task_names=task_names))
+        traffic(2 * capacity)
+        mon.health()  # folds
+        gc.collect()
+        after_2x = tracemalloc.get_traced_memory()[0] - base
+        traffic(8 * capacity)
+        mon.health()
+        gc.collect()
+        after_10x = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert mon.total_inserted == 10 * capacity
+    assert after_2x <= mon.footprint_bytes()
+    assert abs(after_10x - after_2x) <= after_2x / 100
