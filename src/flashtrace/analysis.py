@@ -8,9 +8,10 @@ garbage collection region.  The 90% dominance share and the 8-event
 minimum segment length are tuning constants, not measured quantities.
 
 One routine finds the phases, from the log's kinds as ASCII bytes (so
-the scans are ``bytes`` methods) and random access to a few entries.
-It reads a monitor's ``EventRing`` column by column, and a list of
-``TraceEvent``s after joining their kinds.
+the scans are ``bytes`` methods) and its times.  A monitor's
+``EventRing`` hands both over as columns, and a list of ``TraceEvent``s
+is converted.  A write by the background task is ``w`` in the kinds, so
+it does not anchor the gc phase.
 """
 
 from __future__ import annotations
@@ -66,15 +67,18 @@ def detect_phases(events: Union[Sequence[TraceEvent], EventRing]) -> list[Phase]
     counts sum to the log length.
     """
     if isinstance(events, EventRing):
-        kinds = events.kind_bytes()
+        kinds = events.ordered(events.kinds)
+        times = events.ordered(events.times)
     else:
-        kinds = "".join([event.kind for event in events]).encode("ascii")
+        kinds = "".join(["w" if event.kind == "W"
+                         and event.task_name == BACKGROUND_TASK
+                         else event.kind for event in events]).encode("ascii")
+        times = [event.time_ns for event in events]
     n = len(kinds)
     phases: list[Phase] = []
 
     def add(label: str, lo: int, hi: int, dominant: str) -> None:
-        phases.append(Phase(label, events[lo][0], events[hi - 1][0],
-                            dominant, hi - lo))
+        phases.append(Phase(label, times[lo], times[hi - 1], dominant, hi - lo))
 
     # Leading all-read region: a mount scan, and a contiguous erase run
     # right after it: first-mount format.
@@ -87,11 +91,9 @@ def detect_phases(events: Union[Sequence[TraceEvent], EventRing]) -> list[Phase]
             add("format", scan, i, "E")
 
     # Trailing erase-dominated region after the last foreground write:
-    # garbage collection.  Background relocation writes do not anchor.
-    last = kinds.rfind(b"W", i)
-    while last != -1 and events[last][3] == BACKGROUND_TASK:
-        last = kinds.rfind(b"W", i, last)
-    candidate = max(last + 1, i)
+    # garbage collection.  Past it, a background write is any write.
+    candidate = max(kinds.rfind(b"W", i) + 1, i)
+    kinds = kinds.replace(b"w", b"W")
     tail_start = n
     if n - candidate >= PHASE_MIN_EVENTS and (
             10 * kinds.count(b"E", candidate)

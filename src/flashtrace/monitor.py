@@ -24,13 +24,13 @@ record into per-page (or per-block) counters and events, as if each
 unit had been seen on its own.  There is no callback API; when the fold
 runs never changes what the views show.
 
-The temporal log is a ring of ``log_capacity`` fixed-size entries kept
-as columns (``EventRing``) and allocated at full size by the first fold:
-time ``array('q')``, address ``array('I')``, kind ``bytearray`` (ASCII)
-and, with task names on, task id ``array('I')`` into a table of the
-distinct truncated names.  That is 17 B per entry, 13 B without task
-names, within the 20 B the footprint formula charges for a bare entry.
-Views decode the columns on read; only ``events()`` builds TraceEvents.
+The temporal log is an ``EventRing``: ``log_capacity`` fixed-size
+entries kept as columns and allocated by the first fold, time
+``array('q')``, address ``array('I')``, kind ``bytearray`` and, with
+task names on, task id ``array('I')``: 17 B per entry, 13 B without
+task names.  A write by the file system's background task is stored as
+kind ``w`` (read back as ``W``), so phase detection can tell it apart
+without a task column.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat, starmap
 from typing import NamedTuple, Optional, TextIO
 
+from .ffs import BACKGROUND_TASK
 from .mtd import MtdDevice
 from .probes import ProbeError
 
@@ -53,11 +54,9 @@ LOG_ENTRY_BYTES_WITH_TASKS = LOG_ENTRY_BYTES_BARE + TASK_NAME_BYTES
 NS_PER_SECOND = 1_000_000_000
 # Lines per write when the temporal log is streamed to a file.
 TEMPORAL_CHUNK_LINES = 4096
-# A fold writes runs of at least this many units to the log with one
-# slice fill per column; item stores cost less for shorter runs.
+# A fold writes runs this long or longer with one slice fill per column.
 SLICE_FILL_UNITS = 32
-# The mode each start/stop/pause control command sets.
-_MODES = {"start": "running", "stop": "stopped", "pause": "paused"}
+_BACKGROUND_WRITE = ord("w")  # a background task's write, read as "W"
 
 
 class MonitorError(Exception):
@@ -151,8 +150,7 @@ def parse_spatial(text: str) -> list[tuple[int, int, int]]:
 
 
 class RingLog:
-    """Bounded window of arbitrary objects; once full, the oldest entry
-    yields to the newest."""
+    """Bounded event log; once full, the oldest entry yields to the newest."""
 
     __slots__ = ("capacity", "total_inserted", "_entries")
 
@@ -178,93 +176,46 @@ class RingLog:
         return len(self._entries)
 
 
-class _TaskIds(dict):
-    """Raw task name -> index into ``names``, the table that holds each
-    distinct truncated name once."""
-
-    def __init__(self):
-        super().__init__()
-        self.names: list[str] = []
-
-    def __missing__(self, raw_task: str) -> int:
-        name = truncate_task_name(raw_task)
-        if name not in self.names:
-            self.names.append(name)
-        self[raw_task] = index = self.names.index(name)
-        return index
-
-
 class EventRing:
-    """The monitor's temporal log: the newest ``capacity`` events as
-    fixed-size entries in columns (see the module docstring), oldest
-    first at positions ``capacity - len(self)`` up to ``capacity``.
+    """The monitor's temporal log: the newest ``capacity`` events in
+    columns (see the module docstring), which the monitor's first fold
+    allocates.  Oldest first, the entries run from 0 up to ``head``
+    until the ring is full, then from ``head`` round to just before it.
+    A task column entry indexes ``task_ids``, the distinct truncated
+    task names in the order they came."""
 
-    A fold writes its batch newest first from position 0, over free and
-    then the oldest entries; ``close_batch`` turns the batch around and
-    rotates it to the top.  Iterating yields ``(time_ns, kind, address,
-    task)`` tuples, oldest first.
-    """
-
-    __slots__ = ("capacity", "total_inserted", "times", "addresses", "kinds",
-                 "tasks", "task_ids")
+    __slots__ = ("capacity", "total_inserted", "head", "times", "addresses",
+                 "kinds", "tasks", "task_ids")
 
     def __init__(self, capacity: int, with_tasks: bool):
         if capacity < 1:
             raise ValueError("log capacity must be positive")
         self.capacity = capacity
-        self.total_inserted = 0
-        # The columns; open_batch allocates them at full size.
-        self.times, self.addresses = array("q"), array("I")
-        self.kinds = bytearray()
+        self.total_inserted = self.head = 0
+        self.times, self.addresses, self.kinds = array("q"), array("I"), b""
         self.tasks = array("I") if with_tasks else None
-        self.task_ids = _TaskIds()
-
-    def open_batch(self) -> tuple:
-        """The columns, allocated at full size on first use."""
-        if not self.kinds:
-            size = self.capacity
-            self.times = array("q", [0]) * size
-            self.addresses = array("I", [0]) * size
-            self.kinds = bytearray(size)
-            if self.tasks is not None:
-                self.tasks = array("I", [0]) * size
-        return self.times, self.addresses, self.kinds, self.tasks
-
-    def close_batch(self, written: int, inserted: int) -> None:
-        """Move the ``written`` entries from position 0, newest first, to
-        the top, oldest first; ``inserted`` counts the overwritten too."""
-        for column in (self.times, self.addresses, self.kinds, self.tasks):
-            if written and column is not None:
-                batch = column[:written]
-                batch.reverse()
-                column[:] = column[written:] + batch
-        self.total_inserted += inserted
+        self.task_ids: dict[str, int] = {}
 
     def clear(self) -> None:
-        self.total_inserted = 0
+        self.total_inserted = self.head = 0
 
     def __len__(self) -> int:
         return min(self.total_inserted, self.capacity)
 
+    def ordered(self, column):
+        """A copy of ``column``'s entries, oldest first."""
+        return column[self.head:len(self)] + column[:self.head]
+
     def __iter__(self):
-        start, names = self.capacity - len(self), self.task_ids.names
-        return zip(islice(self.times, start, None),
-                   self.kinds[start:].decode("ascii"),
-                   islice(self.addresses, start, None),
-                   repeat("") if self.tasks is None
-                   else map(names.__getitem__, islice(self.tasks, start, None)))
-
-    def __getitem__(self, i: int) -> tuple:
-        """Entry ``i``, oldest first, without decoding the others."""
-        if not 0 <= i < len(self):
-            raise IndexError("log index out of range")
-        at = self.capacity - len(self) + i
-        task = "" if self.tasks is None else self.task_ids.names[self.tasks[at]]
-        return (self.times[at], chr(self.kinds[at]), self.addresses[at], task)
-
-    def kind_bytes(self) -> bytes:
-        """The entries' kinds as ASCII codes, oldest first."""
-        return bytes(self.kinds[self.capacity - len(self):])
+        """``(time_ns, kind, address, task)`` per entry, oldest first."""
+        kinds = self.ordered(self.kinds).decode("ascii")
+        names = list(self.task_ids)
+        # Without task names, a background write still names its task.
+        tasks = (map({"w": BACKGROUND_TASK}.get, kinds, repeat(""))
+                 if self.tasks is None
+                 else map(names.__getitem__, self.ordered(self.tasks)))
+        return zip(self.ordered(self.times), kinds.replace("w", "W"),
+                   self.ordered(self.addresses), tasks)
 
 
 class SpatialCounters:
@@ -360,6 +311,7 @@ class FlashMonitor:
         self._log = EventRing(config.log_capacity, config.record_task_names)
         self._pending: list[tuple] = []
         self._mode = "running"
+        self._task_cache: dict[str, int] = {}
         self.target_report = report = dev.resolve_probe_targets()
         self._handles = []
         try:
@@ -396,20 +348,28 @@ class FlashMonitor:
         A record ``(slot, kind, address, time_ns, task, count)`` stands
         for ``count`` units from ``address``; unit i started at
         ``time_ns + i * latency(kind)``.  Records are walked newest
-        first: the counters take every unit in scope, but only the
-        newest ``log_capacity`` of them are written to the log, because
-        the ring would overwrite the rest.  They go in newest first from
-        position 0 (see ``EventRing``), by item stores, or by one slice
-        fill per column for a run of SLICE_FILL_UNITS or more.
+        first: the counters take every unit in scope, and the newest
+        ``log_capacity`` go to the log (allocated here the first time),
+        newest first from its head, turned around at the end.
         """
         pending = self._pending
         if not pending:
             return
-        spans = self._spans
         log = self._log
-        times, addresses, kinds, tasks = log.open_batch()
-        task_ids, capacity = log.task_ids, log.capacity
-        p = 0  # the next log position; the batch goes newest first
+        capacity = log.capacity
+        if not log.kinds:
+            log.times = array("q", [0]) * capacity
+            log.kinds = bytearray(capacity)
+            log.addresses = array("I", [0]) * capacity
+            if log.tasks is not None:
+                log.tasks = array("I", [0]) * capacity
+        spans, task_cache = self._spans, self._task_cache
+        task_ids = log.task_ids
+        times, addresses, kinds, tasks = (log.times, log.addresses, log.kinds,
+                                          log.tasks)
+        # Positions run up from head - capacity, so a negative one wraps.
+        stop = log.head
+        p = start = stop - capacity
         seen = filtered = 0
         for _, kind, address, time_ns, raw_task, count in reversed(pending):
             step, column, per_block, first, limit, code = spans[kind]
@@ -431,18 +391,24 @@ class FlashMonitor:
                     column[i] += per_block
                 column[tail] += hi_in - tail * per_block
             seen += n
-            if p < capacity:
-                if n > capacity - p:
-                    n = capacity - p
+            if p < stop:
+                if n > stop - p:
+                    n = stop - p
                 t = time_ns + (hi - 1 - address) * step  # of unit hi - 1
-                task = 0 if tasks is None else task_ids[raw_task]
-                if n >= SLICE_FILL_UNITS:  # one C-level fill per column
-                    q = p + n
-                    times[p:q] = array("q", range(t, t - n * step, -step))
-                    addresses[p:q] = array("I", range(hi - 1, hi - 1 - n, -1))
-                    kinds[p:q] = kind.encode() * n
+                if kind == "W" and raw_task == BACKGROUND_TASK:
+                    code = _BACKGROUND_WRITE
+                task = task_cache.get(raw_task)
+                if task is None:
+                    task = task_cache[raw_task] = task_ids.setdefault(
+                        truncate_task_name(raw_task), len(task_ids))
+                q = p + n
+                if n >= SLICE_FILL_UNITS and (p >= 0 or q <= 0):
+                    run = slice(p, q or None)  # q = 0 is the end
+                    times[run] = array("q", range(t, t - n * step, -step))
+                    addresses[run] = array("I", range(hi - 1, hi - 1 - n, -1))
+                    kinds[run] = bytes((code,)) * n
                     if tasks is not None:
-                        tasks[p:q] = array("I", (task,)) * n
+                        tasks[run] = array("I", (task,)) * n
                     p = q
                     continue
                 for unit in range(hi - 1, hi - 1 - n, -1):
@@ -455,13 +421,14 @@ class FlashMonitor:
                     p += 1
         pending.clear()
         self._filtered += filtered
-        log.close_batch(p, seen)
-
-    def _reset(self) -> None:
-        self._pending.clear()
-        self._filtered = 0
-        self._counters.zero()
-        self._log.clear()
+        log.total_inserted += seen
+        log.head = p % capacity
+        w = p - start
+        for column in (times, addresses, kinds, tasks):
+            if column is not None:  # the batch, newest first, turned around
+                batch = (column[stop:stop + w] + column[:max(p, 0)])[::-1]
+                column[stop:stop + w] = batch[:capacity - stop]
+                column[:max(p, 0)] = batch[capacity - stop:]
 
     # -- control and state -----------------------------------------------
 
@@ -500,12 +467,23 @@ class FlashMonitor:
 
     def control(self, command: str) -> None:
         self._require_attached()
-        if command in _MODES:
+        if command == "start":
             self._drain()
-            self._mode = _MODES[command]
-            self._set_probes_active(command == "start")
+            self._mode = "running"
+            self._set_probes_active(True)
+        elif command == "stop":
+            self._drain()
+            self._mode = "stopped"
+            self._set_probes_active(False)
+        elif command == "pause":
+            self._drain()
+            self._mode = "paused"
+            self._set_probes_active(False)
         elif command == "reset":
-            self._reset()
+            self._pending.clear()
+            self._filtered = 0
+            self._counters.zero()
+            self._log.clear()
         elif command == "flush":
             self.log.clear()
         else:
@@ -545,7 +523,10 @@ class FlashMonitor:
     def detach(self) -> None:
         self._require_attached()
         self._unregister_probes()
-        self._reset()
+        self._pending.clear()
+        self._filtered = 0
+        self._log.clear()
+        self._counters.zero()
         self._attached = False
         self.dev._attached_monitor = None
 

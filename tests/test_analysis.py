@@ -181,11 +181,12 @@ def reference_detect_phases(events):
     return phases
 
 
-def ring_of(events, capacity):
+def ring_of(events, capacity, task_names=True):
     """A monitor log holding ``events`` (the newest ``capacity`` of
     them), folded from one single-unit record per event."""
     dev = MtdDevice(FlashChip())
-    mon = attach(dev, MonitorConfig(log_capacity=capacity))
+    mon = attach(dev, MonitorConfig(log_capacity=capacity,
+                                    record_task_names=task_names))
     mon._pending.extend(("slot", kind, address, time_ns, task, 1)
                         for time_ns, kind, address, task in events)
     return mon.log
@@ -207,6 +208,8 @@ _AT_THE_LINE = "R" * 8 + "W" * 18 + "R" * 2  # creation is exactly 90% W
 _GC_AT_THE_LINE = "W" * 10 + "R" + "E" * 9  # the tail is exactly 90% E
 
 
+@pytest.mark.parametrize("task_names", [True, False],
+                         ids=["tasks", "no-tasks"])
 @settings(max_examples=300, deadline=None)
 @given(segments=st.lists(_SEGMENT, max_size=8),
        capacity=st.integers(1, 100))
@@ -222,12 +225,14 @@ _GC_AT_THE_LINE = "W" * 10 + "R" + "E" * 9  # the tail is exactly 90% E
 @example(segments=[("W" * 9 + "R", "app"), ("W" * 9, "app"),
                    ("E" * 9, "app"), ("W", BACKGROUND_TASK),
                    ("E" * 9, "app")], capacity=100)
-def test_phases_match_the_reference_detector(segments, capacity):
+def test_phases_match_the_reference_detector(task_names, segments, capacity):
+    """Without task names too: the ring keeps which writes came from the
+    background task, so the phases are those of the named events."""
     events = stream([(kind, task) for kinds, task in segments
                      for kind in kinds])
     expected = reference_detect_phases(events)
     assert detect_phases(events) == expected
-    log = ring_of(events, capacity)
+    log = ring_of(events, capacity, task_names)
     kept = events[max(0, len(events) - capacity):]
     assert detect_phases(log) == reference_detect_phases(kept)
     assert trace_stats(log, SpatialCounters(0, 1)).phases == \
