@@ -18,7 +18,7 @@ The layers, bottom up:
 from .nand import (BadBlockError, FlashChip, FlashError, FlashGeometry,
                    LatencyModel, NonSequentialWriteError, OpReceipt,
                    OutOfRangeError, OverwriteError, PageState, page_to_block)
-from .mtd import MtdDevice, Partition, PartitionError
+from .mtd import MtdDevice, Partition, PartitionError, Receipts
 from .probes import (DuplicateProbeError, HookInvocation, StaleHandleError,
                      UnknownSlotError)
 from .monitor import (AlreadyAttachedError, EventRing, FlashMonitor,
@@ -52,8 +52,9 @@ __all__ = [
     "LatencyModel", "MonitorConfig", "MtdDevice", "NonSequentialWriteError",
     "NotAttachedError", "NotMountedError", "OpReceipt", "OutOfRangeError",
     "OutOfSpaceError", "OverwriteError", "PageState", "Partition",
-    "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig", "RingLog",
-    "ScenarioSpec", "SpatialCounters", "StaleHandleError", "TraceEvent",
+    "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig", "Receipts",
+    "RingLog", "ScenarioSpec", "SpatialCounters", "StaleHandleError",
+    "TraceEvent",
     "UnknownCommandError", "UnknownFileError", "UnknownSlotError", "attach",
     "boot_scenario_run", "build_device", "default_spec", "detect_phases",
     "emit_plot_data", "execute_scenario", "flavor_config",

@@ -17,12 +17,14 @@ Collection is lazy and has one path: each probe only appends the raw
 record to a pending list, and the scope filter, the counters and the
 log are folded from that list the next time a view (``counters``,
 ``log`` and ``health()`` included) is read or a control command runs.
-The driver hands the monitor one record per chunked call (a start
-address, its start time and a unit count), so the pending list grows
-with the number of driver calls, not of pages; the fold expands each
-record into per-page (or per-block) counters and events, as if each
-unit had been seen on its own.  There is no callback API; when the fold
-runs never changes what the views show.
+The driver runs each call as one chip-level run and hands the monitor
+that call's request record (a start address, its start time and a unit
+count) after the units ran; it is the same tuple the call's receipts
+are read from, so recording adds one list append to a driver call.  The
+pending list grows with the number of driver calls, not of pages; the
+fold expands each record into per-page (or per-block) counters and
+events, as if each unit had been seen on its own.  There is no callback
+API; when the fold runs never changes what the views show.
 
 The temporal log is an ``EventRing``: ``log_capacity`` fixed-size
 entries kept as columns and allocated by the first fold, time
@@ -411,14 +413,21 @@ class FlashMonitor:
                         tasks[run] = array("I", (task,)) * n
                     p = q
                     continue
-                for unit in range(hi - 1, hi - 1 - n, -1):
-                    times[p] = t
-                    addresses[p] = unit
-                    kinds[p] = code
-                    if tasks is not None:
+                if tasks is None:
+                    for unit in range(hi - 1, hi - 1 - n, -1):
+                        times[p] = t
+                        addresses[p] = unit
+                        kinds[p] = code
+                        t -= step
+                        p += 1
+                else:
+                    for unit in range(hi - 1, hi - 1 - n, -1):
+                        times[p] = t
+                        addresses[p] = unit
+                        kinds[p] = code
                         tasks[p] = task
-                    t -= step
-                    p += 1
+                        t -= step
+                        p += 1
         pending.clear()
         self._filtered += filtered
         log.total_inserted += seen

@@ -1,17 +1,20 @@
 """Layered driver facade over a raw NAND chip.
 
 The driver is organized as a small stack of named function slots.  Upper
-slots accept multi-page (or multi-block) ranges, check them against the
-chip and chunk them into single-unit calls on the lower slots; lower
-slots talk to the chip directly.  This module is the one place a probe
-fires: every call, at both levels, fires its slot's probe (if any) on
-entry with the plain record the probe registry defines, then runs the
-slot's target; an exception the probe raises is counted, not
-propagated.  A HookInvocation probe on a lower slot fires before each
-single unit.  A record-taking probe (the monitor's sink) on a lower slot
-still bound to the chip gets one record per multi-unit call, handed over
-after the units ran; it covers every unit that was tried, the failing
-one included.
+slots accept multi-page (or multi-block) ranges and check them against
+the chip; lower slots talk to the chip.  A lower slot still bound to the
+chip runs a whole range as one chip-level run (``FlashChip.read_pages``,
+``write_pages``, ``erase_blocks``) and returns ``Receipts``, a lazy
+sequence of the call's OpReceipts.  This module is the one place a probe
+fires: an upper slot fires its probe (if any) on entry with the plain
+record the probe registry defines, then runs the slot's target; an
+exception a probe raises is counted, not propagated.  A record-taking
+probe (the monitor's sink) on a lower slot still bound to the chip gets
+one request record per call, the same tuple the call's Receipts read,
+handed over after the units ran; it covers every unit that was tried,
+the failing one included.  A HookInvocation probe on a lower slot, or
+any probe on a rebound one, fires before each single unit of a loop of
+one-unit calls.
 
 Slots are replaceable: rebinding a slot models substituting one driver
 implementation for another.  A device built in legacy mode keeps the
@@ -21,16 +24,66 @@ forces probe-target resolution to fall back on the upper layer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable, NamedTuple
 
-from .nand import FlashChip, OutOfRangeError
+from .nand import FlashChip, FlashError, OpReceipt, OutOfRangeError
 from .probes import ProbeRegistry, UnknownSlotError
+
+_new = tuple.__new__
+_fields = tuple.__iter__
 
 UPPER_SLOTS = ("upper.read", "upper.write", "upper.erase")
 LOWER_SLOTS = ("lower.read_page", "lower.write_page", "lower.erase_block")
+
+
+class Receipts(tuple):
+    """The receipts of one chip-backed call, built when read: a read-only
+    sequence of the call's OpReceipts, unit i being ``OpReceipt(kind,
+    start + i, t0 + i * step_ns)``.  It holds the call's request record
+    ``(slot, kind, start, t0, task, count)`` and ``step_ns``, and compares
+    equal to the list of OpReceipts it stands for; ``list(receipts)``
+    gives that list."""
+
+    __slots__ = ()
+
+    def _columns(self):
+        (_, kind, start, t0, _, count), step = _fields(self)
+        return (kind, range(start, start + count),
+                range(t0, t0 + count * step, step))
+
+    def __len__(self) -> int:
+        record, _ = _fields(self)
+        return record[5]
+
+    def __getitem__(self, index):
+        kind, addresses, times = self._columns()
+        if isinstance(index, slice):
+            return list(map(OpReceipt, repeat(kind), addresses[index],
+                            times[index]))
+        return OpReceipt(kind, addresses[index], times[index])
+
+    def __iter__(self):
+        kind, addresses, times = self._columns()
+        return map(OpReceipt, repeat(kind), addresses, times)
+
+    def __eq__(self, other):
+        if isinstance(other, (Receipts, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+    __contains__ = Sequence.__contains__
+    __reversed__ = Sequence.__reversed__
+    index = Sequence.index
+    count = Sequence.count
+
+    def __repr__(self) -> str:
+        return f"Receipts({list(self)!r})"
 
 
 class PartitionError(Exception):
@@ -45,16 +98,18 @@ class FunctionSlot:
     ``probe_fn`` and ``takes_records`` are managed by the probe registry:
     the currently active handler (or None), called with the record
     ``(name, kind, address, time_ns, task_name, count)``, and whether it
-    accepts records with ``count > 1``.  ``step_ns`` is the clock advance
-    of one unit while the target is the chip's own method, and 0 once
-    the slot is rebound.
+    accepts one record for a whole call.  A lower slot's ``run`` is the
+    chip's range operation of its kind while ``target`` is the chip's
+    own one-unit method, and None once the slot is rebound; ``step_ns``
+    is the clock advance of one unit of that kind.
     """
 
     __slots__ = ("name", "level", "kind", "target", "exposes_address",
-                 "probe_fn", "takes_records", "step_ns")
+                 "probe_fn", "takes_records", "run", "step_ns")
 
     def __init__(self, name: str, level: str, kind: str, target: Callable,
-                 exposes_address: bool = True, step_ns: int = 0):
+                 exposes_address: bool = True, run: Callable = None,
+                 step_ns: int = 0):
         self.name = name
         self.level = level
         self.kind = kind
@@ -62,6 +117,7 @@ class FunctionSlot:
         self.exposes_address = exposes_address
         self.probe_fn = None
         self.takes_records = False
+        self.run = run
         self.step_ns = step_ns
 
     def __repr__(self):
@@ -124,11 +180,13 @@ class MtdDevice:
         meta = not legacy
         latency = chip.latency
         read = FunctionSlot("lower.read_page", "lower", "R", chip.read_page,
-                            meta, latency.read_ns)
+                            meta, chip.read_pages, latency.read_ns)
         write = FunctionSlot("lower.write_page", "lower", "W",
-                             chip.write_page, meta, latency.write_ns)
+                             chip.write_page, meta, chip.write_pages,
+                             latency.write_ns)
         erase = FunctionSlot("lower.erase_block", "lower", "E",
-                             chip.erase_block, meta, latency.erase_ns)
+                             chip.erase_block, meta, chip.erase_blocks,
+                             latency.erase_ns)
         pages = chip.geometry.total_pages
         blocks = chip.geometry.blocks_per_chip
         chunked = self._chunked
@@ -167,11 +225,11 @@ class MtdDevice:
 
     def rebind_slot(self, name: str, target: Callable) -> None:
         """Replace a slot's behavior.  The new target need not advance the
-        clock by one latency per unit, so its probe gets one record per
-        unit from then on."""
+        clock by one latency per unit, so the slot runs one unit per call
+        from then on and its probe gets one record per unit."""
         slot = self.slot(name)
         slot.target = target
-        slot.step_ns = 0
+        slot.run = None
 
     # -- dispatch --------------------------------------------------------
 
@@ -193,60 +251,58 @@ class MtdDevice:
 
     # The one upper-slot behavior, bound into each upper slot with its
     # lower slot, the chip's size in units and the unit's name.  It checks
-    # the range, then chunks it into single-unit lower-slot calls.  The
-    # loop is the hot path of every simulation, so the lower slot's probe
-    # is resolved once per call and the loop is specialized on it; each
-    # branch fires the probe before every unit as _call would (probes
-    # cannot change mid-call on the serialized operation path).  A
-    # record-taking probe on a chip-backed slot gets one record for a
-    # multi-unit call instead: unit i started at t0 + i * step_ns, so the
-    # record loses nothing.
+    # the range, then runs it.  A lower slot still bound to the chip, with
+    # no probe or with a record-taking one (the monitor's sink), runs the
+    # whole range in one chip call and builds one request record, which
+    # is both the probe's record and what the call's lazy Receipts read:
+    # unit i started at t0 + i * step_ns, so the record loses nothing.
+    # The record is handed over after the units ran; when a unit fails,
+    # its count is the units tried, the failing one included.  A rebound
+    # slot or a HookInvocation probe gets a loop of single-unit calls,
+    # with the probe fired before each unit as _call would.
 
     def _chunked(self, slot: FunctionSlot, limit: int, unit_name: str,
                  start: int, count: int):
-        if start < 0 or count < 0 or start + count > limit:
+        if start < 0 or count <= 0 or start + count > limit:
+            if count == 0 and 0 <= start <= limit:
+                return []  # no unit runs and no probe fires
             raise OutOfRangeError(
                 f"{unit_name} range [{start}, {start + count}) "
                 f"outside chip of {limit} {unit_name}s")
-        target = slot.target
         fn = slot.probe_fn
-        receipts = []
-        append = receipts.append
-        if fn is None:
-            for unit in range(start, start + count):
-                append(target(unit))
-            return receipts
-        chip = self.chip
-        name = slot.name
-        kind = slot.kind
-        task = self.current_task
-        if count == 1:  # the common call, without the loop
+        run = slot.run
+        if run is not None and (fn is None or slot.takes_records):
+            t0 = self.chip.clock_ns
             try:
-                fn((name, kind, start, chip.clock_ns, task, 1))
-            except Exception:
-                self.hooks.handler_errors += 1
-            append(target(start))
-        elif count > 1 and slot.takes_records and slot.step_ns:
-            t0 = chip.clock_ns
-            try:
-                for unit in range(start, start + count):
-                    append(target(unit))
-            finally:
-                # A failing unit's probe would have fired before it raised.
-                tried = len(receipts)
-                if tried < count:
-                    tried += 1
+                run(start, count)
+            except FlashError:
+                if fn is not None:
+                    tried = (self.chip.clock_ns - t0) // slot.step_ns + 1
+                    try:
+                        fn((slot.name, slot.kind, start, t0,
+                            self.current_task, tried))
+                    except Exception:
+                        self.hooks.handler_errors += 1
+                raise
+            record = (slot.name, slot.kind, start, t0, self.current_task,
+                      count)
+            if fn is not None:
                 try:
-                    fn((name, kind, start, t0, task, tried))
+                    fn(record)
                 except Exception:
                     self.hooks.handler_errors += 1
-        else:
-            for unit in range(start, start + count):
+            return _new(Receipts, (record, slot.step_ns))
+        chip = self.chip
+        target = slot.target
+        name, kind, task = slot.name, slot.kind, self.current_task
+        receipts = []
+        for unit in range(start, start + count):
+            if fn is not None:
                 try:
                     fn((name, kind, unit, chip.clock_ns, task, 1))
                 except Exception:
                     self.hooks.handler_errors += 1
-                append(target(unit))
+            receipts.append(target(unit))
         return receipts
 
     # -- public operation entry points -----------------------------------

@@ -4,7 +4,11 @@ virtual clock driven by a configurable latency model.
 The chip is the ground truth for the whole stack.  It enforces the two
 hardware rules that shape everything above it: a written page cannot be
 rewritten before its block is erased, and writes within a block must land
-on consecutive page offsets.
+on consecutive page offsets.  Its range operations (``read_pages``,
+``write_pages``, ``erase_blocks``) own those rules, bad blocks and wear:
+they run consecutive units a block at a time, advance the clock once,
+and fail exactly where a loop of one-unit calls would.  The one-unit
+methods are one-unit range calls.
 """
 
 from __future__ import annotations
@@ -155,8 +159,12 @@ class FlashChip:
     # -- state queries -----------------------------------------------------
 
     def page_state(self, page: int) -> PageState:
-        blk, off = self._locate(page)
-        return PageState.WRITTEN if off < blk.written else PageState.FREE
+        _, error = self._clip(page, 1, self.geometry.total_pages, "page")
+        if error is not None:
+            raise error
+        block, off = divmod(page, self.geometry.pages_per_block)
+        return (PageState.WRITTEN if off < self.blocks[block].written
+                else PageState.FREE)
 
     def snapshot(self) -> tuple:
         """Hashable summary of all mutable chip state, for transcript diffs."""
@@ -165,86 +173,119 @@ class FlashChip:
             tuple((b.written, b.erase_count, b.is_bad) for b in self.blocks),
         )
 
-    def _locate(self, page: int) -> tuple[BlockState, int]:
-        if page < 0 or page >= self.geometry.total_pages:
-            raise OutOfRangeError(
-                f"page {page} outside 0..{self.geometry.total_pages - 1}"
-            )
-        ppb = self.geometry.pages_per_block
-        return self.blocks[page // ppb], page % ppb
-
     # -- physical operations ----------------------------------------------
+    #
+    # The range operations own the chip's rules.  Each checks and updates
+    # the units of one block at a time and advances the clock once, by the
+    # latency of the units that ran.  When a unit fails they raise what a
+    # loop of one-unit calls would raise at that unit, and the units before
+    # it keep their effect, clock included.  Each returns the clock value
+    # at which its first unit started: unit i started at that plus i times
+    # the kind's latency.  The one-unit methods are one-unit range calls.
+
+    def _clip(self, start: int, count: int, limit: int, unit: str):
+        """``(stop, error)``: units ``start..stop - 1`` of the ``count``
+        from ``start`` lie inside ``0..limit - 1``, and ``error`` is the
+        OutOfRangeError of unit ``stop`` when the run goes past it."""
+        end = start + count
+        if 0 <= start and end <= limit or count <= 0:
+            return (end if count > 0 else start), None
+        stop = limit if 0 <= start < limit else start
+        return stop, OutOfRangeError(f"{unit} {stop} outside 0..{limit - 1}")
+
+    def _advance(self, count: int, latency: int, error) -> int:
+        """Charge the clock for the ``count`` units that ran, then raise
+        the failing unit's ``error``, if any; return the clock before."""
+        t0 = self.clock_ns
+        self.clock_ns = t0 + count * latency
+        if error is not None:
+            raise error
+        return t0
+
+    def read_pages(self, start: int, count: int) -> int:
+        stop, error = self._clip(start, count, self.geometry.total_pages,
+                                 "page")
+        ppb, blocks = self.geometry.pages_per_block, self.blocks
+        page = start
+        while page < stop:
+            block = page // ppb
+            if blocks[block].is_bad:
+                stop, error = page, BadBlockError(f"block {block} is bad")
+                break
+            page = (block + 1) * ppb
+        return self._advance(stop - start, self.latency.read_ns, error)
+
+    def write_pages(self, start: int, count: int) -> int:
+        stop, error = self._clip(start, count, self.geometry.total_pages,
+                                 "page")
+        ppb, blocks = self.geometry.pages_per_block, self.blocks
+        page = start
+        while page < stop:
+            block, off = divmod(page, ppb)
+            blk = blocks[block]
+            if blk.is_bad:
+                error = BadBlockError(f"block {block} is bad")
+            elif off < blk.written:
+                error = OverwriteError(
+                    f"page {page} already written; erase block first")
+            elif off > blk.written:
+                error = NonSequentialWriteError(
+                    f"page {page} skips offset {blk.written} of its block")
+            else:  # the rest of the run in this block follows on
+                end = page - off + ppb
+                page = end if end < stop else stop
+                blk.written = page - block * ppb
+                continue
+            stop = page
+            break
+        return self._advance(stop - start, self.latency.write_ns, error)
+
+    def erase_blocks(self, start: int, count: int) -> int:
+        stop, error = self._clip(start, count, self.geometry.blocks_per_chip,
+                                 "block")
+        endurance = self.endurance_limit
+        for block in range(start, stop):
+            blk = self.blocks[block]
+            if blk.is_bad:
+                stop, error = block, BadBlockError(f"block {block} is bad")
+                break
+            blk.written = 0
+            blk.erase_count += 1
+            if endurance is not None and blk.erase_count > endurance:
+                blk.is_bad = True
+        return self._advance(stop - start, self.latency.erase_ns, error)
 
     def read_page(self, page: int) -> OpReceipt:
-        blk, _ = self._locate(page)
-        if blk.is_bad:
-            raise BadBlockError(f"block {page // self.geometry.pages_per_block} is bad")
-        start = self.clock_ns
-        self.clock_ns = start + self.latency.read_ns
-        return OpReceipt("R", page, start)
+        return OpReceipt("R", page, self.read_pages(page, 1))
 
     def write_page(self, page: int) -> OpReceipt:
-        blk, off = self._locate(page)
-        if blk.is_bad:
-            raise BadBlockError(f"block {page // self.geometry.pages_per_block} is bad")
-        if off < blk.written:
-            raise OverwriteError(f"page {page} already written; erase block first")
-        if off > blk.written:
-            raise NonSequentialWriteError(
-                f"page {page} skips offset {blk.written} of its block"
-            )
-        blk.written += 1
-        start = self.clock_ns
-        self.clock_ns = start + self.latency.write_ns
-        return OpReceipt("W", page, start)
+        return OpReceipt("W", page, self.write_pages(page, 1))
 
     def erase_block(self, block: int) -> OpReceipt:
-        if block < 0 or block >= self.geometry.blocks_per_chip:
-            raise OutOfRangeError(
-                f"block {block} outside 0..{self.geometry.blocks_per_chip - 1}"
-            )
-        blk = self.blocks[block]
-        if blk.is_bad:
-            raise BadBlockError(f"block {block} is bad")
-        blk.written = 0
-        blk.erase_count += 1
-        if self.endurance_limit is not None and blk.erase_count > self.endurance_limit:
-            blk.is_bad = True
-        start = self.clock_ns
-        self.clock_ns = start + self.latency.erase_ns
-        return OpReceipt("E", block, start)
+        return OpReceipt("E", block, self.erase_blocks(block, 1))
 
     def install_image(self, start_page: int, page_count: int) -> None:
         """Flash a sequential image without receipts, events or clock time.
 
         Models pre-experiment flashing done before any monitoring begins
         (e.g. a bootloader writing a root file system).  The range must be
-        writable under the sequential rule; the call validates the whole
-        range before touching anything.
+        writable under the sequential rule; a call that raises leaves the
+        chip as it found it.
         """
         if page_count < 0:
             raise ValueError("page_count must be >= 0")
-        if page_count == 0:
-            return
         end = start_page + page_count
-        if start_page < 0 or end > self.geometry.total_pages:
+        if page_count and (start_page < 0 or end > self.geometry.total_pages):
             raise OutOfRangeError(f"pages {start_page}..{end - 1} out of range")
         ppb = self.geometry.pages_per_block
-        first_blk = start_page // ppb
-        last_blk = (end - 1) // ppb
-        spans = []
-        for bi in range(first_blk, last_blk + 1):
-            blk = self.blocks[bi]
-            if blk.is_bad:
-                raise BadBlockError(f"block {bi} is bad")
-            lo = max(start_page, bi * ppb) - bi * ppb
-            hi = min(end, (bi + 1) * ppb) - bi * ppb
-            if lo < blk.written:
-                raise OverwriteError(f"image overlaps written pages in block {bi}")
-            if lo > blk.written:
-                raise NonSequentialWriteError(
-                    f"image would leave a gap in block {bi}"
-                )
-            spans.append((blk, hi))
-        for blk, hi in spans:
-            blk.written = hi
+        touched = self.blocks[start_page // ppb:-(-end // ppb)]
+        before = [blk.written for blk in touched]
+        clock = self.clock_ns
+        try:
+            self.write_pages(start_page, page_count)
+        except FlashError:
+            for blk, written in zip(touched, before):
+                blk.written = written
+            raise
+        finally:
+            self.clock_ns = clock

@@ -1,8 +1,9 @@
 """Probe registration for driver function slots.
 
-A probe is a pre-handler attached to a named slot: it runs synchronously
-on the caller's path, sees the call's kind/address/time/task before the
-slot's behavior executes, and cannot change the call's outcome.  At most
+A probe is a handler attached to a named slot: it runs synchronously on
+the caller's path, sees the call's kind/address/time/task (before the
+slot's behavior executes, except for a record-taking probe on a lower
+slot, below), and cannot change the call's outcome.  At most
 one probe may be attached to a slot at a time.  This module only
 registers probes; the driver (``mtd``) fires them, and contains a
 handler that raises by counting the exception in
@@ -12,10 +13,11 @@ Every slot calls its probe with the plain record ``(slot_name, kind,
 address, time_ns, task_name, count)``: ``count`` consecutive units
 starting at ``address``.  A handler registered with ``records=True``
 receives that tuple directly, and the registry marks its slot
-(``takes_records``) so the driver may hand it one record for a whole
-multi-unit call instead of one per unit; that is the monitor's
-ingestion path, like a block tracer that logs one event per request
-with its start and length and leaves the expansion to its readers.
+(``takes_records``) so the driver may hand it one request record for a
+whole call, after the call's units ran, instead of one per unit before
+each; that is the monitor's ingestion path, like a block tracer that
+logs one event per request with its start and length and leaves the
+expansion to its readers.
 Any other handler is wrapped once, at registration, so it receives one
 HookInvocation (the first five fields) before each single unit.
 

@@ -243,9 +243,9 @@ def test_conservation_across_sequences():
 
 
 @criterion(10, "monitor CPU overhead on the Postmark scenario stays "
-               "under 6% across 9 paired runs")
+               "under 6% across 15 paired runs")
 def test_overhead_bound():
-    percent = overhead_harness(default_spec(), runs=9)
+    percent = overhead_harness(default_spec(), runs=15)
     queue_verdict(f"             measured overhead: {percent:+.2f}%")
     assert percent < 6.0
 

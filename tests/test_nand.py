@@ -1,12 +1,13 @@
 """Chip model: geometry, latencies, the two write rules, wear, images."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flashtrace import (BadBlockError, FlashChip, FlashGeometry, LatencyModel,
-                        NonSequentialWriteError, OpReceipt, OutOfRangeError,
-                        OverwriteError, PageState, page_to_block)
+from flashtrace import (BadBlockError, FlashChip, FlashError, FlashGeometry,
+                        LatencyModel, NonSequentialWriteError, OpReceipt,
+                        OutOfRangeError, OverwriteError, PageState,
+                        page_to_block)
 
 from conftest import SMALL
 
@@ -286,3 +287,64 @@ def test_chip_matches_brute_force_oracle(ops, endurance):
             got = type(exc).__name__
         assert got == oracle.apply(kind, address)
     assert chip.snapshot() == oracle.state()
+
+
+# Range calls: a start is a block plus an offset, either a fixed one or
+# one relative to the block's write point (just before, at or after it),
+# and a count runs up to three blocks' worth of units, so ranges cross
+# block boundaries and the end of the chip.
+_range_calls = st.lists(
+    st.tuples(st.sampled_from("RWE"),
+              st.one_of(st.integers(min_value=0, max_value=3),
+                        st.integers(min_value=-1,
+                                    max_value=SMALL.blocks_per_chip)),
+              st.one_of(st.integers(min_value=0,
+                                    max_value=SMALL.pages_per_block - 1),
+                        st.sampled_from(("before", "at", "after"))),
+              st.integers(min_value=0, max_value=3 * SMALL.pages_per_block)),
+    max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@example(calls=[("E", 1, 0, 1), ("E", 1, 0, 1),  # block 1 wears out
+                ("R", 0, 5, 64), ("W", 0, "at", 70), ("E", 0, 0, 3),
+                ("W", 2, "after", 3), ("R", 15, 0, 40)], endurance=1)
+@given(calls=_range_calls,
+       endurance=st.one_of(st.none(), st.integers(min_value=1, max_value=3)))
+def test_range_ops_match_the_oracle_unit_by_unit(calls, endurance):
+    chip = FlashChip(SMALL, endurance_limit=endurance)
+    oracle = _NaiveChip(SMALL, chip.latency, endurance)
+    ppb = SMALL.pages_per_block
+    ops = {"R": (chip.read_pages, chip.latency.read_ns),
+           "W": (chip.write_pages, chip.latency.write_ns),
+           "E": (chip.erase_blocks, chip.latency.erase_ns)}
+    for kind, block, offset, count in calls:
+        if kind == "E":
+            start = block + {"before": -1, "after": 1}.get(offset, 0)
+            count %= 4
+        else:
+            if isinstance(offset, str):
+                written = (len(oracle.written[block])
+                           if 0 <= block < SMALL.blocks_per_chip else 0)
+                offset = written + {"before": -1, "at": 0, "after": 1}[offset]
+            start = block * ppb + offset
+        expected, failure = [], None
+        for unit in range(start, start + count):
+            outcome = oracle.apply(kind, unit)
+            if isinstance(outcome, str):
+                failure = (outcome, unit)
+                break
+            expected.append(outcome)
+        run, step = ops[kind]
+        t0 = chip.clock_ns
+        try:
+            first = run(start, count)
+        except FlashError as exc:
+            tried = start + (chip.clock_ns - t0) // step
+            assert (type(exc).__name__, tried) == failure
+        else:
+            assert failure is None
+            assert first == t0
+            assert [(kind, start + i, first + i * step)
+                    for i in range(count)] == expected
+        assert chip.snapshot() == oracle.state()
