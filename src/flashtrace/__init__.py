@@ -22,11 +22,10 @@ from .mtd import MtdDevice, Partition, PartitionError, Receipts
 from .probes import (DuplicateProbeError, HookInvocation, StaleHandleError,
                      UnknownSlotError)
 from .monitor import (AlreadyAttachedError, EventRing, FlashMonitor,
-                      MonitorConfig, NotAttachedError, RingLog,
-                      SpatialCounters, TraceEvent, UnknownCommandError,
-                      attach, footprint_estimate,
-                      format_time_ns, parse_spatial, parse_temporal,
-                      truncate_task_name)
+                      MonitorConfig, NotAttachedError, SpatialCounters,
+                      TraceEvent, UnknownCommandError, attach,
+                      footprint_estimate, format_time_ns, parse_spatial,
+                      parse_temporal, truncate_task_name)
 from .ffs import (BACKGROUND_TASK, FLAVOR_DEFAULTS, AlreadyMountedError,
                   FfsError, FfsModelConfig, FileAlreadyExistsError, FlashFs,
                   NotMountedError, OutOfSpaceError, UnknownFileError,
@@ -53,7 +52,7 @@ __all__ = [
     "NotAttachedError", "NotMountedError", "OpReceipt", "OutOfRangeError",
     "OutOfSpaceError", "OverwriteError", "PageState", "Partition",
     "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig", "Receipts",
-    "RingLog", "ScenarioSpec", "SpatialCounters", "StaleHandleError",
+    "ScenarioSpec", "SpatialCounters", "StaleHandleError",
     "TraceEvent",
     "UnknownCommandError", "UnknownFileError", "UnknownSlotError", "attach",
     "boot_scenario_run", "build_device", "default_spec", "detect_phases",

@@ -135,8 +135,7 @@ def trace_stats(events: Union[Sequence[TraceEvent], EventRing],
     phases come from the log, a ``TraceEvent`` sequence or a monitor's
     ``EventRing``."""
     reads, writes, erases = counters.sums()
-    per_block = tuple(counters.triple(counters.first_block + i)
-                      for i in range(counters.block_count))
+    per_block = tuple(zip(counters.reads, counters.writes, counters.erases))
     return TraceStats(reads, writes, erases,
                       (counters.first_block, per_block),
                       tuple(detect_phases(events)),

@@ -3,8 +3,7 @@
 Attaches probes to a device's driver slots and maintains two views of
 the traffic: per-block spatial counters and a bounded temporal event
 log.  Both views are rendered to text on demand in stable, bit-exact
-formats (the temporal log can also be streamed to a file in chunks,
-from the same line generator):
+formats:
 
     spatial   one line per traced block, ascending:  "<reads> <writes> <erases>\n"
     temporal  one line per event, insertion order:
@@ -33,14 +32,22 @@ task names on, task id ``array('I')``: 17 B per entry, 13 B without
 task names.  A write by the file system's background task is stored as
 kind ``w`` (read back as ``W``), so phase detection can tell it apart
 without a task column.
+
+One chunk formatter, ``format_columns``, writes every temporal line:
+one ``%`` format of up to ``TEMPORAL_CHUNK_LINES`` lines over columns.
+The ring's text is made chunk by chunk from slices of its two segments
+(oldest first: from ``head`` to the end, then up to ``head``), so
+``write_temporal`` streams the log without copying a whole column, and
+``format_events`` turns a list of ``TraceEvent``s into the same
+columns.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat, starmap
+from itertools import chain, repeat, starmap
+from operator import floordiv, mod, sub
 from typing import NamedTuple, Optional, TextIO
 
 from .ffs import BACKGROUND_TASK
@@ -54,7 +61,7 @@ LOG_ENTRY_BYTES_BARE = 20
 LOG_ENTRY_BYTES_WITH_TASKS = LOG_ENTRY_BYTES_BARE + TASK_NAME_BYTES
 
 NS_PER_SECOND = 1_000_000_000
-# Lines per write when the temporal log is streamed to a file.
+# Lines per format_columns call when the temporal log is rendered.
 TEMPORAL_CHUNK_LINES = 4096
 # A fold writes runs this long or longer with one slice fill per column.
 SLICE_FILL_UNITS = 32
@@ -104,18 +111,36 @@ def parse_time(text: str) -> int:
     return int(seconds) * NS_PER_SECOND + int(fraction)
 
 
-def temporal_lines(events, with_task: bool):
-    """The temporal log line of each of ``events``, lazily, in order."""
-    if with_task:
-        return (f"{format_time_ns(t)};{kind};{address};{task}\n"
-                for t, kind, address, task in events)
-    return (f"{format_time_ns(t)};{kind};{address}\n"
-            for t, kind, address, _ in events)
+def format_columns(times, kinds, addresses, tasks=None) -> str:
+    """The temporal log lines of equal-length, non-empty columns, in
+    order: times in ns, kinds (each "R", "W" or "E"), addresses and,
+    unless ``tasks`` is None, task names.  The time reads as
+    format_time_ns prints it; when all of ``times`` fall within one
+    second, that second is part of the line template and only the
+    nanoseconds past it are formatted."""
+    seconds = min(times) // NS_PER_SECOND
+    if max(times) // NS_PER_SECOND == seconds:
+        line = f"{seconds}.%09d;%s;%d"
+        clock = (map(sub, times, repeat(seconds * NS_PER_SECOND)),)
+    else:
+        line = "%d.%09d;%s;%d"
+        clock = (map(floordiv, times, repeat(NS_PER_SECOND)),
+                 map(mod, times, repeat(NS_PER_SECOND)))
+    if tasks is None:
+        columns = zip(*clock, kinds, addresses)
+    else:
+        line += ";%s"
+        columns = zip(*clock, kinds, addresses, tasks)
+    return (line + "\n") * len(times) % tuple(chain.from_iterable(columns))
 
 
 def format_events(events, with_task: bool) -> str:
     """The temporal log lines of ``events``, in order."""
-    return "".join(temporal_lines(events, with_task))
+    columns = tuple(zip(*events))
+    if not columns:
+        return ""
+    times, kinds, addresses, tasks = columns
+    return format_columns(times, kinds, addresses, tasks if with_task else None)
 
 
 def parse_temporal(text: str) -> list[TraceEvent]:
@@ -151,33 +176,6 @@ def parse_spatial(text: str) -> list[tuple[int, int, int]]:
     return triples
 
 
-class RingLog:
-    """Bounded event log; once full, the oldest entry yields to the newest."""
-
-    __slots__ = ("capacity", "total_inserted", "_entries")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("log capacity must be positive")
-        self.capacity = capacity
-        self.total_inserted = 0
-        self._entries = deque(maxlen=capacity)
-
-    def insert(self, event) -> None:
-        self._entries.append(event)
-        self.total_inserted += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.total_inserted = 0
-
-    def entries(self) -> list:
-        return list(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class EventRing:
     """The monitor's temporal log: the newest ``capacity`` events in
     columns (see the module docstring), which the monitor's first fold
@@ -209,7 +207,8 @@ class EventRing:
         return column[self.head:len(self)] + column[:self.head]
 
     def __iter__(self):
-        """``(time_ns, kind, address, task)`` per entry, oldest first."""
+        """``(time_ns, kind, address, task)`` per entry, oldest first; what
+        ``FlashMonitor.events()`` reads."""
         kinds = self.ordered(self.kinds).decode("ascii")
         names = list(self.task_ids)
         # Without task names, a background write still names its task.
@@ -218,6 +217,21 @@ class EventRing:
                  else map(names.__getitem__, self.ordered(self.tasks)))
         return zip(self.ordered(self.times), kinds.replace("w", "W"),
                    self.ordered(self.addresses), tasks)
+
+    def text_chunks(self):
+        """The temporal log lines, oldest first, one string per
+        TEMPORAL_CHUNK_LINES entries or fewer, each formatted from
+        slices of one segment of the columns."""
+        names = list(self.task_ids)
+        for lo, hi in ((self.head, len(self)), (0, self.head)):
+            for start in range(lo, hi, TEMPORAL_CHUNK_LINES):
+                run = slice(start, min(start + TEMPORAL_CHUNK_LINES, hi))
+                yield format_columns(
+                    self.times[run],
+                    self.kinds[run].decode("ascii").replace("w", "W"),
+                    self.addresses[run],
+                    None if self.tasks is None
+                    else map(names.__getitem__, self.tasks[run]))
 
 
 class SpatialCounters:
@@ -238,9 +252,9 @@ class SpatialCounters:
         self.erases = array("I", zeros)
 
     def zero(self) -> None:
+        zeros = array("I", bytes(4 * self.block_count))
         for counters in (self.reads, self.writes, self.erases):
-            for i in range(len(counters)):
-                counters[i] = 0
+            counters[:] = zeros
 
     def triple(self, block: int) -> tuple[int, int, int]:
         """Counters of an absolute block index within the scope."""
@@ -505,19 +519,18 @@ class FlashMonitor:
 
     def render_spatial(self) -> str:
         counters = self.counters
-        reads, writes, erases = counters.reads, counters.writes, counters.erases
-        return "".join(f"{reads[i]} {writes[i]} {erases[i]}\n"
-                       for i in range(counters.block_count))
+        return ("%d %d %d\n" * counters.block_count) % tuple(
+            chain.from_iterable(zip(counters.reads, counters.writes,
+                                    counters.erases)))
 
     def render_temporal(self) -> str:
-        return format_events(self.log, self.config.record_task_names)
+        return "".join(self.log.text_chunks())
 
     def write_temporal(self, out: TextIO) -> None:
         """Write what render_temporal returns to the text file ``out``,
-        TEMPORAL_CHUNK_LINES lines at a time, so the whole log is never
-        one string."""
-        lines = temporal_lines(self.log, self.config.record_task_names)
-        while chunk := "".join(islice(lines, TEMPORAL_CHUNK_LINES)):
+        at most TEMPORAL_CHUNK_LINES lines at a time, so the whole log is
+        never one string."""
+        for chunk in self.log.text_chunks():
             out.write(chunk)
 
     # -- accounting ------------------------------------------------------

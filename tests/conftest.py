@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from flashtrace import FlashChip, FlashGeometry, LatencyModel, MtdDevice
@@ -5,6 +7,27 @@ from flashtrace import FlashChip, FlashGeometry, LatencyModel, MtdDevice
 # A small chip keeps property tests fast; pages_per_block must stay a
 # multiple of 32.
 SMALL = FlashGeometry(blocks_per_chip=16, pages_per_block=32, page_size=512)
+
+
+def count_bytecodes(fn) -> int:
+    """Bytecodes the interpreter runs in ``fn()`` and what it calls."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
 
 # The acceptance tests queue one verdict line each; flushing them
 # through the terminal reporter sidesteps output capture, so the lines

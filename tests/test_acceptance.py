@@ -14,7 +14,7 @@ import functools
 import random
 
 from flashtrace import (FlashChip, FlashError, FlashGeometry, LatencyModel,
-                        MonitorConfig, MtdDevice, RingLog, TraceEvent, attach,
+                        MonitorConfig, MtdDevice, TraceEvent, attach,
                         boot_scenario_run, BootScenarioConfig, default_spec,
                         execute_scenario, footprint_estimate, overhead_harness,
                         parse_temporal, raw_erase, raw_read, raw_write)
@@ -153,23 +153,36 @@ def test_postmark_flavor_contrast():
     assert "gc" not in phases["ubifs_like"]
 
 
-@criterion(7, "a capacity-100 ring holding 150 inserts retains exactly "
-              "events 51..150, and the window property holds under "
-              "randomized capacities")
+@criterion(7, "a monitor with a capacity-100 log holding 150 one-page "
+              "reads retains exactly units 51..150, and the window property "
+              "holds under randomized capacities and multi-unit calls")
 def test_ring_buffer_window():
-    log = RingLog(100)
-    for i in range(1, 151):
-        log.insert(i)
-    assert log.entries() == list(range(51, 151))
-    assert log.total_inserted == 150
+    dev = MtdDevice(FlashChip(SMALL))
+    mon = attach(dev, MonitorConfig(log_capacity=100))
+    for unit in range(1, 151):
+        dev.mtd_read(unit, 1)
+    assert [e.address for e in mon.events()] == list(range(51, 151))
+    assert mon.total_inserted == 150
+    assert mon.health()["overwritten"] == 50
     rng = random.Random(0xF1A5)
     for _ in range(300):
         capacity = rng.randint(1, 200)
         count = rng.randint(0, 500)
-        log = RingLog(capacity)
-        for i in range(count):
-            log.insert(i)
-        assert log.entries() == list(range(max(0, count - capacity), count))
+        dev = MtdDevice(FlashChip(SMALL))
+        mon = attach(dev, MonitorConfig(log_capacity=capacity))
+        unit = 0
+        while unit < count:
+            # Folding between calls moves the ring's head, so later
+            # multi-unit calls cross the wrap point.
+            if rng.random() < 0.5:
+                len(mon.log)
+            n = rng.randint(1, min(count - unit, 2 * capacity))
+            dev.mtd_read(unit, n)
+            unit += n
+        assert [e.address for e in mon.events()] == \
+            list(range(max(0, count - capacity), count))
+        assert mon.total_inserted == count
+        assert mon.health()["overwritten"] == max(0, count - capacity)
 
 
 @criterion(8, "a randomized scenario transcript and chip end state are "

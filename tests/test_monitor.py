@@ -1,6 +1,7 @@
 """Monitor: formats, ring log, counters, control, scope, footprint."""
 
 import gc
+import io
 import random
 import tracemalloc
 from collections import deque
@@ -13,14 +14,14 @@ from flashtrace import (BACKGROUND_TASK, AlreadyAttachedError,
                         DuplicateProbeError, FlashChip,
                         FlashError, FlashGeometry, LatencyModel,
                         MonitorConfig, MtdDevice,
-                        NotAttachedError, RingLog, TraceEvent,
+                        NotAttachedError, TraceEvent,
                         UnknownCommandError, attach, footprint_estimate,
                         format_time_ns, parse_spatial, parse_temporal,
                         raw_erase, raw_read, raw_write, truncate_task_name)
-from flashtrace.monitor import (TEMPORAL_CHUNK_LINES, format_events,
-                                parse_time)
+from flashtrace.monitor import (NS_PER_SECOND, TEMPORAL_CHUNK_LINES,
+                                format_events, parse_time)
 
-from conftest import SMALL
+from conftest import SMALL, count_bytecodes
 
 
 @pytest.fixture
@@ -126,39 +127,6 @@ class TestSpatialFormat:
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_spatial("1 2\n")
-
-
-class TestRingLog:
-    def test_keeps_the_newest_window(self):
-        log = RingLog(3)
-        for i in range(5):
-            log.insert(TraceEvent(i, "R", i, ""))
-        assert [e.time_ns for e in log.entries()] == [2, 3, 4]
-        assert log.total_inserted == 5
-        assert len(log) == 3
-
-    def test_clear_resets_everything(self):
-        log = RingLog(3)
-        log.insert(TraceEvent(0, "R", 0, ""))
-        log.clear()
-        assert log.entries() == []
-        assert log.total_inserted == 0
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingLog(0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(capacity=st.integers(min_value=1, max_value=200),
-       count=st.integers(min_value=0, max_value=500))
-def test_ring_window_property(capacity, count):
-    log = RingLog(capacity)
-    for i in range(count):
-        log.insert(TraceEvent(i, "W", i, ""))
-    expected = list(range(max(0, count - capacity), count))
-    assert [e.time_ns for e in log.entries()] == expected
-    assert log.total_inserted == count
 
 
 class TestAttachment:
@@ -540,6 +508,16 @@ def _reference_fold(model, records, first_block, block_limit, task_names):
             model["inserted"] += 1
 
 
+def reference_temporal_lines(events, with_task):
+    """The temporal log written event by event, one f-string per line:
+    the reference the chunk formatter must match."""
+    if with_task:
+        return "".join(f"{format_time_ns(t)};{kind};{address};{task}\n"
+                       for t, kind, address, task in events)
+    return "".join(f"{format_time_ns(t)};{kind};{address}\n"
+                   for t, kind, address, _ in events)
+
+
 @pytest.mark.parametrize("task_names", [True, False],
                          ids=["tasks", "no-tasks"])
 @settings(max_examples=60, deadline=None)
@@ -574,13 +552,136 @@ def test_ring_matches_a_deque_of_events(task_names, case, view):
             mon.render_temporal()
     expected = list(model["log"])
     assert mon.events() == expected
-    assert mon.render_temporal() == format_events(expected, task_names)
+    assert mon.render_temporal() == reference_temporal_lines(expected,
+                                                             task_names)
     assert len(mon.log) == len(expected)
     assert mon.total_inserted == model["inserted"]
     assert mon.health() == {
         "events": model["inserted"], "filtered": model["filtered"],
         "overwritten": model["inserted"] - len(expected),
         "handler_errors": 0}
+
+
+# The renderers against the reference lines.  A chip of 1,024 blocks of
+# 32 pages takes records of up to three logs' worth of units; each
+# record starts anywhere up to 2**50 ns (so records come out of order),
+# or so that one of its units falls on a whole second or 1 ns before it.
+_RENDER = FlashGeometry(blocks_per_chip=1024, pages_per_block=32,
+                        page_size=512)
+_STEP = {"R": LatencyModel().read_ns, "W": LatencyModel().write_ns,
+         "E": LatencyModel().erase_ns}
+_LOG_SIZES = (0, 1, 2, 31, TEMPORAL_CHUNK_LINES - 1, TEMPORAL_CHUNK_LINES,
+              TEMPORAL_CHUNK_LINES + 1, 2 * TEMPORAL_CHUNK_LINES + 5)
+
+
+@st.composite
+def _render_batches(draw):
+    entries = draw(st.sampled_from(_LOG_SIZES))
+    if entries and draw(st.booleans()):  # the ring wraps
+        capacity = entries
+        inserted = entries + draw(st.integers(1, 2 * entries))
+    else:
+        capacity = max(entries + draw(st.integers(0, 3)), 1)
+        inserted = entries
+    cuts = (sorted(draw(st.sets(st.integers(1, inserted - 1), max_size=6)))
+            if inserted > 1 else [])
+    bounds = [0, *cuts, inserted] if inserted else []
+    records = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        count = hi - lo
+        kind = draw(st.sampled_from("RWE" if count <= _RENDER.blocks_per_chip
+                                    else "RW"))
+        units = (_RENDER.blocks_per_chip if kind == "E"
+                 else _RENDER.total_pages)
+        step = _STEP[kind]
+        second = draw(st.integers(count * step // NS_PER_SECOND + 1, 1 << 20))
+        time_ns = draw(st.one_of(
+            st.integers(0, 1 << 50),
+            st.tuples(st.integers(0, count - 1), st.integers(0, 1)).map(
+                lambda unit_and_gap: second * NS_PER_SECOND
+                - unit_and_gap[0] * step - unit_and_gap[1])))
+        records.append((f"slot-{kind}", kind,
+                        draw(st.integers(0, units - count)), time_ns,
+                        draw(st.sampled_from(_REF_TASKS + ("per%cent%s",))),
+                        count))
+    fold = draw(st.integers(0, len(records)))
+    return capacity, [batch for batch in (records[:fold], records[fold:])
+                      if batch]
+
+
+@pytest.mark.parametrize("task_names", [True, False],
+                         ids=["tasks", "no-tasks"])
+@settings(max_examples=40, deadline=None)
+@given(case=_render_batches())
+def test_renderers_match_the_reference_lines(task_names, case):
+    """render_temporal, write_temporal and format_events, byte for byte
+    against the per-line renderer, on logs just short of, at and just
+    past a chunk, wrapped or not, with times in any order."""
+    capacity, batches = case
+    mon = attach(MtdDevice(FlashChip(_RENDER)),
+                 MonitorConfig(log_capacity=capacity,
+                               record_task_names=task_names))
+    model = {"log": deque(maxlen=capacity), "inserted": 0, "filtered": 0}
+    for batch in batches:  # a fold between the batches moves the head
+        mon._pending.extend(batch)
+        _reference_fold(model, batch, 0, _RENDER.blocks_per_chip, task_names)
+        len(mon.log)
+    events = list(model["log"])
+    out = io.StringIO()
+    mon.write_temporal(out)
+    # Compared as lists of lines, so that a failure reports the first
+    # line that differs rather than diffing thousands of lines.
+    expected = reference_temporal_lines(events, task_names).splitlines(True)
+    assert out.getvalue().splitlines(True) == expected
+    assert mon.render_temporal().splitlines(True) == expected
+    assert format_events(events, task_names).splitlines(True) == expected
+
+
+def _monitor_with_a_log_of(entries):
+    """A monitor whose log holds ``entries`` reads, after 100 more were
+    overwritten, so its two segments are both in use."""
+    mon = attach(MtdDevice(FlashChip(_RENDER)),
+                 MonitorConfig(log_capacity=entries))
+    for start in range(0, entries + 100, 1000):
+        mon._pending.append(("slot-R", "R", start % 16_384,
+                             start * _STEP["R"],
+                             _REF_TASKS[start % len(_REF_TASKS)],
+                             min(1000, entries + 100 - start)))
+    assert len(mon.log) == entries
+    assert mon.health()["overwritten"] == 100
+    return mon
+
+
+def test_rendering_costs_a_fixed_few_opcodes_per_chunk():
+    """A deterministic companion to the render timings: the lines are
+    formatted by C code a chunk at a time, so the interpreter runs a
+    fixed few bytecodes per chunk, not a few dozen per line."""
+    lines = 12_000
+    mon = _monitor_with_a_log_of(lines)
+    out = io.StringIO()
+    opcodes = count_bytecodes(lambda: mon.write_temporal(out))
+    assert out.getvalue().count("\n") == lines
+    assert opcodes <= lines
+
+
+def test_render_memory_follows_the_chunk_not_the_log(tmp_path):
+    """Streaming a log ten times longer to a file peaks at the same
+    memory, within a fixed allowance: no whole-column copy is made."""
+    def render_peak(entries):
+        mon = _monitor_with_a_log_of(entries)
+        with open(tmp_path / "temporal.log", "w", encoding="utf-8") as out:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                mon.write_temporal(out)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+    short = render_peak(3 * TEMPORAL_CHUNK_LINES)
+    long = render_peak(30 * TEMPORAL_CHUNK_LINES)
+    assert long - short <= 64 * 1024, (short, long)
 
 
 @pytest.mark.parametrize("task_names", [True, False],

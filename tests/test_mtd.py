@@ -1,6 +1,5 @@
 """Layered driver: slots, chunking, partitions, probe target resolution."""
 
-import sys
 from collections.abc import Sequence
 
 import pytest
@@ -12,7 +11,7 @@ from flashtrace import (BadBlockError, FlashChip, HookInvocation, MtdDevice,
                         PartitionError, Receipts, UnknownSlotError, attach)
 from flashtrace.mtd import LOWER_SLOTS, UPPER_SLOTS
 
-from conftest import SMALL
+from conftest import SMALL, count_bytecodes
 
 
 @pytest.fixture
@@ -166,26 +165,6 @@ def test_failing_call_reads_as_the_same_call_unit_by_unit(case):
         [PPB - 3, PPB - 2, PPB - 1, PPB]
 
 
-def _count_bytecodes(fn) -> int:
-    """Bytecodes the interpreter runs in ``fn()`` and what it calls."""
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            count += 1
-        return tracer
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        fn()
-    finally:
-        sys.settrace(previous)
-    return count
-
-
 # One-page and multi-page calls of every kind, all of which succeed.
 PROBE_COST_CALLS = [("erase", 0, 4), ("write", 0, 1), ("write", 1, 40),
                     ("read", 0, 1), ("read", 3, 60), ("erase", 1, 1),
@@ -211,7 +190,7 @@ def test_monitor_adds_a_fixed_few_bytecodes_per_call():
         def calls():
             for op, start, count in PROBE_COST_CALLS:
                 ops[op](start, count)
-        return _count_bytecodes(calls)
+        return count_bytecodes(calls)
 
     extra = bytecodes(True) - bytecodes(False)
     assert 0 < extra <= PROBE_BYTECODES_PER_CALL * len(PROBE_COST_CALLS)
