@@ -18,7 +18,7 @@ The layers, bottom up:
 from .nand import (BadBlockError, FlashChip, FlashError, FlashGeometry,
                    LatencyModel, NonSequentialWriteError, OpReceipt,
                    OutOfRangeError, OverwriteError, PageState, page_to_block)
-from .mtd import MtdDevice, Partition, PartitionError, Receipts
+from .mtd import MtdDevice, Partition, PartitionError
 from .probes import (DuplicateProbeError, HookInvocation, StaleHandleError,
                      UnknownSlotError)
 from .monitor import (AlreadyAttachedError, EventRing, FlashMonitor,
@@ -51,7 +51,7 @@ __all__ = [
     "LatencyModel", "MonitorConfig", "MtdDevice", "NonSequentialWriteError",
     "NotAttachedError", "NotMountedError", "OpReceipt", "OutOfRangeError",
     "OutOfSpaceError", "OverwriteError", "PageState", "Partition",
-    "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig", "Receipts",
+    "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig",
     "ScenarioSpec", "SpatialCounters", "StaleHandleError",
     "TraceEvent",
     "UnknownCommandError", "UnknownFileError", "UnknownSlotError", "attach",

@@ -18,12 +18,12 @@ log are folded from that list the next time a view (``counters``,
 ``log`` and ``health()`` included) is read or a control command runs.
 The driver runs each call as one chip-level run and hands the monitor
 that call's request record (a start address, its start time and a unit
-count) after the units ran; it is the same tuple the call's receipts
-are read from, so recording adds one list append to a driver call.  The
-pending list grows with the number of driver calls, not of pages; the
-fold expands each record into per-page (or per-block) counters and
-events, as if each unit had been seen on its own.  There is no callback
-API; when the fold runs never changes what the views show.
+count) after the units ran; it is the same tuple the call returns, so
+recording adds one list append to a driver call.  The pending list
+grows with the number of driver calls, not of pages; the fold expands
+each record into per-page (or per-block) counters and events, as if
+each unit had been seen on its own.  There is no callback API; when the
+fold runs never changes what the views show.
 
 The temporal log is an ``EventRing``: ``log_capacity`` fixed-size
 entries kept as columns and allocated by the first fold, time
@@ -296,7 +296,7 @@ class FlashMonitor:
     Construction performs the attachment: probe targets are resolved,
     one pre-handler is registered per operation kind, and tracing starts
     immediately.  Attachment itself performs no flash operations and
-    never alters the device's behavior or receipts.
+    never alters the device's behavior or the records its calls return.
     """
 
     def __init__(self, dev: MtdDevice, config: Optional[MonitorConfig] = None):
@@ -427,21 +427,14 @@ class FlashMonitor:
                         tasks[run] = array("I", (task,)) * n
                     p = q
                     continue
-                if tasks is None:
-                    for unit in range(hi - 1, hi - 1 - n, -1):
-                        times[p] = t
-                        addresses[p] = unit
-                        kinds[p] = code
-                        t -= step
-                        p += 1
-                else:
-                    for unit in range(hi - 1, hi - 1 - n, -1):
-                        times[p] = t
-                        addresses[p] = unit
-                        kinds[p] = code
+                for unit in range(hi - 1, hi - 1 - n, -1):
+                    times[p] = t
+                    addresses[p] = unit
+                    kinds[p] = code
+                    if tasks is not None:
                         tasks[p] = task
-                        t -= step
-                        p += 1
+                    t -= step
+                    p += 1
         pending.clear()
         self._filtered += filtered
         log.total_inserted += seen

@@ -2,18 +2,23 @@
 
 The driver is organized as a small stack of named function slots.  Upper
 slots accept multi-page (or multi-block) ranges and check them against
-the chip; lower slots talk to the chip.  A lower slot still bound to the
-chip runs a whole range as one chip-level run (``FlashChip.read_pages``,
-``write_pages``, ``erase_blocks``) and returns ``Receipts``, a lazy
-sequence of the call's OpReceipts.  This module is the one place a probe
-fires: an upper slot fires its probe (if any) on entry with the plain
-record the probe registry defines, then runs the slot's target; an
-exception a probe raises is counted, not propagated.  A record-taking
-probe (the monitor's sink) on a lower slot still bound to the chip gets
-one request record per call, the same tuple the call's Receipts read,
-handed over after the units ran; it covers every unit that was tried,
-the failing one included.  A HookInvocation probe on a lower slot, or
-any probe on a rebound one, fires before each single unit of a loop of
+the chip; lower slots talk to the chip.  Every call that does not raise
+returns its request record ``(slot, kind, start, t0, task, count)``: the
+lower slot's name and kind, the first unit, the clock when that unit
+started, the current task and the unit count (0 for an empty range).
+A lower slot still bound to the chip runs a whole range as one
+chip-level run (``FlashChip.read_pages``, ``write_pages``,
+``erase_blocks``), so its unit i started at ``t0`` plus i latencies.
+
+This module is the one place a probe fires: an upper slot fires its
+probe (if any) on entry with the plain record the probe registry
+defines, then runs the slot's target; an exception a probe raises is
+counted, not propagated.  A record-taking probe (the monitor's sink) on
+a lower slot still bound to the chip is handed the call's request
+record, the same tuple the call returns, after the units ran; when a
+unit fails, the record it gets counts every unit that was tried, the
+failing one included.  A HookInvocation probe on a lower slot, or any
+probe on a rebound one, fires before each single unit of a loop of
 one-unit calls.
 
 Slots are replaceable: rebinding a slot models substituting one driver
@@ -24,66 +29,16 @@ forces probe-target resolution to fall back on the upper layer.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from typing import Callable, NamedTuple
 
-from .nand import FlashChip, FlashError, OpReceipt, OutOfRangeError
+from .nand import FlashChip, FlashError, OutOfRangeError
 from .probes import ProbeRegistry, UnknownSlotError
-
-_new = tuple.__new__
-_fields = tuple.__iter__
 
 UPPER_SLOTS = ("upper.read", "upper.write", "upper.erase")
 LOWER_SLOTS = ("lower.read_page", "lower.write_page", "lower.erase_block")
-
-
-class Receipts(tuple):
-    """The receipts of one chip-backed call, built when read: a read-only
-    sequence of the call's OpReceipts, unit i being ``OpReceipt(kind,
-    start + i, t0 + i * step_ns)``.  It holds the call's request record
-    ``(slot, kind, start, t0, task, count)`` and ``step_ns``, and compares
-    equal to the list of OpReceipts it stands for; ``list(receipts)``
-    gives that list."""
-
-    __slots__ = ()
-
-    def _columns(self):
-        (_, kind, start, t0, _, count), step = _fields(self)
-        return (kind, range(start, start + count),
-                range(t0, t0 + count * step, step))
-
-    def __len__(self) -> int:
-        record, _ = _fields(self)
-        return record[5]
-
-    def __getitem__(self, index):
-        kind, addresses, times = self._columns()
-        if isinstance(index, slice):
-            return list(map(OpReceipt, repeat(kind), addresses[index],
-                            times[index]))
-        return OpReceipt(kind, addresses[index], times[index])
-
-    def __iter__(self):
-        kind, addresses, times = self._columns()
-        return map(OpReceipt, repeat(kind), addresses, times)
-
-    def __eq__(self, other):
-        if isinstance(other, (Receipts, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-    __contains__ = Sequence.__contains__
-    __reversed__ = Sequence.__reversed__
-    index = Sequence.index
-    count = Sequence.count
-
-    def __repr__(self) -> str:
-        return f"Receipts({list(self)!r})"
 
 
 class PartitionError(Exception):
@@ -251,59 +206,55 @@ class MtdDevice:
 
     # The one upper-slot behavior, bound into each upper slot with its
     # lower slot, the chip's size in units and the unit's name.  It checks
-    # the range, then runs it.  A lower slot still bound to the chip, with
-    # no probe or with a record-taking one (the monitor's sink), runs the
-    # whole range in one chip call and builds one request record, which
-    # is both the probe's record and what the call's lazy Receipts read:
-    # unit i started at t0 + i * step_ns, so the record loses nothing.
-    # The record is handed over after the units ran; when a unit fails,
-    # its count is the units tried, the failing one included.  A rebound
-    # slot or a HookInvocation probe gets a loop of single-unit calls,
-    # with the probe fired before each unit as _call would.
+    # the range, then runs it and returns the call's request record.  A
+    # lower slot still bound to the chip, with no probe or with a
+    # record-taking one (the monitor's sink), runs the whole range in one
+    # chip call; the record is handed to the sink after the units ran, and
+    # when a unit fails, the sink's record counts the units tried, the
+    # failing one included.  A rebound slot or a HookInvocation probe gets
+    # a loop of single-unit calls, with the probe fired before each unit
+    # as _call would; the targets' results are not kept.
 
     def _chunked(self, slot: FunctionSlot, limit: int, unit_name: str,
                  start: int, count: int):
-        if start < 0 or count <= 0 or start + count > limit:
-            if count == 0 and 0 <= start <= limit:
-                return []  # no unit runs and no probe fires
+        if start < 0 or count < 0 or start + count > limit:
             raise OutOfRangeError(
                 f"{unit_name} range [{start}, {start + count}) "
                 f"outside chip of {limit} {unit_name}s")
+        record = (slot.name, slot.kind, start, self.chip.clock_ns,
+                  self.current_task, count)
+        if not count:
+            return record  # no unit runs and no probe fires
         fn = slot.probe_fn
         run = slot.run
         if run is not None and (fn is None or slot.takes_records):
-            t0 = self.chip.clock_ns
             try:
                 run(start, count)
             except FlashError:
                 if fn is not None:
-                    tried = (self.chip.clock_ns - t0) // slot.step_ns + 1
+                    done = (self.chip.clock_ns - record[3]) // slot.step_ns
                     try:
-                        fn((slot.name, slot.kind, start, t0,
-                            self.current_task, tried))
+                        fn(record[:5] + (done + 1,))
                     except Exception:
                         self.hooks.handler_errors += 1
                 raise
-            record = (slot.name, slot.kind, start, t0, self.current_task,
-                      count)
             if fn is not None:
                 try:
                     fn(record)
                 except Exception:
                     self.hooks.handler_errors += 1
-            return _new(Receipts, (record, slot.step_ns))
+            return record
         chip = self.chip
         target = slot.target
-        name, kind, task = slot.name, slot.kind, self.current_task
-        receipts = []
+        name, kind, _, _, task, _ = record
         for unit in range(start, start + count):
             if fn is not None:
                 try:
                     fn((name, kind, unit, chip.clock_ns, task, 1))
                 except Exception:
                     self.hooks.handler_errors += 1
-            receipts.append(target(unit))
-        return receipts
+            target(unit)
+        return record
 
     # -- public operation entry points -----------------------------------
 

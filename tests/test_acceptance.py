@@ -204,16 +204,15 @@ def test_non_intrusiveness():
                 with dev.task(task):
                     if verb == "read":
                         start = rng.randrange(total)
-                        receipts = dev.mtd_read(
+                        record = dev.mtd_read(
                             start, rng.randint(1, min(6, total - start)))
                     elif verb == "write":
                         start = rng.randrange(total)
-                        receipts = dev.mtd_write(
+                        record = dev.mtd_write(
                             start, rng.randint(1, min(6, total - start)))
                     else:
-                        receipts = dev.mtd_erase(rng.randrange(64), 1)
-                outcomes.append(tuple((r.kind, r.address, r.start_ns)
-                                      for r in receipts))
+                        record = dev.mtd_erase(rng.randrange(64), 1)
+                outcomes.append(record)
             except FlashError as exc:
                 outcomes.append(type(exc).__name__)
         return outcomes, dev.chip.snapshot()

@@ -1,14 +1,13 @@
 """Layered driver: slots, chunking, partitions, probe target resolution."""
 
-from collections.abc import Sequence
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flashtrace import (BadBlockError, FlashChip, HookInvocation, MtdDevice,
-                        OpReceipt, OutOfRangeError, OverwriteError, Partition,
-                        PartitionError, Receipts, UnknownSlotError, attach)
+from flashtrace import (BACKGROUND_TASK, BadBlockError, FlashChip, FlashError,
+                        HookInvocation, MtdDevice, OutOfRangeError,
+                        OverwriteError, Partition, PartitionError, TraceEvent,
+                        UnknownSlotError, attach)
 from flashtrace.mtd import LOWER_SLOTS, UPPER_SLOTS
 
 from conftest import SMALL, count_bytecodes
@@ -54,11 +53,15 @@ class TestSlots:
 
 class TestChunking:
     def test_read_decomposes_to_per_page_ops(self, dev):
-        receipts = dev.mtd_read(10, 4)
-        assert [r.address for r in receipts] == [10, 11, 12, 13]
-        assert all(r.kind == "R" for r in receipts)
+        mon = attach(dev)
+        dev.mtd_read(0, 2)
         step = dev.chip.latency.read_ns
-        assert [r.start_ns for r in receipts] == [0, step, 2 * step, 3 * step]
+        with dev.task("t"):
+            record = dev.mtd_read(10, 4)
+        assert record == ("lower.read_page", "R", 10, 2 * step, "t", 4)
+        assert dev.chip.clock_ns == 6 * step
+        assert mon.events()[2:] == [TraceEvent((2 + i) * step, "R", 10 + i,
+                                               "t") for i in range(4)]
 
     def test_write_crosses_block_boundaries(self, dev):
         ppb = SMALL.pages_per_block
@@ -67,13 +70,16 @@ class TestChunking:
         assert dev.chip.blocks[1].written == ppb
 
     def test_erase_decomposes_to_blocks(self, dev):
-        receipts = dev.mtd_erase(1, 3)
-        assert [r.address for r in receipts] == [1, 2, 3]
-        assert all(dev.chip.blocks[b].erase_count == 1 for b in (1, 2, 3))
+        assert dev.mtd_erase(1, 3) == ("lower.erase_block", "E", 1, 0, "", 3)
+        assert dev.chip.clock_ns == 3 * dev.chip.latency.erase_ns
+        assert [dev.chip.blocks[b].erase_count for b in range(5)] == \
+            [0, 1, 1, 1, 0]
 
     def test_zero_count_is_empty(self, dev):
-        assert dev.mtd_read(0, 0) == []
-        assert dev.chip.clock_ns == 0
+        dev.mtd_erase(0, 1)
+        clock = dev.chip.clock_ns
+        assert dev.mtd_read(7, 0) == ("lower.read_page", "R", 7, clock, "", 0)
+        assert dev.chip.clock_ns == clock
 
     def test_zero_count_call_fires_no_probe(self, dev):
         seen = []
@@ -82,35 +88,17 @@ class TestChunking:
         dev.hooks.register_probe("lower.write_page", seen.append)
         mon = attach(MtdDevice(FlashChip(SMALL)))
         for device in (dev, mon.dev):
-            assert device.mtd_read(SMALL.total_pages, 0) == []
-            assert device.mtd_write(5, 0) == []
-            assert device.mtd_erase(0, 0) == []
+            with device.task("t"):
+                assert device.mtd_read(SMALL.total_pages, 0) == \
+                    ("lower.read_page", "R", SMALL.total_pages, 0, "t", 0)
+                assert device.mtd_write(5, 0) == \
+                    ("lower.write_page", "W", 5, 0, "t", 0)
+                assert device.mtd_erase(0, 0) == \
+                    ("lower.erase_block", "E", 0, 0, "t", 0)
         assert seen == []
         assert mon.health()["events"] == 0
 
-    def test_receipts_are_a_lazy_sequence(self, dev):
-        step = dev.chip.latency.read_ns
-        receipts = dev.mtd_read(10, 4)
-        expected = [OpReceipt("R", 10 + i, i * step) for i in range(4)]
-        assert isinstance(receipts, Receipts)
-        assert isinstance(receipts, Sequence)
-        assert len(receipts) == 4
-        assert receipts[0] == expected[0] and receipts[3] == expected[3]
-        assert receipts[-1] == expected[-1] and receipts[-4] == expected[0]
-        for index in (4, -5):
-            with pytest.raises(IndexError):
-                receipts[index]
-        assert receipts[1:3] == expected[1:3]
-        assert list(receipts) == expected
-        assert [tuple(r) for r in receipts] == [tuple(r) for r in expected]
-        assert receipts == expected and expected == receipts
-        assert receipts != expected[:3] and receipts != []
-        assert expected[2] in receipts and receipts.index(expected[2]) == 2
-        assert list(reversed(receipts)) == expected[::-1]
-        assert dev.mtd_erase(0, 1) == [OpReceipt("E", 0, 4 * step)]
-        assert repr(dev.mtd_write(0, 1)).startswith("Receipts([OpReceipt(")
-
-    def test_monitored_receipts_equal_bare_ones(self, dev):
+    def test_monitored_records_equal_bare_ones(self, dev):
         mon = attach(MtdDevice(FlashChip(SMALL)))
         for device in (dev, mon.dev):
             device.mtd_write(0, 40)
@@ -163,6 +151,77 @@ def test_failing_call_reads_as_the_same_call_unit_by_unit(case):
     kind = "R" if "read" in case else "W"
     assert [e.address for e in one_call[2] if e.kind == kind][-4:] == \
         [PPB - 3, PPB - 2, PPB - 1, PPB]
+
+
+def _raise_slot_name(inv):
+    raise RuntimeError(inv.slot_name)
+
+
+def _probed_devices():
+    """A device with no probe, the first to compare the rest against;
+    one with a record sink on each lower slot (and the sink's list); one
+    with a raising HookInvocation probe on every slot; and one whose
+    lower slots are rebound to the chip's one-unit methods."""
+    bare, sunk, hooked, rebound = (
+        MtdDevice(FlashChip(SMALL, endurance_limit=1)) for _ in range(4))
+    sink = []
+    for name in LOWER_SLOTS:
+        sunk.hooks.register_probe(name, sink.append, records=True)
+    for name in UPPER_SLOTS + LOWER_SLOTS:
+        hooked.hooks.register_probe(name, _raise_slot_name)
+    chip = rebound.chip
+    for name, method in zip(LOWER_SLOTS, (chip.read_page, chip.write_page,
+                                          chip.erase_block)):
+        rebound.rebind_slot(name, method)
+    return (bare, sunk, hooked, rebound), sink
+
+
+# A call is (op, block, offset, count, task): an offset of None is the
+# block's write point on the device without probes.  Blocks and counts
+# run past both ends of the chip; offsets 0 and PPB - 1 of a written
+# block overwrite, offset 1 of a free block skips a page, and a block
+# wears out on its second erase (endurance_limit=1).
+_CALLS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("read", "write")),
+              st.integers(-1, SMALL.blocks_per_chip),
+              st.sampled_from((0, 1, PPB - 1, None)),
+              st.integers(-1, 2 * PPB + 1),
+              st.sampled_from(("", "app", BACKGROUND_TASK))),
+    st.tuples(st.just("erase"), st.integers(-1, SMALL.blocks_per_chip),
+              st.just(0), st.integers(-1, 3), st.just("app"))),
+    max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls=_CALLS)
+def test_every_device_returns_the_unprobed_call_result(calls):
+    devices, sink = _probed_devices()
+    bare, sunk = devices[:2]
+    for op, block, offset, count, task in calls:
+        if offset is None:
+            offset = bare.chip.blocks[block % SMALL.blocks_per_chip].written
+        start = block if op == "erase" else block * PPB + offset
+        sunk_before = len(sink)
+        outcomes = []
+        for dev in devices:
+            try:
+                with dev.task(task):
+                    result = getattr(dev, f"mtd_{op}")(start, count)
+            except FlashError as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                assert type(result) is tuple and len(result) == 6
+                assert result[2:] == (start, dev.chip.clock_ns - count
+                                      * dev.slot(result[0]).step_ns, task,
+                                      count)
+                outcomes.append(result)
+                if dev is sunk and count:
+                    assert result is sink[-1]
+        assert outcomes[1:] == outcomes[:1] * 3
+        assert {dev.chip.snapshot() for dev in devices} == \
+            {bare.chip.snapshot()}
+        refused = count == 0 or outcomes[0][0] is OutOfRangeError
+        assert len(sink) == sunk_before + (not refused)
 
 
 # One-page and multi-page calls of every kind, all of which succeed.
@@ -357,9 +416,9 @@ def test_chunked_read_timestamps_form_arithmetic_progression(start, count):
         with pytest.raises(OutOfRangeError):
             dev.mtd_read(start, count)
         return
-    receipts = dev.mtd_read(start, count)
+    mon = attach(dev)
+    record = dev.mtd_read(start, count)
     step = dev.chip.latency.read_ns
-    assert len(receipts) == count
-    for i, receipt in enumerate(receipts):
-        assert receipt.address == start + i
-        assert receipt.start_ns == i * step
+    assert record == ("lower.read_page", "R", start, 0, "", count)
+    assert [(e.address, e.time_ns) for e in mon.events()] == \
+        [(start + i, i * step) for i in range(count)]

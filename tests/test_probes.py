@@ -211,5 +211,4 @@ class TestTransparency:
 
     def test_handler_return_value_is_ignored(self, dev):
         dev.hooks.register_probe("lower.read_page", lambda inv: "ignored")
-        receipts = dev.mtd_read(0, 1)
-        assert receipts[0].kind == "R"
+        assert dev.mtd_read(0, 2) == ("lower.read_page", "R", 0, 0, "", 2)
