@@ -8,10 +8,11 @@ garbage collection region.  The 90% dominance share and the 8-event
 minimum segment length are tuning constants, not measured quantities.
 
 One routine finds the phases, from the log's kinds as ASCII bytes (so
-the scans are ``bytes`` methods) and its times.  A monitor's
-``EventRing`` hands both over as columns, and a list of ``TraceEvent``s
-is converted.  A write by the background task is ``w`` in the kinds, so
-it does not anchor the gc phase.
+the scans are ``bytes`` methods) and its times.  From a monitor's
+``EventRing`` the times column is indexed in place and only the kinds
+are copied, 1 B per entry; a list of ``TraceEvent``s is converted.  A
+write by the background task is ``w`` in the kinds, so it does not
+anchor the gc phase.
 """
 
 from __future__ import annotations
@@ -67,8 +68,7 @@ def detect_phases(events: Union[Sequence[TraceEvent], EventRing]) -> list[Phase]
     counts sum to the log length.
     """
     if isinstance(events, EventRing):
-        kinds = events.ordered(events.kinds)
-        times = events.ordered(events.times)
+        kinds, times = bytes(events.kinds), events.times
     else:
         kinds = "".join(["w" if event.kind == "W"
                          and event.task_name == BACKGROUND_TASK

@@ -25,18 +25,17 @@ each record into per-page (or per-block) counters and events, as if
 each unit had been seen on its own.  There is no callback API; when the
 fold runs never changes what the views show.
 
-The temporal log is an ``EventRing``: ``log_capacity`` fixed-size
-entries kept as columns and allocated by the first fold, time
-``array('q')``, address ``array('I')``, kind ``bytearray`` and, with
-task names on, task id ``array('I')``: 17 B per entry, 13 B without
+The temporal log is an ``EventRing``: the newest ``log_capacity``
+entries, oldest first, in columns that grow with the entries they hold:
+time ``array('q')``, address ``array('I')``, kind ``bytearray`` and,
+with task names on, task id ``array('I')``: 17 B per entry, 13 B without
 task names.  A write by the file system's background task is stored as
 kind ``w`` (read back as ``W``), so phase detection can tell it apart
 without a task column.
 
 One chunk formatter, ``format_columns``, writes every temporal line:
 one ``%`` format of up to ``TEMPORAL_CHUNK_LINES`` lines over columns.
-The ring's text is made chunk by chunk from slices of its two segments
-(oldest first: from ``head`` to the end, then up to ``head``), so
+The log's text is made chunk by chunk from slices of its columns, so
 ``write_temporal`` streams the log without copying a whole column, and
 ``format_events`` turns a list of ``TraceEvent``s into the same
 columns.
@@ -63,9 +62,12 @@ LOG_ENTRY_BYTES_WITH_TASKS = LOG_ENTRY_BYTES_BARE + TASK_NAME_BYTES
 NS_PER_SECOND = 1_000_000_000
 # Lines per format_columns call when the temporal log is rendered.
 TEMPORAL_CHUNK_LINES = 4096
-# A fold writes runs this long or longer with one slice fill per column.
+# A fold appends runs this long or longer with one extend per column.
 SLICE_FILL_UNITS = 32
 _BACKGROUND_WRITE = ord("w")  # a background task's write, read as "W"
+# control() commands that set the mode: command -> (mode, probes active).
+_MODES = {"start": ("running", True), "stop": ("stopped", False),
+          "pause": ("paused", False)}
 
 
 class MonitorError(Exception):
@@ -178,60 +180,56 @@ def parse_spatial(text: str) -> list[tuple[int, int, int]]:
 
 class EventRing:
     """The monitor's temporal log: the newest ``capacity`` events in
-    columns (see the module docstring), which the monitor's first fold
-    allocates.  Oldest first, the entries run from 0 up to ``head``
-    until the ring is full, then from ``head`` round to just before it.
-    A task column entry indexes ``task_ids``, the distinct truncated
-    task names in the order they came."""
+    columns (see the module docstring), oldest first from index 0.  A
+    task column entry indexes ``task_ids``, the distinct truncated task
+    names in the order they came."""
 
-    __slots__ = ("capacity", "total_inserted", "head", "times", "addresses",
-                 "kinds", "tasks", "task_ids")
+    __slots__ = ("capacity", "total_inserted", "times", "addresses", "kinds",
+                 "tasks", "task_ids")
 
     def __init__(self, capacity: int, with_tasks: bool):
         if capacity < 1:
             raise ValueError("log capacity must be positive")
         self.capacity = capacity
-        self.total_inserted = self.head = 0
-        self.times, self.addresses, self.kinds = array("q"), array("I"), b""
+        self.total_inserted = 0
+        self.times, self.addresses = array("q"), array("I")
+        self.kinds = bytearray()
         self.tasks = array("I") if with_tasks else None
         self.task_ids: dict[str, int] = {}
 
     def clear(self) -> None:
-        self.total_inserted = self.head = 0
+        self.total_inserted = 0
+        for column in (self.times, self.addresses, self.kinds, self.tasks):
+            if column is not None:
+                del column[:]
 
     def __len__(self) -> int:
-        return min(self.total_inserted, self.capacity)
-
-    def ordered(self, column):
-        """A copy of ``column``'s entries, oldest first."""
-        return column[self.head:len(self)] + column[:self.head]
+        return len(self.kinds)
 
     def __iter__(self):
         """``(time_ns, kind, address, task)`` per entry, oldest first; what
         ``FlashMonitor.events()`` reads."""
-        kinds = self.ordered(self.kinds).decode("ascii")
+        kinds = self.kinds.decode("ascii")
         names = list(self.task_ids)
         # Without task names, a background write still names its task.
         tasks = (map({"w": BACKGROUND_TASK}.get, kinds, repeat(""))
                  if self.tasks is None
-                 else map(names.__getitem__, self.ordered(self.tasks)))
-        return zip(self.ordered(self.times), kinds.replace("w", "W"),
-                   self.ordered(self.addresses), tasks)
+                 else map(names.__getitem__, self.tasks))
+        return zip(self.times, kinds.replace("w", "W"), self.addresses, tasks)
 
     def text_chunks(self):
         """The temporal log lines, oldest first, one string per
         TEMPORAL_CHUNK_LINES entries or fewer, each formatted from
-        slices of one segment of the columns."""
+        slices of the columns."""
         names = list(self.task_ids)
-        for lo, hi in ((self.head, len(self)), (0, self.head)):
-            for start in range(lo, hi, TEMPORAL_CHUNK_LINES):
-                run = slice(start, min(start + TEMPORAL_CHUNK_LINES, hi))
-                yield format_columns(
-                    self.times[run],
-                    self.kinds[run].decode("ascii").replace("w", "W"),
-                    self.addresses[run],
-                    None if self.tasks is None
-                    else map(names.__getitem__, self.tasks[run]))
+        for start in range(0, len(self), TEMPORAL_CHUNK_LINES):
+            run = slice(start, start + TEMPORAL_CHUNK_LINES)
+            yield format_columns(
+                self.times[run],
+                self.kinds[run].decode("ascii").replace("w", "W"),
+                self.addresses[run],
+                None if self.tasks is None
+                else map(names.__getitem__, self.tasks[run]))
 
 
 class SpatialCounters:
@@ -365,27 +363,23 @@ class FlashMonitor:
         for ``count`` units from ``address``; unit i started at
         ``time_ns + i * latency(kind)``.  Records are walked newest
         first: the counters take every unit in scope, and the newest
-        ``log_capacity`` go to the log (allocated here the first time),
-        newest first from its head, turned around at the end.
+        ``log_capacity`` are appended to the log's columns, newest
+        first.  The batch is then turned around in place, and the oldest
+        entries past ``log_capacity`` are dropped.
         """
         pending = self._pending
         if not pending:
             return
         log = self._log
-        capacity = log.capacity
-        if not log.kinds:
-            log.times = array("q", [0]) * capacity
-            log.kinds = bytearray(capacity)
-            log.addresses = array("I", [0]) * capacity
-            if log.tasks is not None:
-                log.tasks = array("I", [0]) * capacity
         spans, task_cache = self._spans, self._task_cache
         task_ids = log.task_ids
         times, addresses, kinds, tasks = (log.times, log.addresses, log.kinds,
                                           log.tasks)
-        # Positions run up from head - capacity, so a negative one wraps.
-        stop = log.head
-        p = start = stop - capacity
+        put_time, put_address, put_kind = (times.append, addresses.append,
+                                           kinds.append)
+        put_task = None if tasks is None else tasks.append
+        old = len(kinds)
+        room = log.capacity
         seen = filtered = 0
         for _, kind, address, time_ns, raw_task, count in reversed(pending):
             step, column, per_block, first, limit, code = spans[kind]
@@ -407,9 +401,10 @@ class FlashMonitor:
                     column[i] += per_block
                 column[tail] += hi_in - tail * per_block
             seen += n
-            if p < stop:
-                if n > stop - p:
-                    n = stop - p
+            if room:
+                if n > room:
+                    n = room
+                room -= n
                 t = time_ns + (hi - 1 - address) * step  # of unit hi - 1
                 if kind == "W" and raw_task == BACKGROUND_TASK:
                     code = _BACKGROUND_WRITE
@@ -417,34 +412,28 @@ class FlashMonitor:
                 if task is None:
                     task = task_cache[raw_task] = task_ids.setdefault(
                         truncate_task_name(raw_task), len(task_ids))
-                q = p + n
-                if n >= SLICE_FILL_UNITS and (p >= 0 or q <= 0):
-                    run = slice(p, q or None)  # q = 0 is the end
-                    times[run] = array("q", range(t, t - n * step, -step))
-                    addresses[run] = array("I", range(hi - 1, hi - 1 - n, -1))
-                    kinds[run] = bytes((code,)) * n
+                if n >= SLICE_FILL_UNITS:
+                    times.extend(range(t, t - n * step, -step))
+                    addresses.extend(range(hi - 1, hi - 1 - n, -1))
+                    kinds.extend(repeat(code, n))
                     if tasks is not None:
-                        tasks[run] = array("I", (task,)) * n
-                    p = q
+                        tasks.extend(repeat(task, n))
                     continue
                 for unit in range(hi - 1, hi - 1 - n, -1):
-                    times[p] = t
-                    addresses[p] = unit
-                    kinds[p] = code
+                    put_time(t)
+                    put_address(unit)
+                    put_kind(code)
                     if tasks is not None:
-                        tasks[p] = task
+                        put_task(task)
                     t -= step
-                    p += 1
         pending.clear()
         self._filtered += filtered
         log.total_inserted += seen
-        log.head = p % capacity
-        w = p - start
+        overflow = max(len(kinds) - log.capacity, 0)
         for column in (times, addresses, kinds, tasks):
-            if column is not None:  # the batch, newest first, turned around
-                batch = (column[stop:stop + w] + column[:max(p, 0)])[::-1]
-                column[stop:stop + w] = batch[:capacity - stop]
-                column[:max(p, 0)] = batch[capacity - stop:]
+            if column is not None:
+                column[old:] = column[old:][::-1]
+                del column[:overflow]
 
     # -- control and state -----------------------------------------------
 
@@ -483,18 +472,10 @@ class FlashMonitor:
 
     def control(self, command: str) -> None:
         self._require_attached()
-        if command == "start":
+        if command in _MODES:
             self._drain()
-            self._mode = "running"
-            self._set_probes_active(True)
-        elif command == "stop":
-            self._drain()
-            self._mode = "stopped"
-            self._set_probes_active(False)
-        elif command == "pause":
-            self._drain()
-            self._mode = "paused"
-            self._set_probes_active(False)
+            self._mode, active = _MODES[command]
+            self._set_probes_active(active)
         elif command == "reset":
             self._pending.clear()
             self._filtered = 0
@@ -536,12 +517,8 @@ class FlashMonitor:
     # -- teardown --------------------------------------------------------
 
     def detach(self) -> None:
-        self._require_attached()
+        self.control("reset")
         self._unregister_probes()
-        self._pending.clear()
-        self._filtered = 0
-        self._log.clear()
-        self._counters.zero()
         self._attached = False
         self.dev._attached_monitor = None
 

@@ -172,8 +172,8 @@ def test_ring_buffer_window():
         mon = attach(dev, MonitorConfig(log_capacity=capacity))
         unit = 0
         while unit < count:
-            # Folding between calls moves the ring's head, so later
-            # multi-unit calls cross the wrap point.
+            # Folding between calls leaves the log partly or wholly
+            # full, so later multi-unit calls overflow it.
             if rng.random() < 0.5:
                 len(mon.log)
             n = rng.randint(1, min(count - unit, 2 * capacity))

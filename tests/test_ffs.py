@@ -716,14 +716,29 @@ def test_random_op_sequences_keep_all_invariants(ops, flavor):
 def test_gc_victims_match_a_linear_scan_under_churn(ops, flavor):
     """With GC busy, both victim queries equal the linear scans and
     accounting_ok, which checks the index, holds after every op, a write
-    cut short by a full partition included."""
+    cut short by a full partition included.  Every file keeps the size
+    its ops gave it, and a background step, which may relocate pages one
+    to one, leaves the pages each file reads back unchanged."""
     fs = _random_op_rig(flavor)
+    sizes = {}
     for verb, slot, size in ops:
+        name = f"f{slot}"
+        if verb == "step":
+            pages = {f: fs.read_file(f) for f in fs.files}
         try:
-            _apply_op(fs, verb, f"f{slot}", size)
+            _apply_op(fs, verb, name, size)
         except OutOfSpaceError:
             assert_victims_match_scan(fs)
             assert fs.accounting_ok()
             break
         assert_victims_match_scan(fs)
         assert fs.accounting_ok()
+        if verb == "create":
+            sizes.setdefault(name, size)
+        elif verb == "append" and name in sizes:
+            sizes[name] += size
+        elif verb == "delete":
+            sizes.pop(name, None)
+        assert {f: fs.file_size(f) for f in fs.files} == sizes
+        if verb == "step":
+            assert {f: fs.read_file(f) for f in fs.files} == pages

@@ -521,15 +521,24 @@ def reference_temporal_lines(events, with_task):
 @pytest.mark.parametrize("task_names", [True, False],
                          ids=["tasks", "no-tasks"])
 @settings(max_examples=60, deadline=None)
-@given(case=_ring_batches(),
-       view=st.sampled_from(("events", "len", "health", "temporal")))
-# A slice-fill run that ends exactly at the wrap point, and one that
-# would cross it by one unit, after a background write.
+@given(case=_ring_batches(), view=st.sampled_from(
+    ("events", "len", "health", "temporal", "flush")))
+# A slice-fill run that exactly fills an empty log, then one unit that
+# overflows the full log.
 @example(case=(32, [[("slot-R", "R", 512, 0, "app", 32)],
                     [("slot-E", "E", 16, 5, "app", 1)]]), view="len")
+# A batch that overflows a partly full log, after a background write.
 @example(case=(40, [[("slot-W", "W", 512, 0, "app", 9)],
                     [("slot-W", "W", 700, 3, BACKGROUND_TASK, 3),
                      ("slot-R", "R", 600, 9, "app", 32)]]), view="events")
+# A batch of exactly ``capacity`` units into a full log.
+@example(case=(40, [[("slot-R", "R", 512, 0, "app", 40)],
+                    [("slot-W", "W", 700, 3, BACKGROUND_TASK, 8),
+                     ("slot-R", "R", 600, 9, "app", 32)]]), view="temporal")
+# A fold into a log that a flush emptied, past its capacity.
+@example(case=(8, [[("slot-R", "R", 512, 0, "app", 5)],
+                   [("slot-R", "R", 600, 9, "app", 3),
+                    ("slot-W", "W", 700, 3, "", 9)]]), view="flush")
 def test_ring_matches_a_deque_of_events(task_names, case, view):
     capacity, batches = case
     dev = MtdDevice(FlashChip(_REF))
@@ -540,6 +549,10 @@ def test_ring_matches_a_deque_of_events(task_names, case, view):
                                     record_task_names=task_names))
     model = {"log": deque(maxlen=capacity), "inserted": 0, "filtered": 0}
     for batch in batches:
+        if view == "flush":  # folds the batch before, then empties the log
+            mon.control("flush")
+            model["log"].clear()
+            model["inserted"] = 0
         mon._pending.extend(batch)
         _reference_fold(model, batch, 16, 48, task_names)
         if view == "events":
@@ -548,7 +561,7 @@ def test_ring_matches_a_deque_of_events(task_names, case, view):
             len(mon.log)
         elif view == "health":
             mon.health()
-        else:
+        elif view == "temporal":
             mon.render_temporal()
     expected = list(model["log"])
     assert mon.events() == expected
@@ -577,7 +590,7 @@ _LOG_SIZES = (0, 1, 2, 31, TEMPORAL_CHUNK_LINES - 1, TEMPORAL_CHUNK_LINES,
 @st.composite
 def _render_batches(draw):
     entries = draw(st.sampled_from(_LOG_SIZES))
-    if entries and draw(st.booleans()):  # the ring wraps
+    if entries and draw(st.booleans()):  # the log overflows
         capacity = entries
         inserted = entries + draw(st.integers(1, 2 * entries))
     else:
@@ -622,7 +635,7 @@ def test_renderers_match_the_reference_lines(task_names, case):
                  MonitorConfig(log_capacity=capacity,
                                record_task_names=task_names))
     model = {"log": deque(maxlen=capacity), "inserted": 0, "filtered": 0}
-    for batch in batches:  # a fold between the batches moves the head
+    for batch in batches:  # a fold between the batches fills the log
         mon._pending.extend(batch)
         _reference_fold(model, batch, 0, _RENDER.blocks_per_chip, task_names)
         len(mon.log)
@@ -639,7 +652,7 @@ def test_renderers_match_the_reference_lines(task_names, case):
 
 def _monitor_with_a_log_of(entries):
     """A monitor whose log holds ``entries`` reads, after 100 more were
-    overwritten, so its two segments are both in use."""
+    overwritten."""
     mon = attach(MtdDevice(FlashChip(_RENDER)),
                  MonitorConfig(log_capacity=entries))
     for start in range(0, entries + 100, 1000):
@@ -718,3 +731,31 @@ def test_retained_memory_stays_within_the_footprint(task_names):
     assert mon.total_inserted == 10 * capacity
     assert after_2x <= mon.footprint_bytes()
     assert abs(after_10x - after_2x) <= after_2x / 100
+
+
+@pytest.mark.parametrize("task_names", [True, False],
+                         ids=["tasks", "no-tasks"])
+def test_log_memory_follows_its_entries(task_names):
+    """A log far from full retains no more than the footprint of a log
+    just large enough for its entries: its columns grow with the
+    entries, not with log_capacity."""
+    entries = 10_000
+    dev = MtdDevice(FlashChip(SMALL))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mon = attach(dev, MonitorConfig(log_capacity=150_000,
+                                        record_task_names=task_names))
+        for i in range(entries):
+            with dev.task(_REF_TASKS[i % len(_REF_TASKS)]):
+                dev.mtd_read(i % SMALL.total_pages, 1)
+        mon.health()  # folds
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(mon.log) == entries
+    held = MonitorConfig(log_capacity=entries, record_task_names=task_names)
+    assert retained <= footprint_estimate(held, SMALL.blocks_per_chip), \
+        retained
