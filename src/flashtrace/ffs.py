@@ -22,17 +22,19 @@ offset among equals, never the open log block.  The soft phase takes
 the lowest-offset fully invalid block, again never the open log block.
 An index kept as page counts change answers both without a scan.
 
-File content is never stored; the model tracks page occupancy, per-file
-extents (byte ranges over pages, so packed commits can share boundary
-pages between files), and a rolling journal where each new record
-supersedes the previous one.
+File content is never stored; the model tracks per-file extents (byte
+ranges over pages, so packed commits can share boundary pages between
+files), a rolling journal where each new record supersedes the last,
+and per page a count of the extents holding it (live while above 0).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import compress, count
 from typing import Optional
 
 from .mtd import MtdDevice, Partition
@@ -121,8 +123,7 @@ class _Extent:
 
     `start_off` is the byte offset of the owner's first byte within
     `pages[0]`; packed commits make neighboring owners share boundary
-    pages.  Pages are referenced by absolute index and may be remapped
-    in place when GC relocates them.
+    pages.  Pages are absolute indices; GC relocation remaps them.
     """
 
     __slots__ = ("pages", "start_off", "byte_len")
@@ -141,6 +142,17 @@ class _FileEntry:
         self.logical_size = 0
         self.compressed_size = 0
         self.extents: list[_Extent] = []
+
+
+def _runs(pages, limit: int) -> list[list[int]]:
+    """Join consecutive pages into `[start, n]` runs of at most `limit`."""
+    runs: list[list[int]] = []
+    for page in pages:
+        if runs and page == runs[-1][0] + runs[-1][1] and runs[-1][1] < limit:
+            runs[-1][1] += 1
+        else:
+            runs.append([page, 1])
+    return runs
 
 
 def _lowest_except(blocks: set, head: Optional[int]) -> Optional[int]:
@@ -183,8 +195,8 @@ class FlashFs:
         self._buckets: list[set[int]] = [set() for _ in range(self._ppb + 1)]
         self._fully_invalid: set[int] = set()
         self._stale: set[int] = set()
-        # page -> list of (extent, index) for every live byte owner
-        self._page_contents: dict[int, list] = {}
+        # Extents holding each page, by page - first_page; valid while > 0.
+        self._owners = array("I", [0]) * self.partition.page_count
         self._journal: Optional[_Extent] = None
         self._head: Optional[int] = None  # block offset of the open log block
         self._head_off = 0
@@ -209,9 +221,6 @@ class FlashFs:
     def _abs_block(self, off: int) -> int:
         return self.partition.first_block + off
 
-    def _block_of_page(self, page: int) -> int:
-        return page // self._ppb - self.partition.first_block
-
     def invalid_ratio(self) -> float:
         return self._invalid_total / self.partition.page_count
 
@@ -220,28 +229,29 @@ class FlashFs:
 
     # -- ownership bookkeeping -------------------------------------------
 
+    def _live_extents(self):
+        if self._journal is not None:
+            yield self._journal
+        for entry in self.files.values():
+            yield from entry.extents
+
     def _attach(self, extent: _Extent) -> None:
-        contents = self._page_contents
-        for i, page in enumerate(extent.pages):
-            entries = contents.get(page)
-            if entries is None:
-                contents[page] = [(extent, i)]
-                off = self._block_of_page(page)
-                self._valid[off] += 1
-                self._stale.add(off)
-            else:
-                entries.append((extent, i))
+        owners, base, ppb = self._owners, self.partition.first_page, self._ppb
+        for page in extent.pages:
+            i = page - base
+            owners[i] += 1
+            if owners[i] == 1:
+                self._valid[i // ppb] += 1
+                self._stale.add(i // ppb)
 
     def _detach(self, extent: _Extent) -> None:
-        contents = self._page_contents
-        for i, page in enumerate(extent.pages):
-            entries = contents[page]
-            entries.remove((extent, i))
-            if not entries:
-                del contents[page]
-                off = self._block_of_page(page)
-                self._valid[off] -= 1
-                self._stale.add(off)
+        owners, base, ppb = self._owners, self.partition.first_page, self._ppb
+        for page in extent.pages:
+            i = page - base
+            owners[i] -= 1
+            if not owners[i]:
+                self._valid[i // ppb] -= 1
+                self._stale.add(i // ppb)
                 self._invalid_total += 1
 
     # -- log head allocation ---------------------------------------------
@@ -346,22 +356,25 @@ class FlashFs:
 
     def _gc_reclaim(self, off: int) -> None:
         """Relocate a victim's live pages to the log head, then erase it."""
-        first = self.partition.first_page + off * self._ppb
-        contents = self._page_contents
-        live = [p for p in range(first, first + self._written[off])
-                if p in contents]
-        for page in live:
-            self.dev.mtd_read(page, 1)
-            new_page = self._write_pages(1)[0]
-            entries = contents.pop(page)
-            contents[new_page] = entries
-            for extent, i in entries:
-                extent.pages[i] = new_page
-            self._valid[off] -= 1
-            self._invalid_total += 1
-            new_off = self._block_of_page(new_page)
-            self._valid[new_off] += 1
-            self._stale.update((off, new_off))
+        owners, ppb = self._owners, self._ppb
+        base, first = self.partition.first_page, off * ppb
+        end = first + self._written[off]
+        moved: dict[int, int] = {}
+        try:
+            for i in compress(range(first, end), owners[first:end]):
+                self.dev.mtd_read(base + i, 1)
+                new = self._write_pages(1)[0] - base
+                moved[base + i] = base + new
+                owners[new], owners[i] = owners[i], 0
+                self._valid[off] -= 1
+                self._invalid_total += 1
+                self._valid[new // ppb] += 1
+                self._stale.update((off, new // ppb))
+        finally:
+            # A full partition can cut the loop short; remap what moved.
+            if moved:
+                for extent in self._live_extents():
+                    extent.pages = [moved.get(p, p) for p in extent.pages]
         self._erase_block(off)
 
     def _gc_step(self) -> bool:
@@ -455,17 +468,10 @@ class FlashFs:
         self.files["rootfs"] = entry
         self._attach(extent)
 
-    def _data_page_runs(self) -> list[tuple[int, int]]:
+    def _data_page_runs(self) -> list[list[int]]:
         """Contiguous runs of live data pages, at most one block long."""
-        pages = sorted(self._page_contents)
-        runs: list[tuple[int, int]] = []
-        for page in pages:
-            if (runs and page == runs[-1][0] + runs[-1][1]
-                    and runs[-1][1] < self._ppb):
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-            else:
-                runs.append((page, 1))
-        return runs
+        live = compress(count(self.partition.first_page), self._owners)
+        return _runs(live, self._ppb)
 
     def _format_step(self) -> bool:
         """Erase the next queued block that is still free of data.
@@ -619,16 +625,9 @@ class FlashFs:
             base = span_end
             if base >= hi:
                 break
-        reads = 0
-        i = 0
-        while i < len(wanted):
-            j = i
-            while j + 1 < len(wanted) and wanted[j + 1] == wanted[j] + 1:
-                j += 1
-            self.dev.mtd_read(wanted[i], j - i + 1)
-            reads += j - i + 1
-            i = j + 1
-        return reads
+        for start, n in _runs(wanted, len(wanted)):  # uncapped
+            self.dev.mtd_read(start, n)
+        return len(wanted)
 
     def delete_file(self, file_id: str) -> None:
         self._require_mounted()
@@ -664,9 +663,16 @@ class FlashFs:
         the GC victim index against the page accounting."""
         chip = self.dev.chip
         first = self.partition.first_block
+        base = self.partition.first_page
+        owners = array("I", [0]) * self.partition.page_count
+        for extent in self._live_extents():
+            for page in extent.pages:
+                owners[page - base] += 1
+        if owners != self._owners:
+            return False
         owned = [0] * self.partition.block_count
-        for page in self._page_contents:
-            owned[self._block_of_page(page)] += 1
+        for i in compress(count(), owners):
+            owned[i // self._ppb] += 1
         self._fold_stale()
         bucketed = {}
         for k, bucket in enumerate(self._buckets):

@@ -439,6 +439,31 @@ class TestBufferedFlavor:
         assert fs._invalid_total == invalid_before
         assert fs.read_file("b") == 1
 
+    def test_a_page_with_301_owners(self):
+        dev = rig()
+        fs = FlashFs(dev, "fs", quiet("ubifs_like"))
+        fs.mount()
+        for i in range(300):
+            fs.create_file(f"f{i}", 2)  # one compressed byte each
+        fs.sync()  # one page holds all 300 files and the journal's head
+        invalid_before = fs._invalid_total
+        for i in range(299):
+            fs.delete_file(f"f{i}")
+        assert fs._invalid_total == invalid_before
+        assert fs.read_file("f299") == 1
+        assert fs.accounting_ok()
+
+    def test_accounting_recounts_owners_from_the_extents(self):
+        dev = rig()
+        fs = FlashFs(dev, "fs", quiet("ubifs_like"))
+        fs.mount()
+        fs.create_file("a", 300)
+        fs.create_file("b", 300)
+        fs.sync()
+        assert fs.accounting_ok()
+        fs._owners[0] += 1  # one owner more than the extents hold
+        assert not fs.accounting_ok()
+
 
 class TestGarbageCollection:
     def _full_rig(self):
@@ -595,6 +620,30 @@ class TestGarbageCollection:
             fs.create_file("b", (PPB + 4) * PAGE)  # fills block 1 first
         # Block 1 holds the failed write's pages, and no extent owns them.
         assert fs._invalid_total == PPB
+        assert fs.accounting_ok()
+
+    def test_a_relocation_cut_short_leaves_extents_on_live_pages(self):
+        dev = MtdDevice(FlashChip(SMALL))
+        dev.add_partition(0, 2, "tiny")
+        fs = FlashFs(dev, "tiny", quiet("yaffs2_like",
+                                        metadata_pages_per_file_op=0))
+        fs.mount()
+        fs.create_file("a", 20 * PAGE)  # pages 0-19
+        fs.create_file("b", 12 * PAGE)  # pages 20-31
+        fs.create_file("c", 30 * PAGE)  # pages 32-61, the log head
+        fs.delete_file("a")
+        mon = attach(dev)
+        # GC relocates b's pages 20 and 21 to 62 and 63, then finds no
+        # free block for page 22.
+        with pytest.raises(OutOfSpaceError):
+            fs.background_step()
+        gc_events = mon.events()
+        assert [e.address for e in gc_events if e.kind == "W"] == [62, 63]
+        assert fs.accounting_ok()
+        assert fs.read_file("b") == 12
+        reads = mon.events()[len(gc_events):]
+        assert [e.address for e in reads] == [62, 63, *range(22, 32)]
+        fs.delete_file("b")
         assert fs.accounting_ok()
 
     def test_out_of_space_when_nothing_is_reclaimable(self):
