@@ -135,10 +135,9 @@ class _Extent:
 
 
 class _FileEntry:
-    __slots__ = ("file_id", "logical_size", "compressed_size", "extents")
+    __slots__ = ("logical_size", "compressed_size", "extents")
 
-    def __init__(self, file_id: str):
-        self.file_id = file_id
+    def __init__(self):
         self.logical_size = 0
         self.compressed_size = 0
         self.extents: list[_Extent] = []
@@ -178,19 +177,21 @@ class FlashFs:
         self._meta_bytes = config.metadata_pages_per_file_op * self._page_size
         n = self.partition.block_count
         # Per-block page accounting, indexed by block offset within the
-        # partition; invalid pages are written minus valid.
-        self._written = [0] * n
+        # partition: the chip's own BlockState holds each block's written
+        # pages, _valid the live ones; invalid pages are written minus valid.
+        self._blocks = dev.chip.blocks[self.partition.first_block:
+                                       self.partition.block_limit]
         self._valid = [0] * n
         self._free_blocks = n
         self._invalid_total = 0
         # GC victim index.  Blocks with k >= 1 invalid pages sit in
         # _buckets[k] (_bucket_of[off] == k; slot 0 stays empty), and
         # blocks with written pages but no valid one in _fully_invalid.
-        # Every change to _written or _valid marks its block stale; the
-        # index folds stale blocks in at the next query.  The greedy
-        # victim is the lowest offset in the highest non-empty bucket,
-        # the soft victim the lowest fully invalid offset, and neither
-        # is ever the log head.
+        # Every write or erase this model makes on the chip and every
+        # change to _valid marks its block stale; the index folds stale
+        # blocks in at the next query.  The greedy victim is the lowest
+        # offset in the highest non-empty bucket, the soft victim the
+        # lowest fully invalid offset, and neither is ever the log head.
         self._bucket_of = [0] * n
         self._buckets: list[set[int]] = [set() for _ in range(self._ppb + 1)]
         self._fully_invalid: set[int] = set()
@@ -199,9 +200,8 @@ class FlashFs:
         self._owners = array("I", [0]) * self.partition.page_count
         self._journal: Optional[_Extent] = None
         self._head: Optional[int] = None  # block offset of the open log block
-        self._head_off = 0
-        # buffered flavors: insertion-ordered pending byte counts
-        self._pending_order: dict[str, int] = {}
+        # buffered flavors: insertion-ordered pending byte counts per file
+        self._pending_order: dict[_FileEntry, int] = {}
         self._pending_total = 0
         self._meta_dirty = False
         self._gc_latched = False
@@ -259,11 +259,10 @@ class FlashFs:
     def _next_free_block(self) -> int:
         n = self.partition.block_count
         start = 0 if self._head is None else self._head + 1
-        chip = self.dev.chip
-        first = self.partition.first_block
+        blocks = self._blocks
         for step in range(n):
             off = (start + step) % n
-            if self._written[off] == 0 and not chip.blocks[first + off].is_bad:
+            if blocks[off].written == 0 and not blocks[off].is_bad:
                 return off
         # Last resort: reclaim one fully invalid block synchronously.
         victim = self._find_fully_invalid()
@@ -280,36 +279,33 @@ class FlashFs:
         part_first_page = self.partition.first_page
         remaining = count
         while remaining > 0:
-            if self._head is None or self._head_off == ppb:
+            if self._head is None or self._blocks[self._head].written == ppb:
                 try:
                     self._head = self._next_free_block()
                 except OutOfSpaceError:
                     # The pages already written belong to no extent.
                     self._invalid_total += len(pages)
                     raise
-                self._head_off = 0
-            take = min(remaining, ppb - self._head_off)
-            start = part_first_page + self._head * ppb + self._head_off
-            if self._written[self._head] == 0:
+            head_off = self._blocks[self._head].written
+            take = min(remaining, ppb - head_off)
+            start = part_first_page + self._head * ppb + head_off
+            if head_off == 0:
                 self._free_blocks -= 1
             self.dev.mtd_write(start, take)
-            self._written[self._head] += take
             self._stale.add(self._head)
-            self._head_off += take
             pages.extend(range(start, start + take))
             remaining -= take
         return pages
 
     def _erase_block(self, off: int) -> None:
         """Erase one partition block with no valid pages left in it."""
-        self._invalid_total -= self._written[off] - self._valid[off]
-        if self._written[off] != 0:
+        written = self._blocks[off].written
+        self._invalid_total -= written - self._valid[off]
+        if written != 0:
             self._free_blocks += 1
-        self._written[off] = 0
         self._stale.add(off)
         if self._head == off:
             self._head = None
-            self._head_off = 0
         self.dev.mtd_erase(self._abs_block(off), 1)
 
     # -- garbage collection ----------------------------------------------
@@ -323,11 +319,12 @@ class FlashFs:
 
     def _fold_stale(self) -> None:
         """Bring the victim index up to date with the stale blocks."""
-        written, valid = self._written, self._valid
+        blocks, valid = self._blocks, self._valid
         bucket_of, buckets = self._bucket_of, self._buckets
         fully_invalid = self._fully_invalid
         for off in self._stale:
-            invalid = written[off] - valid[off]
+            written = blocks[off].written
+            invalid = written - valid[off]
             old = bucket_of[off]
             if invalid != old:
                 if old:
@@ -335,7 +332,7 @@ class FlashFs:
                 if invalid:
                     buckets[invalid].add(off)
                 bucket_of[off] = invalid
-            if written[off] and not valid[off]:
+            if written and not valid[off]:
                 fully_invalid.add(off)
             else:
                 fully_invalid.discard(off)
@@ -358,7 +355,7 @@ class FlashFs:
         """Relocate a victim's live pages to the log head, then erase it."""
         owners, ppb = self._owners, self._ppb
         base, first = self.partition.first_page, off * ppb
-        end = first + self._written[off]
+        end = first + self._blocks[off].written
         moved: dict[int, int] = {}
         try:
             for i in compress(range(first, end), owners[first:end]):
@@ -410,9 +407,11 @@ class FlashFs:
                     self.dev.mtd_read(part.first_page + off * self._ppb, 1)
             else:
                 self.dev.mtd_read(part.first_page, part.page_count)
-            self._sync_media_accounting()
+            self._free_blocks = sum(not b.written for b in self._blocks)
+            self._stale.update(range(part.block_count))
             self._adopt_unclaimed()
-            self._invalid_total = sum(self._written) - sum(self._valid)
+            self._invalid_total = (sum(b.written for b in self._blocks)
+                                   - sum(self._valid))
             if not self.first_mount_done:
                 data_free = [off for off in range(part.block_count)
                              if self._valid[off] == 0]
@@ -426,7 +425,6 @@ class FlashFs:
             self._crc_queue = deque(self._data_page_runs())
             self._bg_prefer_crc = True
         self._head = None
-        self._head_off = 0
         self.mounted = True
 
     def unmount(self) -> None:
@@ -436,13 +434,6 @@ class FlashFs:
         self._crc_queue.clear()
         self._format_queue.clear()
         self.mounted = False
-
-    def _sync_media_accounting(self) -> None:
-        part = self.partition
-        blocks = self.dev.chip.blocks[part.first_block:part.block_limit]
-        self._written = [block.written for block in blocks]
-        self._free_blocks = self._written.count(0)
-        self._stale.update(range(part.block_count))
 
     def _adopt_unclaimed(self) -> None:
         """First mount over a flashed image: claim its pages as one file.
@@ -456,10 +447,10 @@ class FlashFs:
         pages = []
         for off in range(part.block_count):
             start = part.first_page + off * self._ppb
-            pages.extend(range(start, start + self._written[off]))
+            pages.extend(range(start, start + self._blocks[off].written))
         if not pages:
             return
-        entry = _FileEntry("rootfs")
+        entry = _FileEntry()
         nbytes = len(pages) * self._page_size
         entry.logical_size = nbytes
         entry.compressed_size = nbytes
@@ -481,7 +472,7 @@ class FlashFs:
         """
         while self._format_queue:
             off = self._format_queue.popleft()
-            if self._written[off] == 0 and off != self._head:
+            if self._blocks[off].written == 0 and off != self._head:
                 self._erase_block(off)
                 return True
         return False
@@ -541,16 +532,15 @@ class FlashFs:
 
     def _buffer_data(self, entry: _FileEntry, nbytes: int) -> None:
         if nbytes > 0:
-            self._pending_order[entry.file_id] = (
-                self._pending_order.get(entry.file_id, 0) + nbytes)
+            self._pending_order[entry] = (
+                self._pending_order.get(entry, 0) + nbytes)
             self._pending_total += nbytes
         self._buffer_meta()
         if self._pending_total > self.config.write_buffer_bytes:
             self._flush_buffer()
 
     def _flush_buffer(self) -> None:
-        records = [(self.files[file_id], nbytes)
-                   for file_id, nbytes in self._pending_order.items()]
+        records = list(self._pending_order.items())
         if self._meta_dirty:
             records.append((None, self._meta_bytes))
         self._commit(records)
@@ -564,7 +554,7 @@ class FlashFs:
             raise ValueError("size must be >= 0")
         if file_id in self.files:
             raise FileAlreadyExistsError(f"file {file_id!r} exists")
-        entry = _FileEntry(file_id)
+        entry = _FileEntry()
         self.files[file_id] = entry
         self._grow(entry, size)
 
@@ -637,7 +627,7 @@ class FlashFs:
         for extent in entry.extents:
             self._detach(extent)
         if self.config.buffered:
-            pending = self._pending_order.pop(file_id, None)
+            pending = self._pending_order.pop(entry, None)
             if pending:
                 self._pending_total -= pending
             self._buffer_meta()
@@ -659,16 +649,16 @@ class FlashFs:
         return entry.logical_size
 
     def accounting_ok(self) -> bool:
-        """Cross-check internal page accounting against the chip, and
-        the GC victim index against the page accounting."""
-        chip = self.dev.chip
-        first = self.partition.first_block
+        """Cross-check internal page accounting against the extents and
+        the chip, and the GC victim index against the page accounting."""
         base = self.partition.first_page
         owners = array("I", [0]) * self.partition.page_count
         for extent in self._live_extents():
             for page in extent.pages:
                 owners[page - base] += 1
         if owners != self._owners:
+            return False
+        if self._free_blocks != sum(not b.written for b in self._blocks):
             return False
         owned = [0] * self.partition.block_count
         for i in compress(count(), owners):
@@ -682,9 +672,7 @@ class FlashFs:
                 bucketed[off] = k
         invalid = 0
         for off in range(self.partition.block_count):
-            written, valid = self._written[off], self._valid[off]
-            if written != chip.blocks[first + off].written:
-                return False
+            written, valid = self._blocks[off].written, self._valid[off]
             if valid != owned[off]:
                 return False
             if valid > written:

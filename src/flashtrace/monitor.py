@@ -181,8 +181,8 @@ def parse_spatial(text: str) -> list[tuple[int, int, int]]:
 class EventRing:
     """The monitor's temporal log: the newest ``capacity`` events in
     columns (see the module docstring), oldest first from index 0.  A
-    task column entry indexes ``task_ids``, the distinct truncated task
-    names in the order they came."""
+    task column entry indexes ``task_ids``, the distinct task names the
+    driver gave in the order they came; reads truncate them."""
 
     __slots__ = ("capacity", "total_inserted", "times", "addresses", "kinds",
                  "tasks", "task_ids")
@@ -210,7 +210,7 @@ class EventRing:
         """``(time_ns, kind, address, task)`` per entry, oldest first; what
         ``FlashMonitor.events()`` reads."""
         kinds = self.kinds.decode("ascii")
-        names = list(self.task_ids)
+        names = list(map(truncate_task_name, self.task_ids))
         # Without task names, a background write still names its task.
         tasks = (map({"w": BACKGROUND_TASK}.get, kinds, repeat(""))
                  if self.tasks is None
@@ -221,7 +221,7 @@ class EventRing:
         """The temporal log lines, oldest first, one string per
         TEMPORAL_CHUNK_LINES entries or fewer, each formatted from
         slices of the columns."""
-        names = list(self.task_ids)
+        names = list(map(truncate_task_name, self.task_ids))
         for start in range(0, len(self), TEMPORAL_CHUNK_LINES):
             run = slice(start, start + TEMPORAL_CHUNK_LINES)
             yield format_columns(
@@ -325,7 +325,6 @@ class FlashMonitor:
         self._log = EventRing(config.log_capacity, config.record_task_names)
         self._pending: list[tuple] = []
         self._mode = "running"
-        self._task_cache: dict[str, int] = {}
         self.target_report = report = dev.resolve_probe_targets()
         self._handles = []
         try:
@@ -336,7 +335,6 @@ class FlashMonitor:
         except ProbeError:
             self._unregister_probes()
             raise
-        self._attached = True
         dev._attached_monitor = self
 
     # -- probe plumbing --------------------------------------------------
@@ -351,7 +349,7 @@ class FlashMonitor:
             handle.active = value
 
     def _require_attached(self) -> None:
-        if not getattr(self, "_attached", False):
+        if self.dev._attached_monitor is not self:
             raise NotAttachedError("monitor is detached")
 
     # -- ingestion -------------------------------------------------------
@@ -371,8 +369,7 @@ class FlashMonitor:
         if not pending:
             return
         log = self._log
-        spans, task_cache = self._spans, self._task_cache
-        task_ids = log.task_ids
+        spans, task_ids = self._spans, log.task_ids
         times, addresses, kinds, tasks = (log.times, log.addresses, log.kinds,
                                           log.tasks)
         put_time, put_address, put_kind = (times.append, addresses.append,
@@ -408,10 +405,7 @@ class FlashMonitor:
                 t = time_ns + (hi - 1 - address) * step  # of unit hi - 1
                 if kind == "W" and raw_task == BACKGROUND_TASK:
                     code = _BACKGROUND_WRITE
-                task = task_cache.get(raw_task)
-                if task is None:
-                    task = task_cache[raw_task] = task_ids.setdefault(
-                        truncate_task_name(raw_task), len(task_ids))
+                task = task_ids.setdefault(raw_task, len(task_ids))
                 if n >= SLICE_FILL_UNITS:
                     times.extend(range(t, t - n * step, -step))
                     addresses.extend(range(hi - 1, hi - 1 - n, -1))
@@ -519,7 +513,6 @@ class FlashMonitor:
     def detach(self) -> None:
         self.control("reset")
         self._unregister_probes()
-        self._attached = False
         self.dev._attached_monitor = None
 
 

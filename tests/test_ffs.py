@@ -29,11 +29,12 @@ def rig(blocks=8, label="fs"):
 def reference_most_invalid(fs):
     """The greedy victim by linear scan: most invalid pages, then the
     lowest offset, never the log head; None with no invalid page."""
+    blocks = fs.dev.chip.blocks[fs.partition.first_block:]
     best, best_invalid = None, 0
     for off in range(fs.partition.block_count):
         if off == fs._head:
             continue
-        invalid = fs._written[off] - fs._valid[off]
+        invalid = blocks[off].written - fs._valid[off]
         if invalid > best_invalid:
             best, best_invalid = off, invalid
     return best
@@ -41,10 +42,11 @@ def reference_most_invalid(fs):
 
 def reference_fully_invalid(fs):
     """The lowest written block with no valid page, never the log head."""
+    blocks = fs.dev.chip.blocks[fs.partition.first_block:]
     for off in range(fs.partition.block_count):
         if off == fs._head:
             continue
-        if fs._written[off] > 0 and fs._valid[off] == 0:
+        if blocks[off].written > 0 and fs._valid[off] == 0:
             return off
     return None
 
@@ -462,6 +464,16 @@ class TestBufferedFlavor:
         fs.sync()
         assert fs.accounting_ok()
         fs._owners[0] += 1  # one owner more than the extents hold
+        assert not fs.accounting_ok()
+
+    def test_accounting_checks_the_free_block_count(self):
+        dev = rig()
+        fs = FlashFs(dev, "fs", quiet("ubifs_like"))
+        fs.mount()
+        fs.create_file("a", 3 * PPB * PAGE)
+        fs.sync()
+        assert fs.accounting_ok()
+        fs._free_blocks += 1  # one free block more than the chip has
         assert not fs.accounting_ok()
 
 

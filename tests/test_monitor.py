@@ -162,10 +162,13 @@ class TestAttachment:
         mon = attach(rig)
         rig.mtd_read(0, 1)
         mon.detach()
-        for read in (lambda: mon.counters, lambda: mon.log,
-                     mon.footprint_bytes, mon.health):
-            with pytest.raises(NotAttachedError):
-                read()
+        for second_monitor in (False, True):
+            if second_monitor:  # a new monitor leaves mon detached
+                attach(rig)
+            for read in (lambda: mon.counters, lambda: mon.log,
+                         mon.footprint_bytes, mon.health):
+                with pytest.raises(NotAttachedError):
+                    read()
 
     def test_failed_attach_leaves_no_probes(self, rig):
         rig.hooks.register_probe("lower.write_page", lambda inv: None)
