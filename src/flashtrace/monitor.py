@@ -292,9 +292,10 @@ class FlashMonitor:
     """Probe-backed monitor bound to one device.
 
     Construction performs the attachment: probe targets are resolved,
-    one pre-handler is registered per operation kind, and tracing starts
-    immediately.  Attachment itself performs no flash operations and
-    never alters the device's behavior or the records its calls return.
+    the pending list's ``append`` is registered as the record sink of
+    each kind's slot, and tracing starts immediately.  Attachment itself
+    performs no flash operations and never alters the device's behavior
+    or the records its calls return.
     """
 
     def __init__(self, dev: MtdDevice, config: Optional[MonitorConfig] = None):

@@ -6,25 +6,21 @@ the chip; lower slots talk to the chip.  Every call that does not raise
 returns its request record ``(slot, kind, start, t0, task, count)``: the
 lower slot's name and kind, the first unit, the clock when that unit
 started, the current task and the unit count (0 for an empty range).
-A lower slot still bound to the chip runs a whole range as one
-chip-level run (``FlashChip.read_pages``, ``write_pages``,
-``erase_blocks``), so its unit i started at ``t0`` plus i latencies.
+A lower slot runs a whole range as one chip-level run
+(``FlashChip.read_pages``, ``write_pages``, ``erase_blocks``), so its
+unit i started at ``t0`` plus i latencies.
 
-This module is the one place a probe fires: an upper slot fires its
-probe (if any) on entry with the plain record the probe registry
-defines, then runs the slot's target; an exception a probe raises is
-counted, not propagated.  A record-taking probe (the monitor's sink) on
-a lower slot still bound to the chip is handed the call's request
+This module is the one place a probe fires, and every slot hands its
+probe a record of the same shape.  An upper slot fires its probe (if
+any) on entry with a one-unit record (the call is the unit), then runs
+the slot's target.  A lower slot hands its probe the call's request
 record, the same tuple the call returns, after the units ran; when a
-unit fails, the record it gets counts every unit that was tried, the
-failing one included.  A HookInvocation probe on a lower slot, or any
-probe on a rebound one, fires before each single unit of a loop of
-one-unit calls.
+unit fails, the record counts every unit that was tried, the failing
+one included.  An exception a probe raises is counted, not propagated.
 
-Slots are replaceable: rebinding a slot models substituting one driver
-implementation for another.  A device built in legacy mode keeps the
-same behavior but its lower slots carry no address metadata, which
-forces probe-target resolution to fall back on the upper layer.
+A device built in legacy mode keeps the same behavior but its lower
+slots carry no address metadata, which forces probe-target resolution
+to fall back on the upper layer.
 """
 
 from __future__ import annotations
@@ -48,31 +44,27 @@ class PartitionError(Exception):
 class FunctionSlot:
     """One named entry in the driver stack.
 
-    ``exposes_address`` records whether a probe on this slot can learn
-    per-call addresses from the call itself; legacy lower slots cannot.
-    ``probe_fn`` and ``takes_records`` are managed by the probe registry:
-    the currently active handler (or None), called with the record
-    ``(name, kind, address, time_ns, task_name, count)``, and whether it
-    accepts one record for a whole call.  A lower slot's ``run`` is the
-    chip's range operation of its kind while ``target`` is the chip's
-    own one-unit method, and None once the slot is rebound; ``step_ns``
-    is the clock advance of one unit of that kind.
+    ``target`` runs the slot's calls: an upper slot's checks a range and
+    runs it through its lower slot, and a lower slot's is the chip's
+    range operation of its kind.  ``exposes_address`` records whether a
+    probe on this slot can learn per-call addresses from the call
+    itself; legacy lower slots cannot.  ``probe_fn`` is managed by the
+    probe registry: the currently active handler (or None), called with
+    the record ``(name, kind, address, time_ns, task_name, count)``.
+    ``step_ns`` is the clock advance of one unit of a lower slot's kind.
     """
 
     __slots__ = ("name", "level", "kind", "target", "exposes_address",
-                 "probe_fn", "takes_records", "run", "step_ns")
+                 "probe_fn", "step_ns")
 
     def __init__(self, name: str, level: str, kind: str, target: Callable,
-                 exposes_address: bool = True, run: Callable = None,
-                 step_ns: int = 0):
+                 exposes_address: bool = True, step_ns: int = 0):
         self.name = name
         self.level = level
         self.kind = kind
         self.target = target
         self.exposes_address = exposes_address
         self.probe_fn = None
-        self.takes_records = False
-        self.run = run
         self.step_ns = step_ns
 
     def __repr__(self):
@@ -134,14 +126,12 @@ class MtdDevice:
         self.current_task = ""
         meta = not legacy
         latency = chip.latency
-        read = FunctionSlot("lower.read_page", "lower", "R", chip.read_page,
-                            meta, chip.read_pages, latency.read_ns)
+        read = FunctionSlot("lower.read_page", "lower", "R", chip.read_pages,
+                            meta, latency.read_ns)
         write = FunctionSlot("lower.write_page", "lower", "W",
-                             chip.write_page, meta, chip.write_pages,
-                             latency.write_ns)
+                             chip.write_pages, meta, latency.write_ns)
         erase = FunctionSlot("lower.erase_block", "lower", "E",
-                             chip.erase_block, meta, chip.erase_blocks,
-                             latency.erase_ns)
+                             chip.erase_blocks, meta, latency.erase_ns)
         pages = chip.geometry.total_pages
         blocks = chip.geometry.blocks_per_chip
         chunked = self._chunked
@@ -178,14 +168,6 @@ class MtdDevice:
         except KeyError:
             raise UnknownSlotError(f"no slot named {name!r}") from None
 
-    def rebind_slot(self, name: str, target: Callable) -> None:
-        """Replace a slot's behavior.  The new target need not advance the
-        clock by one latency per unit, so the slot runs one unit per call
-        from then on and its probe gets one record per unit."""
-        slot = self.slot(name)
-        slot.target = target
-        slot.run = None
-
     # -- dispatch --------------------------------------------------------
 
     def _call(self, slot: FunctionSlot, start: int, count: int):
@@ -206,14 +188,10 @@ class MtdDevice:
 
     # The one upper-slot behavior, bound into each upper slot with its
     # lower slot, the chip's size in units and the unit's name.  It checks
-    # the range, then runs it and returns the call's request record.  A
-    # lower slot still bound to the chip, with no probe or with a
-    # record-taking one (the monitor's sink), runs the whole range in one
-    # chip call; the record is handed to the sink after the units ran, and
-    # when a unit fails, the sink's record counts the units tried, the
-    # failing one included.  A rebound slot or a HookInvocation probe gets
-    # a loop of single-unit calls, with the probe fired before each unit
-    # as _call would; the targets' results are not kept.
+    # the range, runs it as one chip call and returns the call's request
+    # record.  The record is handed to the lower slot's probe after the
+    # units ran; when a unit fails, the probe's record counts the units
+    # tried, the failing one included.
 
     def _chunked(self, slot: FunctionSlot, limit: int, unit_name: str,
                  start: int, count: int):
@@ -226,34 +204,21 @@ class MtdDevice:
         if not count:
             return record  # no unit runs and no probe fires
         fn = slot.probe_fn
-        run = slot.run
-        if run is not None and (fn is None or slot.takes_records):
+        try:
+            slot.target(start, count)
+        except FlashError:
+            if fn is not None:
+                done = (self.chip.clock_ns - record[3]) // slot.step_ns
+                try:
+                    fn(record[:5] + (done + 1,))
+                except Exception:
+                    self.hooks.handler_errors += 1
+            raise
+        if fn is not None:
             try:
-                run(start, count)
-            except FlashError:
-                if fn is not None:
-                    done = (self.chip.clock_ns - record[3]) // slot.step_ns
-                    try:
-                        fn(record[:5] + (done + 1,))
-                    except Exception:
-                        self.hooks.handler_errors += 1
-                raise
-            if fn is not None:
-                try:
-                    fn(record)
-                except Exception:
-                    self.hooks.handler_errors += 1
-            return record
-        chip = self.chip
-        target = slot.target
-        name, kind, _, _, task, _ = record
-        for unit in range(start, start + count):
-            if fn is not None:
-                try:
-                    fn((name, kind, unit, chip.clock_ns, task, 1))
-                except Exception:
-                    self.hooks.handler_errors += 1
-            target(unit)
+                fn(record)
+            except Exception:
+                self.hooks.handler_errors += 1
         return record
 
     # -- public operation entry points -----------------------------------

@@ -1,25 +1,25 @@
 """Probe registration for driver function slots.
 
 A probe is a handler attached to a named slot: it runs synchronously on
-the caller's path, sees the call's kind/address/time/task (before the
-slot's behavior executes, except for a record-taking probe on a lower
-slot, below), and cannot change the call's outcome.  At most
-one probe may be attached to a slot at a time.  This module only
-registers probes; the driver (``mtd``) fires them, and contains a
-handler that raises by counting the exception in
-``ProbeRegistry.handler_errors`` and running the slot's behavior anyway.
+the caller's path and cannot change the call's outcome.  At most one
+probe may be attached to a slot at a time.  This module only registers
+probes; the driver (``mtd``) fires them, and contains a handler that
+raises by counting the exception in ``ProbeRegistry.handler_errors`` and
+running the slot's behavior anyway.
 
-Every slot calls its probe with the plain record ``(slot_name, kind,
-address, time_ns, task_name, count)``: ``count`` consecutive units
-starting at ``address``.  A handler registered with ``records=True``
-receives that tuple directly, and the registry marks its slot
-(``takes_records``) so the driver may hand it one request record for a
-whole call, after the call's units ran, instead of one per unit before
-each; that is the monitor's ingestion path, like a block tracer that
-logs one event per request with its start and length and leaves the
-expansion to its readers.
-Any other handler is wrapped once, at registration, so it receives one
-HookInvocation (the first five fields) before each single unit.
+Every slot hands its probe one record ``(slot_name, kind, address,
+time_ns, task_name, count)``: ``count`` consecutive units from
+``address``, the first of which started at ``time_ns``.  An upper slot
+hands it a one-unit record on entry; a lower slot hands it the call's
+request record after the call's units ran.  ``records`` only chooses
+the view a handler gets.  A handler registered with ``records=True``
+receives the record itself; that is the monitor's ingestion path, like
+a block tracer that logs one event per request with its start and
+length and leaves the expansion to its readers.  Any other handler is
+wrapped once, at registration, in an adapter that expands each record
+into one HookInvocation per unit: unit i has address ``address + i`` and
+time ``time_ns + i * step_ns``.  The adapter counts each exception the
+handler raises and goes on, so the handler sees every unit.
 
 The active handler is stashed directly on the slot object (``probe_fn``)
 so the driver pays one attribute load when deciding whether to fire;
@@ -50,19 +50,27 @@ class StaleHandleError(ProbeError):
 
 
 class HookInvocation(NamedTuple):
-    """What a pre-handler observes for one slot call."""
+    """What a handler observes for one unit of a slot call."""
 
     slot_name: str
     kind: str  # "R" | "W" | "E"
     address: int  # page index for R/W, block index for E
-    time_ns: int  # virtual clock at call entry
+    time_ns: int  # virtual clock when the unit started
     task_name: str
 
 
-def _invocation_handler(handler: Callable) -> Callable:
-    """Adapt a HookInvocation handler to the slots' one-unit records."""
+def _invocation_handler(handler: Callable, step_ns: int,
+                        registry: ProbeRegistry) -> Callable:
+    """Adapt a HookInvocation handler to a slot's records, ``step_ns``
+    apart per unit; each exception it raises is counted in ``registry``."""
     def fire(record: tuple) -> None:
-        handler(_tuple_new(HookInvocation, record[:5]))
+        name, kind, start, t0, task, count = record
+        for i in range(count):
+            try:
+                handler(_tuple_new(HookInvocation, (
+                    name, kind, start + i, t0 + i * step_ns, task)))
+            except Exception:
+                registry.handler_errors += 1
     return fire
 
 
@@ -106,11 +114,10 @@ class ProbeRegistry:
         if slot_name in self._handles:
             raise DuplicateProbeError(f"slot {slot_name!r} already probed")
         if not records:
-            handler = _invocation_handler(handler)
+            handler = _invocation_handler(handler, slot.step_ns, self)
         handle = ProbeHandle(self._next_id, slot, handler)
         self._next_id += 1
         self._handles[slot_name] = handle
-        slot.takes_records = records
         slot.probe_fn = handler
         return handle
 

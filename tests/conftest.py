@@ -9,6 +9,29 @@ from flashtrace import FlashChip, FlashGeometry, LatencyModel, MtdDevice
 SMALL = FlashGeometry(blocks_per_chip=16, pages_per_block=32, page_size=512)
 
 
+def one_call(dev, op, start, count):
+    """The MTD call ``mtd_<op>(start, count)``, made once."""
+    return getattr(dev, f"mtd_{op}")(start, count)
+
+
+def unit_by_unit(dev, op, start, count):
+    """The MTD call ``mtd_<op>(start, count)`` made as one one-unit call
+    per page or block: the per-unit reference for the driver's one-call
+    path.  A range the call would refuse goes to the device whole, so
+    its OutOfRangeError comes before any unit; the first FlashError of a
+    unit stops the run.  Returns the record the one call returns."""
+    call = getattr(dev, f"mtd_{op}")
+    geometry = dev.chip.geometry
+    limit = geometry.blocks_per_chip if op == "erase" else \
+        geometry.total_pages
+    if count <= 0 or start < 0 or start + count > limit:
+        return call(start, count)
+    first = call(start, 1)
+    for unit in range(start + 1, start + count):
+        call(unit, 1)
+    return first[:5] + (count,)
+
+
 def count_bytecodes(fn) -> int:
     """Bytecodes the interpreter runs in ``fn()`` and what it calls."""
     count = 0

@@ -21,7 +21,7 @@ from flashtrace import (BACKGROUND_TASK, AlreadyAttachedError,
 from flashtrace.monitor import (NS_PER_SECOND, TEMPORAL_CHUNK_LINES,
                                 format_events, parse_time)
 
-from conftest import SMALL, count_bytecodes
+from conftest import SMALL, count_bytecodes, one_call, unit_by_unit
 
 
 @pytest.fixture
@@ -394,11 +394,12 @@ def test_pending_is_bounded_by_driver_calls():
     assert mon.total_inserted == 2 * SMALL.total_pages + SMALL.blocks_per_chip
 
 
-# The differential test: a device whose lower slots are the chip's own
-# methods hands the monitor one record per multi-unit call, while one
-# whose lower slots are rebound hands it one record per unit.  The views
-# must not tell them apart.  Blocks 2-5 are traced, so long ranges are
-# clipped at both ends; an endurance limit of 2 makes bad blocks.
+# The differential test: a device that runs each multi-unit call as one
+# chip call hands the monitor one record per call, while the same calls
+# made unit by unit (conftest.unit_by_unit) hand it one record per unit.
+# The views must not tell them apart.  Blocks 2-5 are traced, so long
+# ranges are clipped at both ends; an endurance limit of 2 makes bad
+# blocks.
 _DIFF = FlashGeometry(blocks_per_chip=8, pages_per_block=32, page_size=512)
 _LONG_TASK = "ünïcode-task-over-sixteen-bytes"
 
@@ -424,34 +425,28 @@ _EDGE_CASES = [
 ]
 
 
-def _differential_run(ops, capacity, rebound):
+def _differential_run(ops, capacity, per_unit):
     chip = FlashChip(_DIFF, endurance_limit=2)
     dev = MtdDevice(chip)
     dev.add_partition(0, 2, "head")
     dev.add_partition(2, 4, "traced")
     dev.add_partition(6, 2, "tail")
-    if rebound:
-        for name, method in (("lower.read_page", chip.read_page),
-                             ("lower.write_page", chip.write_page),
-                             ("lower.erase_block", chip.erase_block)):
-            dev.rebind_slot(name, lambda unit, method=method: method(unit))
     mon = attach(dev, MonitorConfig(traced_partition="traced",
                                     log_capacity=capacity))
+    run = unit_by_unit if per_unit else one_call
     ppb = _DIFF.pages_per_block
     for verb, address, count, task in ops:
         try:
             with dev.task(task):
-                if verb == "read":
-                    dev.mtd_read(address, count)
-                elif verb == "write":
-                    dev.mtd_write(address, count)
-                elif verb == "append":  # from the block's next free page
+                if verb == "append":  # from the block's next free page
                     block = address % _DIFF.blocks_per_chip
-                    dev.mtd_write(block * ppb + chip.blocks[block].written,
-                                  count)
+                    run(dev, "write",
+                        block * ppb + chip.blocks[block].written, count)
+                elif verb == "erase":
+                    run(dev, "erase", address % (_DIFF.blocks_per_chip + 1),
+                        count % (_DIFF.blocks_per_chip + 1))
                 else:
-                    dev.mtd_erase(address % (_DIFF.blocks_per_chip + 1),
-                                  count % (_DIFF.blocks_per_chip + 1))
+                    run(dev, verb, address, count)
         except FlashError:
             pass
     return (mon.render_spatial(), mon.render_temporal(), mon.total_inserted,
@@ -463,8 +458,8 @@ def _differential_run(ops, capacity, rebound):
 @given(ops=st.lists(_RANGE_OPS, max_size=12))
 @example(ops=_EDGE_CASES)
 def test_records_expand_to_the_per_unit_views(capacity, ops):
-    assert _differential_run(ops, capacity, rebound=False) == \
-        _differential_run(ops, capacity, rebound=True)
+    assert _differential_run(ops, capacity, per_unit=False) == \
+        _differential_run(ops, capacity, per_unit=True)
 
 
 # The reference model for the log: records expanded unit by unit, oldest

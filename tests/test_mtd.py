@@ -10,7 +10,7 @@ from flashtrace import (BACKGROUND_TASK, BadBlockError, FlashChip, FlashError,
                         UnknownSlotError, attach)
 from flashtrace.mtd import LOWER_SLOTS, UPPER_SLOTS
 
-from conftest import SMALL, count_bytecodes
+from conftest import SMALL, count_bytecodes, one_call, unit_by_unit
 
 
 @pytest.fixture
@@ -35,20 +35,6 @@ class TestSlots:
         assert all(dev.slot(n).exposes_address for n in LOWER_SLOTS)
         legacy = MtdDevice(FlashChip(SMALL), legacy=True)
         assert not any(legacy.slot(n).exposes_address for n in LOWER_SLOTS)
-
-    def test_rebind_slot(self, dev):
-        calls = []
-        original = dev.slot("lower.read_page").target
-
-        def counting(page):
-            calls.append(page)
-            return original(page)
-
-        dev.rebind_slot("lower.read_page", counting)
-        dev.mtd_read(4, 2)
-        assert calls == [4, 5]
-        with pytest.raises(UnknownSlotError):
-            dev.rebind_slot("nope", counting)
 
 
 class TestChunking:
@@ -106,22 +92,17 @@ class TestChunking:
         assert dev.mtd_erase(0, 2) == mon.dev.mtd_erase(0, 2)
 
 
-def _monitored_views(setup, call, rebound):
-    """Counters, events, health and chip state after ``call`` raised on a
-    monitored device, run as one chip call or through rebound slots that
-    take one unit per call."""
+def _monitored_views(setup, call, per_unit):
+    """Counters, events, health and chip state after the failing ``call``
+    on a monitored device, made as one chip call or unit by unit."""
     dev = MtdDevice(FlashChip(SMALL, endurance_limit=1))
-    if rebound:
-        chip = dev.chip
-        for name, method in zip(LOWER_SLOTS, (chip.read_page,
-                                              chip.write_page,
-                                              chip.erase_block)):
-            dev.rebind_slot(name, method)
     mon = attach(dev)
-    setup(dev)
+    run = unit_by_unit if per_unit else one_call
+    for op, start, count in setup:
+        run(dev, op, start, count)
     with pytest.raises((BadBlockError, OverwriteError)) as excinfo:
         with dev.task("t"):
-            call(dev)
+            run(dev, *call)
     counters = mon.counters
     return (type(excinfo.value),
             [counters.triple(b) for b in range(SMALL.blocks_per_chip)],
@@ -129,51 +110,54 @@ def _monitored_views(setup, call, rebound):
 
 
 PPB = SMALL.pages_per_block
+# (setup calls, failing call); a call is (op, start, count).
 FAILING_CALLS = {
     # Block 1 wears out on its second erase; the read fails at page PPB.
     "read over a bad block": (
-        lambda dev: (dev.mtd_erase(1, 1), dev.mtd_erase(1, 1)),
-        lambda dev: dev.mtd_read(PPB - 3, 6)),
+        [("erase", 1, 1), ("erase", 1, 1)], ("read", PPB - 3, 6)),
     # Block 0 is written up to page PPB - 5 and block 1 holds two pages;
     # the write fails at page PPB.
     "write into written pages": (
-        lambda dev: (dev.mtd_write(0, PPB - 5), dev.mtd_write(PPB, 2)),
-        lambda dev: dev.mtd_write(PPB - 5, 9)),
+        [("write", 0, PPB - 5), ("write", PPB, 2)], ("write", PPB - 5, 9)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_CALLS))
 def test_failing_call_reads_as_the_same_call_unit_by_unit(case):
     setup, call = FAILING_CALLS[case]
-    one_call = _monitored_views(setup, call, rebound=False)
-    per_unit = _monitored_views(setup, call, rebound=True)
+    one_call = _monitored_views(setup, call, per_unit=False)
+    per_unit = _monitored_views(setup, call, per_unit=True)
     assert one_call == per_unit
     kind = "R" if "read" in case else "W"
     assert [e.address for e in one_call[2] if e.kind == kind][-4:] == \
         [PPB - 3, PPB - 2, PPB - 1, PPB]
 
 
-def _raise_slot_name(inv):
-    raise RuntimeError(inv.slot_name)
+def _seen_then_raise(seen):
+    """A HookInvocation handler that appends what it sees to ``seen`` and
+    then raises."""
+    def handler(inv):
+        seen.append(inv)
+        raise RuntimeError(inv.slot_name)
+    return handler
 
 
 def _probed_devices():
     """A device with no probe, the first to compare the rest against;
-    one with a record sink on each lower slot (and the sink's list); one
-    with a raising HookInvocation probe on every slot; and one whose
-    lower slots are rebound to the chip's one-unit methods."""
-    bare, sunk, hooked, rebound = (
+    one with a record sink on each lower slot; one with a raising
+    HookInvocation probe on every slot; and one that makes every call
+    unit by unit, with a raising HookInvocation probe on each lower slot.
+    Returns the devices and the lists that the sink and the two raising
+    probes append to."""
+    bare, sunk, hooked, per_unit = (
         MtdDevice(FlashChip(SMALL, endurance_limit=1)) for _ in range(4))
-    sink = []
+    sink, hooked_seen, per_unit_seen = [], [], []
     for name in LOWER_SLOTS:
         sunk.hooks.register_probe(name, sink.append, records=True)
+        per_unit.hooks.register_probe(name, _seen_then_raise(per_unit_seen))
     for name in UPPER_SLOTS + LOWER_SLOTS:
-        hooked.hooks.register_probe(name, _raise_slot_name)
-    chip = rebound.chip
-    for name, method in zip(LOWER_SLOTS, (chip.read_page, chip.write_page,
-                                          chip.erase_block)):
-        rebound.rebind_slot(name, method)
-    return (bare, sunk, hooked, rebound), sink
+        hooked.hooks.register_probe(name, _seen_then_raise(hooked_seen))
+    return (bare, sunk, hooked, per_unit), (sink, hooked_seen, per_unit_seen)
 
 
 # A call is (op, block, offset, count, task): an offset of None is the
@@ -195,18 +179,19 @@ _CALLS = st.lists(st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(calls=_CALLS)
 def test_every_device_returns_the_unprobed_call_result(calls):
-    devices, sink = _probed_devices()
-    bare, sunk = devices[:2]
+    devices, (sink, hooked_seen, per_unit_seen) = _probed_devices()
+    bare, sunk, hooked, per_unit = devices
     for op, block, offset, count, task in calls:
         if offset is None:
             offset = bare.chip.blocks[block % SMALL.blocks_per_chip].written
         start = block if op == "erase" else block * PPB + offset
-        sunk_before = len(sink)
+        seen_before = len(sink), len(hooked_seen), len(per_unit_seen)
         outcomes = []
         for dev in devices:
+            run = unit_by_unit if dev is per_unit else one_call
             try:
                 with dev.task(task):
-                    result = getattr(dev, f"mtd_{op}")(start, count)
+                    result = run(dev, op, start, count)
             except FlashError as exc:
                 outcomes.append((type(exc), str(exc)))
             else:
@@ -221,7 +206,14 @@ def test_every_device_returns_the_unprobed_call_result(calls):
         assert {dev.chip.snapshot() for dev in devices} == \
             {bare.chip.snapshot()}
         refused = count == 0 or outcomes[0][0] is OutOfRangeError
-        assert len(sink) == sunk_before + (not refused)
+        assert len(sink) == seen_before[0] + (not refused)
+        # The lower slots' invocations of one k-unit call are those of
+        # the same call made as k one-unit calls.
+        assert [inv for inv in hooked_seen[seen_before[1]:]
+                if inv.slot_name in LOWER_SLOTS] == \
+            per_unit_seen[seen_before[2]:]
+    assert hooked.hooks.handler_errors == len(hooked_seen)
+    assert per_unit.hooks.handler_errors == len(per_unit_seen)
 
 
 # One-page and multi-page calls of every kind, all of which succeed.
@@ -230,9 +222,10 @@ PROBE_COST_CALLS = [("erase", 0, 4), ("write", 0, 1), ("write", 1, 40),
                     ("write", 32, 1), ("read", 100, 1), ("write", 64, 3),
                     ("read", 64, 3)]
 # Bytecodes the monitor's probe may add to one MTD call.  Handing the
-# call's one request record to the sink costs 10 on CPython 3.10 and 11
-# on 3.11; firing a record before a one-page call and after the loop of
-# a multi-page one, as the driver once did, cost 35 and 37.
+# call's one request record to the sink costs 8 per call over these
+# calls on CPython 3.11; it cost 11 while the driver also tested whether
+# the probe took records, and 35 to 37 when it fired a record before a
+# one-page call and after the loop of a multi-page one.
 PROBE_BYTECODES_PER_CALL = 16
 
 
@@ -332,24 +325,16 @@ class TestUpperProbes:
 
     def test_upper_and_lower_probes_coexist(self, dev):
         upper, lower = [], []
-        dev.hooks.register_probe("upper.write", upper.append)
-        dev.hooks.register_probe("lower.write_page", lower.append)
-        dev.mtd_write(0, 3)
-        assert len(upper) == 1 and len(lower) == 3
-
-    def test_rebound_upper_slot_runs_after_its_probe(self, dev):
-        order = []
+        block = dev.chip.blocks[0]
         dev.hooks.register_probe(
-            "upper.read", lambda inv: order.append(("probe", inv.address)))
-
-        def replacement(start, count):
-            order.append(("target", start, count))
-            return "replaced"
-
-        dev.rebind_slot("upper.read", replacement)
-        assert dev.mtd_read(3, 2) == "replaced"
-        assert order == [("probe", 3), ("target", 3, 2)]
-        assert dev.chip.clock_ns == 0
+            "upper.write", lambda inv: upper.append((inv, block.written)))
+        dev.hooks.register_probe(
+            "lower.write_page", lambda inv: lower.append((inv, block.written)))
+        dev.mtd_write(0, 3)
+        # The upper probe fires on entry, the lower one after the units.
+        assert [(inv.address, fill) for inv, fill in upper] == [(0, 0)]
+        assert [(inv.address, fill) for inv, fill in lower] == \
+            [(0, 3), (1, 3), (2, 3)]
 
 
 class TestPartitions:

@@ -1,4 +1,4 @@
-"""Probe registration, handle lifecycle, and entry-handler semantics."""
+"""Probe registration, handle lifecycle, and handler semantics."""
 
 import pytest
 
@@ -7,6 +7,8 @@ from flashtrace import (DuplicateProbeError, HookInvocation, MtdDevice,
                         UnknownSlotError)
 
 from conftest import SMALL
+
+PPB = SMALL.pages_per_block
 
 
 @pytest.fixture
@@ -91,14 +93,14 @@ class TestInvocationContents:
         assert inv.time_ns == 0
         assert inv.task_name == "writer"
 
-    def test_handler_runs_at_entry(self, dev):
+    def test_handler_runs_after_the_units(self, dev):
         observed = []
         dev.hooks.register_probe(
             "lower.write_page",
             lambda inv: observed.append(dev.chip.blocks[0].written))
         dev.mtd_write(0, 2)
-        # At fire time the write has not executed yet.
-        assert observed == [0, 1]
+        # At fire time both pages of the call are written.
+        assert observed == [2, 2]
 
     def test_time_is_pre_latency_clock(self, dev):
         times = []
@@ -112,9 +114,21 @@ class TestInvocationContents:
         seen = []
         dev.hooks.register_probe("lower.write_page", seen.append)
         dev.mtd_write(0, 1)
-        with pytest.raises(OverwriteError):
-            dev.mtd_write(0, 1)
-        assert [inv.address for inv in seen] == [0, 0]
+        dev.mtd_write(PPB, 1)
+        assert [inv.address for inv in seen] == [0, PPB]
+        step = dev.chip.latency.write_ns
+        # (start, count, failing page): the first and only unit fails;
+        # the rest of block 0 lands, then page PPB of block 1 fails.
+        for start, count, failing in ((0, 1, 0), (1, PPB + 1, PPB)):
+            del seen[:]
+            t0 = dev.chip.clock_ns
+            with pytest.raises(OverwriteError):
+                dev.mtd_write(start, count)
+            # Every unit tried, the failing one included, in arithmetic
+            # time.
+            assert [(inv.address, inv.time_ns) for inv in seen] == \
+                [(page, t0 + (page - start) * step)
+                 for page in range(start, failing + 1)]
 
     def test_erase_kind_and_block_address(self, dev):
         seen = []
@@ -157,17 +171,6 @@ class TestRawTupleMode:
         assert seen[1] == ("lower.write_page", "W", 0,
                            dev.chip.latency.write_ns, "", ppb + 1)
 
-    def test_rebound_slot_gets_one_record_per_unit(self, dev):
-        chip = dev.chip
-        dev.rebind_slot("lower.read_page", lambda page: chip.read_page(page))
-        seen = []
-        dev.hooks.register_probe("lower.read_page", seen.append,
-                                 records=True)
-        dev.mtd_read(4, 3)
-        step = chip.latency.read_ns
-        assert seen == [("lower.read_page", "R", 4 + i, i * step, "", 1)
-                        for i in range(3)]
-
     def test_raising_record_sink_is_contained(self, dev):
         def boom(record):
             raise RuntimeError(record[0])
@@ -199,15 +202,25 @@ class TestTransparency:
         control = MtdDevice(FlashChip(SMALL)).mtd_write(0, 3)
         assert probed == control
 
-    def test_raising_handlers_are_contained_and_counted(self, dev):
-        def boom(inv):
-            raise RuntimeError(inv.slot_name)
-        dev.hooks.register_probe("upper.write", boom)
-        dev.hooks.register_probe("lower.write_page", boom)
-        control = MtdDevice(FlashChip(SMALL))
-        assert dev.mtd_write(0, 2) == control.mtd_write(0, 2)
-        assert dev.chip.snapshot() == control.chip.snapshot()
-        assert dev.hooks.handler_errors == 3
+    def test_raising_handlers_are_contained_and_counted(self):
+        for slots in (("lower.write_page",),
+                      ("upper.write", "lower.write_page")):
+            for pages in (1, 2, 5):
+                dev, control = (MtdDevice(FlashChip(SMALL)) for _ in range(2))
+                seen = []
+
+                def boom(inv):
+                    seen.append((inv.slot_name, inv.address))
+                    raise RuntimeError(inv.slot_name)
+                for name in slots:
+                    dev.hooks.register_probe(name, boom)
+                assert dev.mtd_write(0, pages) == control.mtd_write(0, pages)
+                assert dev.chip.snapshot() == control.chip.snapshot()
+                # Called for every unit and counted once per raise.
+                upper = [("upper.write", 0)] if len(slots) == 2 else []
+                assert seen == upper + [("lower.write_page", page)
+                                        for page in range(pages)]
+                assert dev.hooks.handler_errors == len(seen)
 
     def test_handler_return_value_is_ignored(self, dev):
         dev.hooks.register_probe("lower.read_page", lambda inv: "ignored")
