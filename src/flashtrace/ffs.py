@@ -20,7 +20,15 @@ erases only fully invalid blocks.  The aggressive phase takes the
 greedy victim: the block with the most invalid pages, the lowest block
 offset among equals, never the open log block.  The soft phase takes
 the lowest-offset fully invalid block, again never the open log block.
-An index kept as page counts change answers both without a scan.
+The victim index is a set of membership flags, one byte per block for
+each invalid-page count and one for "fully invalid"; a lowest-member
+query is one C-level `bytearray.find`, so neither victim is a scan of
+the blocks in Python.
+
+A synchronous flavor writes each create or append as one commit, so one
+driver write per block it touches: the data record and the journal
+record each start on a fresh page and never share one.  A buffered
+flavor packs its records back to back.
 
 File content is never stored; the model tracks per-file extents (byte
 ranges over pages, so packed commits can share boundary pages between
@@ -154,11 +162,13 @@ def _runs(pages, limit: int) -> list[list[int]]:
     return runs
 
 
-def _lowest_except(blocks: set, head: Optional[int]) -> Optional[int]:
-    """The lowest block offset in ``blocks`` other than ``head``."""
-    if head not in blocks:
-        return min(blocks, default=None)
-    return min((off for off in blocks if off != head), default=None)
+def _lowest_except(flags: bytearray, skip) -> Optional[int]:
+    """The lowest block offset flagged in ``flags`` that is not in
+    ``skip``; None when there is none."""
+    off = flags.find(1)
+    while off in skip:
+        off = flags.find(1, off + 1)
+    return None if off < 0 else off
 
 
 class FlashFs:
@@ -184,17 +194,18 @@ class FlashFs:
         self._valid = [0] * n
         self._free_blocks = n
         self._invalid_total = 0
-        # GC victim index.  Blocks with k >= 1 invalid pages sit in
-        # _buckets[k] (_bucket_of[off] == k; slot 0 stays empty), and
-        # blocks with written pages but no valid one in _fully_invalid.
+        # GC victim index, as membership flags by block offset.  A block
+        # with k >= 1 invalid pages has _buckets[k][off] == 1 and
+        # _bucket_of[off] == k (_buckets[0] stays clear), and a block with
+        # written pages but no valid one has _fully_invalid[off] == 1.
         # Every write or erase this model makes on the chip and every
         # change to _valid marks its block stale; the index folds stale
         # blocks in at the next query.  The greedy victim is the lowest
-        # offset in the highest non-empty bucket, the soft victim the
-        # lowest fully invalid offset, and neither is ever the log head.
+        # flagged offset in the highest non-empty bucket, the soft victim
+        # the lowest fully invalid offset, and neither is ever the log head.
         self._bucket_of = [0] * n
-        self._buckets: list[set[int]] = [set() for _ in range(self._ppb + 1)]
-        self._fully_invalid: set[int] = set()
+        self._buckets = [bytearray(n) for _ in range(self._ppb + 1)]
+        self._fully_invalid = bytearray(n)
         self._stale: set[int] = set()
         # Extents holding each page, by page - first_page; valid while > 0.
         self._owners = array("I", [0]) * self.partition.page_count
@@ -256,7 +267,9 @@ class FlashFs:
 
     # -- log head allocation ---------------------------------------------
 
-    def _next_free_block(self) -> int:
+    def _next_free_block(self, pages: list[int]) -> int:
+        """The next free block after the head; `pages` are those the
+        running write has put down so far, none of them attached yet."""
         n = self.partition.block_count
         start = 0 if self._head is None else self._head + 1
         blocks = self._blocks
@@ -264,13 +277,26 @@ class FlashFs:
             off = (start + step) % n
             if blocks[off].written == 0 and not blocks[off].is_bad:
                 return off
-        # Last resort: reclaim one fully invalid block synchronously.
-        victim = self._find_fully_invalid()
-        if victim is None:
-            raise OutOfSpaceError(
-                f"partition {self.partition.label!r} has no free block")
-        self._erase_block(victim)
-        return victim
+        # Last resort: reclaim a fully invalid block synchronously, never
+        # the head and never one its erase wore out.  The blocks the
+        # running write filled look fully invalid until its extents
+        # attach, and a synchronous flavor skips them too.  A buffered
+        # flavor does not: it can erase pages its own commit just wrote,
+        # a fault the stored postmark-ubifs-400 digests record (ROADMAP
+        # item 5).
+        skip = {self._head}
+        if not self.config.buffered:
+            base, ppb = self.partition.first_page, self._ppb
+            skip.update((page - base) // ppb for page in pages)
+        while True:
+            self._fold_stale()
+            victim = _lowest_except(self._fully_invalid, skip)
+            if victim is None:
+                raise OutOfSpaceError(
+                    f"partition {self.partition.label!r} has no free block")
+            self._erase_block(victim)
+            if not blocks[victim].is_bad:
+                return victim
 
     def _write_pages(self, count: int) -> list[int]:
         """Allocate and write `count` pages at the log head; absolute indices."""
@@ -281,7 +307,7 @@ class FlashFs:
         while remaining > 0:
             if self._head is None or self._blocks[self._head].written == ppb:
                 try:
-                    self._head = self._next_free_block()
+                    self._head = self._next_free_block(pages)
                 except OutOfSpaceError:
                     # The pages already written belong to no extent.
                     self._invalid_total += len(pages)
@@ -299,14 +325,15 @@ class FlashFs:
 
     def _erase_block(self, off: int) -> None:
         """Erase one partition block with no valid pages left in it."""
-        written = self._blocks[off].written
-        self._invalid_total -= written - self._valid[off]
-        if written != 0:
-            self._free_blocks += 1
+        block = self._blocks[off]
+        was_free = block.written == 0
+        self._invalid_total -= block.written - self._valid[off]
         self._stale.add(off)
         if self._head == off:
             self._head = None
         self.dev.mtd_erase(self._abs_block(off), 1)
+        # A block its erase wore out is bad, and a bad block is not free.
+        self._free_blocks += (not block.is_bad) - was_free
 
     # -- garbage collection ----------------------------------------------
 
@@ -327,28 +354,23 @@ class FlashFs:
             invalid = written - valid[off]
             old = bucket_of[off]
             if invalid != old:
-                if old:
-                    buckets[old].remove(off)
-                if invalid:
-                    buckets[invalid].add(off)
+                buckets[old][off] = 0
+                buckets[invalid][off] = invalid > 0
                 bucket_of[off] = invalid
-            if written and not valid[off]:
-                fully_invalid.add(off)
-            else:
-                fully_invalid.discard(off)
+            fully_invalid[off] = written > 0 and not valid[off]
         self._stale.clear()
 
     def _find_fully_invalid(self) -> Optional[int]:
         self._fold_stale()
-        return _lowest_except(self._fully_invalid, self._head)
+        return _lowest_except(self._fully_invalid, (self._head,))
 
     def _most_invalid(self) -> Optional[int]:
         self._fold_stale()
+        skip = (self._head,)
         for bucket in reversed(self._buckets):
-            if bucket:
-                victim = _lowest_except(bucket, self._head)
-                if victim is not None:
-                    return victim
+            victim = _lowest_except(bucket, skip)
+            if victim is not None:
+                return victim
         return None
 
     def _gc_reclaim(self, off: int) -> None:
@@ -407,7 +429,8 @@ class FlashFs:
                     self.dev.mtd_read(part.first_page + off * self._ppb, 1)
             else:
                 self.dev.mtd_read(part.first_page, part.page_count)
-            self._free_blocks = sum(not b.written for b in self._blocks)
+            self._free_blocks = sum(not (b.written or b.is_bad)
+                                    for b in self._blocks)
             self._stale.update(range(part.block_count))
             self._adopt_unclaimed()
             self._invalid_total = (sum(b.written for b in self._blocks)
@@ -502,20 +525,30 @@ class FlashFs:
     # -- file operations -------------------------------------------------
 
     def _commit(self, records: list) -> None:
-        """Write `(owner, nbytes)` records packed at the log head, one
-        extent each; owner None is the journal, superseding the last."""
-        total = 0
-        for _, nbytes in records:
-            total += nbytes
-        if total == 0:
-            return
+        """Write `(owner, nbytes)` records at the log head in one page run,
+        one extent each; owner None is the journal, superseding the last.
+
+        A buffered flavor packs the records back to back, so neighbors
+        share boundary pages; a synchronous flavor starts each record on
+        a fresh page, so no two share one.  A zero-byte record gets no
+        extent.  The extents attach once the whole run is written."""
         page_size = self._page_size
-        pages = self._write_pages(math.ceil(total / page_size))
+        packed = self.config.buffered
+        placed = []
         cursor = 0
         for owner, nbytes in records:
-            first = cursor // page_size
-            last = (cursor + nbytes - 1) // page_size
-            extent = _Extent(pages[first:last + 1], cursor % page_size, nbytes)
+            if nbytes:
+                if not packed:
+                    cursor = -(-cursor // page_size) * page_size
+                placed.append((owner, cursor, nbytes))
+                cursor += nbytes
+        if cursor == 0:
+            return
+        pages = self._write_pages(-(-cursor // page_size))
+        for owner, start, nbytes in placed:
+            first = start // page_size
+            last = (start + nbytes - 1) // page_size
+            extent = _Extent(pages[first:last + 1], start % page_size, nbytes)
             self._attach(extent)
             if owner is None:
                 previous, self._journal = self._journal, extent
@@ -523,7 +556,6 @@ class FlashFs:
                     self._detach(previous)
             else:
                 owner.extents.append(extent)
-            cursor += nbytes
 
     def _buffer_meta(self) -> None:
         if not self._meta_dirty and self._meta_bytes > 0:
@@ -574,9 +606,7 @@ class FlashFs:
         if self.config.buffered:
             self._buffer_data(entry, compressed)
         else:
-            # Two commits, so data and journal never share a page.
-            self._commit([(entry, compressed)])
-            self._commit([(None, self._meta_bytes)])
+            self._commit([(entry, compressed), (None, self._meta_bytes)])
         self._check_gc_trigger()
 
     def read_file(self, file_id: str, offset: int = 0,
@@ -658,7 +688,8 @@ class FlashFs:
                 owners[page - base] += 1
         if owners != self._owners:
             return False
-        if self._free_blocks != sum(not b.written for b in self._blocks):
+        if self._free_blocks != sum(not (b.written or b.is_bad)
+                                    for b in self._blocks):
             return False
         owned = [0] * self.partition.block_count
         for i in compress(count(), owners):
@@ -666,7 +697,7 @@ class FlashFs:
         self._fold_stale()
         bucketed = {}
         for k, bucket in enumerate(self._buckets):
-            for off in bucket:
+            for off in compress(count(), bucket):
                 if k == 0 or off in bucketed:
                     return False
                 bucketed[off] = k
@@ -681,7 +712,7 @@ class FlashFs:
             if not (bucketed.get(off, 0) == self._bucket_of[off]
                     == written - valid):
                 return False
-            if (off in self._fully_invalid) != (written > 0 and valid == 0):
+            if self._fully_invalid[off] != (written > 0 and valid == 0):
                 return False
             invalid += written - valid
         return invalid == self._invalid_total

@@ -351,6 +351,67 @@ class TestSynchronousFileOps:
             assert address % PPB == expected
             offsets[block] = expected + 1
 
+    @pytest.mark.parametrize("flavor", ["jffs2_like", "yaffs2_like"])
+    def test_a_create_in_the_head_block_is_one_driver_write(self, flavor):
+        dev = rig()
+        fs = FlashFs(dev, "fs", quiet(flavor))
+        fs.mount()
+        fs.create_file("a", 3 * PAGE)
+        records = []
+        dev.hooks.register_probe("lower.write_page", records.append,
+                                 records=True)
+        fs.create_file("b", 5 * PAGE + 1)
+        data = math.ceil(fs._compress(5 * PAGE + 1) / PAGE)
+        meta = fs.config.metadata_pages_per_file_op
+        assert len(records) == 1
+        assert records[0][5] == data + meta
+        # Data and journal start on fresh pages and share none.
+        (extent,) = fs.files["b"].extents
+        assert len(extent.pages) == data and extent.start_off == 0
+        assert len(fs._journal.pages) == meta
+        assert not set(extent.pages) & set(fs._journal.pages)
+        assert extent.pages + fs._journal.pages == list(
+            range(records[0][2], records[0][2] + data + meta))
+        assert fs.accounting_ok()
+
+    @pytest.mark.parametrize("flavor", ["jffs2_like", "yaffs2_like"])
+    def test_a_combined_write_cut_short_attaches_nothing(self, flavor):
+        dev = MtdDevice(FlashChip(SMALL))
+        dev.add_partition(0, 2, "tiny")
+        fs = FlashFs(dev, "tiny", quiet(flavor))
+        fs.mount()
+        meta = fs.config.metadata_pages_per_file_op
+        factor = round(1 / fs.config.compression_factor)
+        fs.create_file("a", (PPB - meta) * PAGE * factor)  # fills block 0
+        journal = fs._journal
+        # b's data fills block 1; its journal finds no block.
+        with pytest.raises(OutOfSpaceError):
+            fs.create_file("b", PPB * PAGE * factor)
+        assert fs.files["b"].extents == []
+        assert fs._journal is journal
+        assert fs._invalid_total == PPB
+        assert fs.accounting_ok()
+        blocks = dev.chip.blocks
+        for extent in fs._live_extents():
+            for page in extent.pages:
+                assert page % PPB < blocks[page // PPB].written
+
+    def test_a_journal_never_reclaims_a_block_its_own_data_filled(self):
+        dev = rig(4)
+        fs = FlashFs(dev, "fs", quiet("yaffs2_like"))
+        fs.mount()
+        fs.create_file("a", 60 * PAGE)  # block 0 and 30 pages of block 1
+        fs.unmount()
+        fs.mount()  # the log reopens at the next free block, block 2
+        erases = [b.erase_count for b in dev.chip.blocks[:4]]
+        # b's data fills block 2 and all but one page of block 3; its
+        # journal then finds no free block.  Block 2 holds only b's
+        # pages, not attached yet, so it looks fully invalid.
+        with pytest.raises(OutOfSpaceError):
+            fs.create_file("b", 63 * PAGE)
+        assert [b.erase_count for b in dev.chip.blocks[:4]] == erases
+        assert fs.accounting_ok()
+
 
 class TestBufferedFlavor:
     def test_small_create_is_absorbed(self):
@@ -670,6 +731,43 @@ class TestGarbageCollection:
             fs.create_file("c", PAGE)
 
 
+class TestWearOut:
+    def test_a_worn_out_partition_ends_out_of_space(self):
+        dev = MtdDevice(FlashChip(SMALL, endurance_limit=1))
+        dev.add_partition(0, 8, "fs")
+        fs = FlashFs(dev, "fs", quiet("yaffs2_like",
+                                      metadata_pages_per_file_op=0))
+        fs.mount()
+        blocks = dev.chip.blocks[:8]
+        with pytest.raises(OutOfSpaceError):
+            for i in range(100):
+                fs.create_file(f"f{i}", PPB * PAGE)
+                fs.delete_file(f"f{i}")
+                while fs.background_step():
+                    pass
+        assert sum(b.is_bad for b in blocks) == 7
+        # No bad block is free, and the head is never a bad block.
+        assert fs.free_blocks() == sum(
+            not (b.written or b.is_bad) for b in blocks) == 0
+        assert not blocks[fs._head].is_bad
+        assert fs.accounting_ok()
+
+    def test_a_block_worn_out_by_gc_is_not_free(self):
+        dev = MtdDevice(FlashChip(SMALL, endurance_limit=1))
+        dev.add_partition(0, 3, "fs")
+        fs = FlashFs(dev, "fs", quiet("yaffs2_like",
+                                      metadata_pages_per_file_op=0))
+        fs.mount()  # the first mount erases every block once
+        fs.create_file("a", PPB * PAGE)
+        fs.create_file("b", PAGE)
+        fs.delete_file("a")  # a third of the pages invalid: GC latches
+        assert fs.free_blocks() == 1
+        assert fs.background_step() is True  # erases block 0, wearing it out
+        assert dev.chip.blocks[0].is_bad
+        assert fs.free_blocks() == 1
+        assert fs.accounting_ok()
+
+
 class TestPersistence:
     def test_files_survive_remount(self):
         dev = rig()
@@ -803,3 +901,64 @@ def test_gc_victims_match_a_linear_scan_under_churn(ops, flavor):
         assert {f: fs.file_size(f) for f in fs.files} == sizes
         if verb == "step":
             assert {f: fs.read_file(f) for f in fs.files} == pages
+
+
+class _TwoCommitFs(FlashFs):
+    """The synchronous write as two commits, data then journal: the
+    reference for the one-commit write."""
+
+    def _grow(self, entry, size):
+        compressed = self._compress(size)
+        entry.logical_size += size
+        entry.compressed_size += compressed
+        self._commit([(entry, compressed)])
+        self._commit([(None, self._meta_bytes)])
+        self._check_gc_trigger()
+
+
+# Sizes as whole pages of written data, up to two blocks, plus a few
+# bytes or none: data and journal often end on or next to a block
+# boundary, and a partial last data page shows whether they share it.
+_sync_strategy = st.lists(
+    st.tuples(st.sampled_from(["create", "create", "append", "read",
+                               "delete", "step", "step", "remount"]),
+              st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=2 * PPB),
+              st.sampled_from([0, 0, 1, PAGE // 2])),
+    min_size=10, max_size=80)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_sync_strategy,
+       flavor=st.sampled_from(["jffs2_like", "yaffs2_like"]),
+       blocks=st.integers(min_value=3, max_value=8))
+def test_one_commit_writes_the_trace_of_two(ops, flavor, blocks):
+    """A create or append written as one commit gives the trace, chip
+    state and file sizes of the same op written as two, up to and
+    including the op a full partition cuts short."""
+    sides = []
+    for cls in (FlashFs, _TwoCommitFs):
+        dev = rig(blocks)
+        mon = attach(dev, MonitorConfig(log_capacity=100_000))
+        fs = cls(dev, "fs", quiet(flavor))
+        fs.mount()
+        sides.append((fs, mon))
+    page_bytes = round(PAGE / sides[0][0].config.compression_factor)
+    for verb, slot, pages, extra in ops:
+        outcomes = []
+        for fs, _ in sides:
+            try:
+                _apply_op(fs, verb, f"f{slot}", pages * page_bytes + extra)
+                outcomes.append(None)
+            except OutOfSpaceError:
+                outcomes.append(OutOfSpaceError)
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is not None:
+            break
+    (one, one_mon), (two, two_mon) = sides
+    assert one_mon.render_temporal() == two_mon.render_temporal()
+    assert one_mon.render_spatial() == two_mon.render_spatial()
+    assert one.dev.chip.snapshot() == two.dev.chip.snapshot()
+    assert set(one.files) == set(two.files)
+    for name in one.files:
+        assert one.file_size(name) == two.file_size(name)
