@@ -424,11 +424,16 @@ class FlashFs:
             raise AlreadyMountedError("already mounted")
         part = self.partition
         with self.dev.task("mount"):
+            # The scan reads the good blocks only: a bad one fails reads.
+            good = [off for off, block in enumerate(self._blocks)
+                    if not block.is_bad]
             if self.config.flavor == "ubifs_like":
-                for off in range(part.block_count):
+                for off in good:
                     self.dev.mtd_read(part.first_page + off * self._ppb, 1)
             else:
-                self.dev.mtd_read(part.first_page, part.page_count)
+                for off, n in _runs(good, part.block_count):
+                    self.dev.mtd_read(part.first_page + off * self._ppb,
+                                      n * self._ppb)
             self._free_blocks = sum(not (b.written or b.is_bad)
                                     for b in self._blocks)
             self._stale.update(range(part.block_count))

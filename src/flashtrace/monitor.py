@@ -12,18 +12,21 @@ formats:
 Addresses are absolute chip-level indices even when tracing a single
 partition: page index for R/W events, block index for E events.
 
-Collection is lazy and has one path: each probe only appends the raw
-record to a pending list, and the scope filter, the counters and the
-log are folded from that list the next time a view (``counters``,
-``log`` and ``health()`` included) is read or a control command runs.
-The driver runs each call as one chip-level run and hands the monitor
-that call's request record (a start address, its start time and a unit
-count) after the units ran; it is the same tuple the call returns, so
-recording adds one list append to a driver call.  The pending list
-grows with the number of driver calls, not of pages; the fold expands
-each record into per-page (or per-block) counters and events, as if
-each unit had been seen on its own.  There is no callback API; when the
-fold runs never changes what the views show.
+Collection is lazy and has one path: each probe only adds the raw
+record's fields to a flat pending list, and the scope filter, the
+counters and the log are folded from that list the next time a view
+(``counters``, ``log`` and ``health()`` included) is read or a control
+command runs.  The driver runs each call as one chip-level run and
+hands the monitor that call's request record (a start address, its
+start time and a unit count) after the units ran; it is the same tuple
+the call returns, so recording adds one list ``extend`` of its six
+fields to a driver call.  The record tuple itself is not kept: a
+pending record is six list slots (48 B) plus its time and address ints,
+and the list grows with the number of driver calls, not of pages.  The
+fold takes the list from its newest end, FOLD_CHUNK_RECORDS records at
+a time, and expands each record into per-page (or per-block) counters
+and events, as if each unit had been seen on its own.  There is no
+callback API; when the fold runs never changes what the views show.
 
 The temporal log is an ``EventRing``: the newest ``log_capacity``
 entries, oldest first, in columns that grow with the entries they hold:
@@ -64,6 +67,11 @@ NS_PER_SECOND = 1_000_000_000
 TEMPORAL_CHUNK_LINES = 4096
 # A fold appends runs this long or longer with one extend per column.
 SLICE_FILL_UNITS = 32
+# Fields of a request record, each one slot of the pending list.
+RECORD_FIELDS = 6
+# Records a fold takes off the pending list at a time, and the entries
+# a run may take the log past log_capacity before the oldest are dropped.
+FOLD_CHUNK_RECORDS = 4096
 _BACKGROUND_WRITE = ord("w")  # a background task's write, read as "W"
 # control() commands that set the mode: command -> (mode, probes active).
 _MODES = {"start": ("running", True), "stop": ("stopped", False),
@@ -199,9 +207,12 @@ class EventRing:
 
     def clear(self) -> None:
         self.total_inserted = 0
+        self.drop_oldest(len(self))
+
+    def drop_oldest(self, count: int) -> None:
         for column in (self.times, self.addresses, self.kinds, self.tasks):
             if column is not None:
-                del column[:]
+                del column[:count]
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -230,6 +241,21 @@ class EventRing:
                 self.addresses[run],
                 None if self.tasks is None
                 else map(names.__getitem__, self.tasks[run]))
+
+
+def _reverse_from(column, start: int) -> None:
+    """Reverse ``column[start:]`` in place, swapping at most
+    FOLD_CHUNK_RECORDS entries from each end at a time."""
+    lo, hi = start, len(column)
+    while hi - lo > 1:
+        k = min(FOLD_CHUNK_RECORDS, (hi - lo) // 2)
+        head, tail = column[lo:lo + k], column[hi - k:hi]
+        head.reverse()
+        tail.reverse()
+        column[lo:lo + k], column[hi - k:hi] = tail, head
+        del head, tail  # before the next pair is copied
+        lo += k
+        hi -= k
 
 
 class SpatialCounters:
@@ -292,7 +318,7 @@ class FlashMonitor:
     """Probe-backed monitor bound to one device.
 
     Construction performs the attachment: probe targets are resolved,
-    the pending list's ``append`` is registered as the record sink of
+    the pending list's ``extend`` is registered as the record sink of
     each kind's slot, and tracing starts immediately.  Attachment itself
     performs no flash operations and never alters the device's behavior
     or the records its calls return.
@@ -324,7 +350,8 @@ class FlashMonitor:
             "E": (latency.erase_ns, counters.erases, 1, first_block,
                   block_limit, ord("E"))}
         self._log = EventRing(config.log_capacity, config.record_task_names)
-        self._pending: list[tuple] = []
+        # RECORD_FIELDS slots per record, oldest record first.
+        self._pending: list = []
         self._mode = "running"
         self.target_report = report = dev.resolve_probe_targets()
         self._handles = []
@@ -332,7 +359,7 @@ class FlashMonitor:
             for name in (report.read_slot, report.write_slot,
                          report.erase_slot):
                 self._handles.append(dev.hooks.register_probe(
-                    name, self._pending.append, records=True))
+                    name, self._pending.extend, records=True))
         except ProbeError:
             self._unregister_probes()
             raise
@@ -358,13 +385,19 @@ class FlashMonitor:
     def _drain(self) -> None:
         """Fold every pending record into both views.
 
-        A record ``(slot, kind, address, time_ns, task, count)`` stands
-        for ``count`` units from ``address``; unit i started at
-        ``time_ns + i * latency(kind)``.  Records are walked newest
-        first: the counters take every unit in scope, and the newest
+        A record ``(slot, kind, address, time_ns, task, count)``, six
+        consecutive slots of the pending list, stands for ``count``
+        units from ``address``; unit i started at ``time_ns + i *
+        latency(kind)``.  Records are taken off the list's newest end,
+        FOLD_CHUNK_RECORDS at a time, and walked newest first: the
+        counters take every unit in scope, and the newest
         ``log_capacity`` are appended to the log's columns, newest
-        first.  The batch is then turned around in place, and the oldest
-        entries past ``log_capacity`` are dropped.
+        first.  The oldest entries past ``log_capacity`` are dropped
+        after each chunk, and before a run of SLICE_FILL_UNITS or more
+        that would take the log more than FOLD_CHUNK_RECORDS entries
+        past it; so the log holds at most that many, plus one chunk's
+        shorter runs, past ``log_capacity``.  At the end the new
+        entries are turned around in place.
         """
         pending = self._pending
         if not pending:
@@ -376,59 +409,67 @@ class FlashMonitor:
         put_time, put_address, put_kind = (times.append, addresses.append,
                                            kinds.append)
         put_task = None if tasks is None else tasks.append
-        old = len(kinds)
-        room = log.capacity
+        capacity = room = log.capacity
         seen = filtered = 0
-        for _, kind, address, time_ns, raw_task, count in reversed(pending):
-            step, column, per_block, first, limit, code = spans[kind]
-            end = address + count
-            lo = address if address > first else first
-            hi = end if end < limit else limit
-            if lo >= hi:
-                filtered += count
-                continue
-            n = hi - lo
-            filtered += count - n
-            lo_in, hi_in = lo - first, hi - first
-            head, tail = lo_in // per_block, (hi_in - 1) // per_block
-            if head == tail:
-                column[head] += n
-            else:  # the first and last blocks may be partly covered
-                column[head] += (head + 1) * per_block - lo_in
-                for i in range(head + 1, tail):
-                    column[i] += per_block
-                column[tail] += hi_in - tail * per_block
-            seen += n
-            if room:
-                if n > room:
-                    n = room
-                room -= n
-                t = time_ns + (hi - 1 - address) * step  # of unit hi - 1
-                if kind == "W" and raw_task == BACKGROUND_TASK:
-                    code = _BACKGROUND_WRITE
-                task = task_ids.setdefault(raw_task, len(task_ids))
-                if n >= SLICE_FILL_UNITS:
-                    times.extend(range(t, t - n * step, -step))
-                    addresses.extend(range(hi - 1, hi - 1 - n, -1))
-                    kinds.extend(repeat(code, n))
-                    if tasks is not None:
-                        tasks.extend(repeat(task, n))
+        chunk_slots = FOLD_CHUNK_RECORDS * RECORD_FIELDS
+        while pending:
+            fields = reversed(pending[-chunk_slots:])
+            del pending[-chunk_slots:]
+            for count, raw_task, time_ns, address, kind, _ in zip(
+                    fields, fields, fields, fields, fields, fields):
+                step, column, per_block, first, limit, code = spans[kind]
+                end = address + count
+                lo = address if address > first else first
+                hi = end if end < limit else limit
+                if lo >= hi:
+                    filtered += count
                     continue
-                for unit in range(hi - 1, hi - 1 - n, -1):
-                    put_time(t)
-                    put_address(unit)
-                    put_kind(code)
-                    if tasks is not None:
-                        put_task(task)
-                    t -= step
-        pending.clear()
+                n = hi - lo
+                filtered += count - n
+                lo_in, hi_in = lo - first, hi - first
+                head, tail = lo_in // per_block, (hi_in - 1) // per_block
+                if head == tail:
+                    column[head] += n
+                else:  # the first and last blocks may be partly covered
+                    column[head] += (head + 1) * per_block - lo_in
+                    for i in range(head + 1, tail):
+                        column[i] += per_block
+                    column[tail] += hi_in - tail * per_block
+                seen += n
+                if room:
+                    if n > room:
+                        n = room
+                    room -= n
+                    t = time_ns + (hi - 1 - address) * step  # of unit hi - 1
+                    if kind == "W" and raw_task == BACKGROUND_TASK:
+                        code = _BACKGROUND_WRITE
+                    task = task_ids.setdefault(raw_task, len(task_ids))
+                    if n >= SLICE_FILL_UNITS:
+                        overflow = len(kinds) + n - capacity
+                        if overflow > FOLD_CHUNK_RECORDS:  # old entries only
+                            log.drop_oldest(overflow)
+                        times.extend(range(t, t - n * step, -step))
+                        addresses.extend(range(hi - 1, hi - 1 - n, -1))
+                        kinds.extend(repeat(code, n))
+                        if tasks is not None:
+                            tasks.extend(repeat(task, n))
+                        continue
+                    for unit in range(hi - 1, hi - 1 - n, -1):
+                        put_time(t)
+                        put_address(unit)
+                        put_kind(code)
+                        if tasks is not None:
+                            put_task(task)
+                        t -= step
+            overflow = len(kinds) - capacity
+            if overflow > 0:  # only old entries: the new ones fit
+                log.drop_oldest(overflow)
         self._filtered += filtered
         log.total_inserted += seen
-        overflow = max(len(kinds) - log.capacity, 0)
+        old = len(kinds) - (capacity - room)
         for column in (times, addresses, kinds, tasks):
             if column is not None:
-                column[old:] = column[old:][::-1]
-                del column[:overflow]
+                _reverse_from(column, old)
 
     # -- control and state -----------------------------------------------
 

@@ -176,8 +176,16 @@ def write_plot_data(spec: ScenarioSpec, result: ScenarioResult) -> list[str]:
 
 
 def run_scenario(spec: ScenarioSpec) -> TraceStats:
-    """Run the scenario and write the spatial, temporal and stats files."""
-    return write_outputs(spec, execute_scenario(spec))
+    """Run the scenario and write the spatial, temporal and stats files.
+
+    The monitor is detached once the files are written: its device and
+    it refer to each other, so without that its views would stay
+    allocated until the next cyclic garbage collection."""
+    result = execute_scenario(spec)
+    try:
+        return write_outputs(spec, result)
+    finally:
+        result.monitor.detach()
 
 
 def overhead_harness(spec: ScenarioSpec, runs: int = 5) -> float:

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from flashtrace import FlashChip, FlashGeometry, LatencyModel, MtdDevice
+from flashtrace.monitor import RECORD_FIELDS
 
 # A small chip keeps property tests fast; pages_per_block must stay a
 # multiple of 32.
@@ -30,6 +31,21 @@ def unit_by_unit(dev, op, start, count):
     for unit in range(start + 1, start + count):
         call(unit, 1)
     return first[:5] + (count,)
+
+
+def feed(mon, records):
+    """Hand each request record ``(slot, kind, address, time_ns, task,
+    count)`` to the sink ``mon`` registered on the slot of its kind, as
+    the driver does after a call."""
+    sinks = {kind: mon.dev.slot(name).probe_fn
+             for kind, name in zip("RWE", mon.target_report[:3])}
+    for record in records:
+        sinks[record[1]](record)
+
+
+def pending_records(mon) -> int:
+    """The records ``mon`` holds that no view has folded yet."""
+    return len(mon._pending) // RECORD_FIELDS
 
 
 def count_bytecodes(fn) -> int:

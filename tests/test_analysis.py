@@ -9,6 +9,8 @@ from flashtrace import (BACKGROUND_TASK, PHASE_MIN_EVENTS, FlashChip,
                         TraceEvent, attach, detect_phases, emit_plot_data,
                         render_stats, trace_stats, wear_report)
 
+from conftest import feed
+
 STEP = 1000
 
 
@@ -187,8 +189,8 @@ def ring_of(events, capacity, task_names=True):
     dev = MtdDevice(FlashChip())
     mon = attach(dev, MonitorConfig(log_capacity=capacity,
                                     record_task_names=task_names))
-    mon._pending.extend(("slot", kind, address, time_ns, task, 1)
-                        for time_ns, kind, address, task in events)
+    feed(mon, [("slot", kind, address, time_ns, task, 1)
+               for time_ns, kind, address, task in events])
     return mon.log
 
 

@@ -14,7 +14,7 @@ from flashtrace import (AlreadyMountedError, FLAVOR_DEFAULTS, FfsModelConfig,
                         flavor_config)
 from flashtrace.ffs import GC_AGGRESSIVE_BATCH, GC_INVALID_THRESHOLD
 
-from conftest import SMALL
+from conftest import SMALL, pending_records
 
 PPB = SMALL.pages_per_block
 PAGE = SMALL.page_size
@@ -121,6 +121,27 @@ class TestMountScan:
         events = [e for e in mon.events() if e.kind == "R"]
         assert len(events) == 8
         assert [e.address for e in events] == [b * PPB for b in range(8)]
+
+    @pytest.mark.parametrize("flavor",
+                             ["jffs2_like", "yaffs2_like", "ubifs_like"])
+    def test_scan_skips_bad_blocks(self, flavor):
+        dev = rig()
+        fs = FlashFs(dev, "fs", quiet(flavor))
+        fs.mount()
+        fs.unmount()
+        for block in (0, 3, 4):
+            dev.chip.blocks[block].is_bad = True
+        mon = attach(dev)
+        fs.mount()
+        good = (1, 2, 5, 6, 7)
+        if flavor == "ubifs_like":
+            assert pending_records(mon) == len(good)
+            expected = [b * PPB for b in good]
+        else:  # one read per run of good blocks
+            assert pending_records(mon) == 2
+            expected = [p for b in good for p in range(b * PPB, (b + 1) * PPB)]
+        assert [(e.kind, e.address) for e in mon.events()] == [
+            ("R", p) for p in expected]
 
     def test_double_mount_rejected(self):
         dev = rig()
@@ -750,6 +771,9 @@ class TestWearOut:
         assert fs.free_blocks() == sum(
             not (b.written or b.is_bad) for b in blocks) == 0
         assert not blocks[fs._head].is_bad
+        assert fs.accounting_ok()
+        fs.unmount()
+        fs.mount()  # the scan skips the bad blocks
         assert fs.accounting_ok()
 
     def test_a_block_worn_out_by_gc_is_not_free(self):

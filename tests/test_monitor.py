@@ -1,5 +1,6 @@
 """Monitor: formats, ring log, counters, control, scope, footprint."""
 
+import dataclasses
 import gc
 import io
 import random
@@ -17,11 +18,17 @@ from flashtrace import (BACKGROUND_TASK, AlreadyAttachedError,
                         NotAttachedError, TraceEvent,
                         UnknownCommandError, attach, footprint_estimate,
                         format_time_ns, parse_spatial, parse_temporal,
-                        raw_erase, raw_read, raw_write, truncate_task_name)
-from flashtrace.monitor import (NS_PER_SECOND, TEMPORAL_CHUNK_LINES,
-                                format_events, parse_time)
+                        raw_erase, raw_read, raw_write, run_scenario,
+                        truncate_task_name)
+from flashtrace import monitor
+from flashtrace.config import default_spec
+from flashtrace.monitor import (FOLD_CHUNK_RECORDS, NS_PER_SECOND,
+                                RECORD_FIELDS, SLICE_FILL_UNITS,
+                                TEMPORAL_CHUNK_LINES, format_events,
+                                parse_time)
 
-from conftest import SMALL, count_bytecodes, one_call, unit_by_unit
+from conftest import (SMALL, count_bytecodes, feed, one_call,
+                      pending_records, unit_by_unit)
 
 
 @pytest.fixture
@@ -388,10 +395,52 @@ def test_pending_is_bounded_by_driver_calls():
     raw_erase(dev, "all")
     raw_write(dev, "all", SMALL.total_bytes)
     raw_read(dev, "all", SMALL.total_bytes)
-    assert len(mon._pending) == 3
+    assert pending_records(mon) == 3
     assert mon.counters.sums() == (SMALL.total_pages, SMALL.total_pages,
                                    SMALL.blocks_per_chip)
     assert mon.total_inserted == 2 * SMALL.total_pages + SMALL.blocks_per_chip
+
+
+# What one unfolded record may hold: six list slots, the call's start
+# time and its address as ints, and the list's spare room.  Keeping
+# the record tuple as well would cost about 48 B more.
+PENDING_BYTES_PER_CALL = 128
+
+
+def test_pending_costs_a_fixed_few_bytes_per_driver_call():
+    dev = MtdDevice(FlashChip(_RENDER))
+    mon = attach(dev)
+    calls = 20_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(calls):  # addresses past the interpreter's small ints
+            dev.mtd_read(1000 + 7 * i % 30_000, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert pending_records(mon) == calls
+    assert peak <= PENDING_BYTES_PER_CALL * calls, peak / calls
+
+
+def test_monitored_calls_leave_no_objects_for_the_collector():
+    """A pending record holds only ints and strings, which the cyclic
+    collector does not track, so monitored calls add none to its work."""
+    dev = MtdDevice(FlashChip(SMALL))
+    mon = attach(dev)
+    calls = 1000
+    gc.disable()
+    try:
+        dev.mtd_read(0, 1)
+        before = len(gc.get_objects())
+        for i in range(calls):
+            dev.mtd_read(i % SMALL.total_pages, 1)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert pending_records(mon) == calls + 1
+    assert grown < calls // 100, grown
 
 
 # The differential test: a device that runs each multi-unit call as one
@@ -463,9 +512,9 @@ def test_records_expand_to_the_per_unit_views(capacity, ops):
 
 
 # The reference model for the log: records expanded unit by unit, oldest
-# first, into a bounded deque of TraceEvents.  Records go straight into
-# the pending list, in batches, with a view read (and so a fold) between
-# batches.
+# first, into a bounded deque of TraceEvents.  Records go straight to the
+# monitor's sink, in batches, with a view read (and so a fold) between
+# batches; a fold takes them a chunk of ``fold_chunk`` records at a time.
 _REF = FlashGeometry(blocks_per_chip=64, pages_per_block=32, page_size=512)
 _REF_TASKS = ("", "app", BACKGROUND_TASK, "semi;colon;task",
               "a-task-name-way-over-sixteen", "a-task-name-way-over-seventeen",
@@ -520,24 +569,36 @@ def reference_temporal_lines(events, with_task):
                          ids=["tasks", "no-tasks"])
 @settings(max_examples=60, deadline=None)
 @given(case=_ring_batches(), view=st.sampled_from(
-    ("events", "len", "health", "temporal", "flush")))
+    ("events", "len", "health", "temporal", "flush")),
+    fold_chunk=st.sampled_from((FOLD_CHUNK_RECORDS, 1, 2, 3)))
 # A slice-fill run that exactly fills an empty log, then one unit that
 # overflows the full log.
 @example(case=(32, [[("slot-R", "R", 512, 0, "app", 32)],
-                    [("slot-E", "E", 16, 5, "app", 1)]]), view="len")
-# A batch that overflows a partly full log, after a background write.
+                    [("slot-E", "E", 16, 5, "app", 1)]]), view="len",
+         fold_chunk=FOLD_CHUNK_RECORDS)
+# A batch that overflows a partly full log, after a background write,
+# one record per chunk.
 @example(case=(40, [[("slot-W", "W", 512, 0, "app", 9)],
                     [("slot-W", "W", 700, 3, BACKGROUND_TASK, 3),
-                     ("slot-R", "R", 600, 9, "app", 32)]]), view="events")
+                     ("slot-R", "R", 600, 9, "app", 32)]]), view="events",
+         fold_chunk=1)
 # A batch of exactly ``capacity`` units into a full log.
 @example(case=(40, [[("slot-R", "R", 512, 0, "app", 40)],
                     [("slot-W", "W", 700, 3, BACKGROUND_TASK, 8),
-                     ("slot-R", "R", 600, 9, "app", 32)]]), view="temporal")
+                     ("slot-R", "R", 600, 9, "app", 32)]]), view="temporal",
+         fold_chunk=FOLD_CHUNK_RECORDS)
 # A fold into a log that a flush emptied, past its capacity.
 @example(case=(8, [[("slot-R", "R", 512, 0, "app", 5)],
                    [("slot-R", "R", 600, 9, "app", 3),
-                    ("slot-W", "W", 700, 3, "", 9)]]), view="flush")
-def test_ring_matches_a_deque_of_events(task_names, case, view):
+                    ("slot-W", "W", 700, 3, "", 9)]]), view="flush",
+         fold_chunk=2)
+def test_ring_matches_a_deque_of_events(task_names, case, view, fold_chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monitor, "FOLD_CHUNK_RECORDS", fold_chunk)
+        _ring_matches_a_deque_of_events(task_names, case, view)
+
+
+def _ring_matches_a_deque_of_events(task_names, case, view):
     capacity, batches = case
     dev = MtdDevice(FlashChip(_REF))
     dev.add_partition(0, 16, "head")
@@ -551,7 +612,7 @@ def test_ring_matches_a_deque_of_events(task_names, case, view):
             mon.control("flush")
             model["log"].clear()
             model["inserted"] = 0
-        mon._pending.extend(batch)
+        feed(mon, batch)
         _reference_fold(model, batch, 16, 48, task_names)
         if view == "events":
             mon.events()
@@ -634,7 +695,7 @@ def test_renderers_match_the_reference_lines(task_names, case):
                                record_task_names=task_names))
     model = {"log": deque(maxlen=capacity), "inserted": 0, "filtered": 0}
     for batch in batches:  # a fold between the batches fills the log
-        mon._pending.extend(batch)
+        feed(mon, batch)
         _reference_fold(model, batch, 0, _RENDER.blocks_per_chip, task_names)
         len(mon.log)
     events = list(model["log"])
@@ -653,11 +714,10 @@ def _monitor_with_a_log_of(entries):
     overwritten."""
     mon = attach(MtdDevice(FlashChip(_RENDER)),
                  MonitorConfig(log_capacity=entries))
-    for start in range(0, entries + 100, 1000):
-        mon._pending.append(("slot-R", "R", start % 16_384,
-                             start * _STEP["R"],
-                             _REF_TASKS[start % len(_REF_TASKS)],
-                             min(1000, entries + 100 - start)))
+    feed(mon, [("slot-R", "R", start % 16_384, start * _STEP["R"],
+                _REF_TASKS[start % len(_REF_TASKS)],
+                min(1000, entries + 100 - start))
+               for start in range(0, entries + 100, 1000)])
     assert len(mon.log) == entries
     assert mon.health()["overwritten"] == 100
     return mon
@@ -729,6 +789,71 @@ def test_retained_memory_stays_within_the_footprint(task_names):
     assert mon.total_inserted == 10 * capacity
     assert after_2x <= mon.footprint_bytes()
     assert abs(after_10x - after_2x) <= after_2x / 100
+
+
+_FULL_LOG = 40_000
+
+
+@pytest.mark.parametrize("units", [1, 2, SLICE_FILL_UNITS, _FULL_LOG // 2,
+                                   _FULL_LOG])
+@pytest.mark.parametrize("share", [1, 2], ids=["whole", "half"])
+def test_a_fold_into_a_full_log_holds_one_chunk_past_it(units, share):
+    """Folding records of ``units`` units each, a whole or half log's
+    worth (or one record), into a full log peaks above the state before
+    the fold by no more than one chunk of records: two lists of its
+    fields (the chunk, and what deleting it from the pending list lets
+    go) and the log entries it may hold past the capacity, which are
+    the chunk's runs shorter than SLICE_FILL_UNITS, or at most
+    FOLD_CHUNK_RECORDS entries however long the runs are.  Turning the
+    new entries around at the end copies two blocks at a time."""
+    capacity = _FULL_LOG
+    dev = MtdDevice(FlashChip())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mon = attach(dev, MonitorConfig(log_capacity=capacity))
+        feed(mon, [("slot-R", "R", 0, 0, "app", capacity)])
+        assert len(mon.log) == capacity
+        records = max(capacity // share // units, 1)
+        feed(mon, [("slot-W", "W", units * i, (capacity + i) * 10**6, "app",
+                    units) for i in range(records)])
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        len(mon.log)  # folds
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = capacity - records * units
+    assert bytes(mon.log.kinds) == b"R" * kept + b"W" * (records * units)
+    assert mon.log.addresses.tolist() == [*range(capacity - kept, capacity),
+                                          *range(records * units)]
+    entry = 8 + 4 + 1 + 4  # time, address, kind and task id columns
+    chunk = min(records, FOLD_CHUNK_RECORDS)
+    past = chunk * units if units < SLICE_FILL_UNITS else FOLD_CHUNK_RECORDS
+    fold = past * entry + chunk * 2 * 8 * RECORD_FIELDS
+    turn = 2 * FOLD_CHUNK_RECORDS * 8  # the time blocks the end swaps
+    assert peak <= max(fold, turn) + 16 * 1024, (peak, fold, turn)
+
+
+def test_run_scenario_lets_the_monitor_go(tmp_path):
+    """Once run_scenario has written its files, what the run allocated
+    is freed without the cyclic collector, but for the device's own
+    state: the monitor's views are not kept alive by the device."""
+    spec = dataclasses.replace(default_spec(), out_dir=str(tmp_path))
+    run_scenario(spec)  # the first run settles lazy imports and caches
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_scenario(spec)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert (tmp_path / "temporal.log").stat().st_size > 0
+    assert retained <= 256 * 1024, retained
 
 
 @pytest.mark.parametrize("task_names", [True, False],
