@@ -32,8 +32,8 @@ from .ffs import (BACKGROUND_TASK, FLAVOR_DEFAULTS, AlreadyMountedError,
                   flavor_config)
 from .workloads import (BootScenarioConfig, PostmarkConfig, boot_scenario_run,
                         postmark_run, raw_erase, raw_read, raw_write)
-from .analysis import (PHASE_MIN_EVENTS, Phase, detect_phases,
-                       emit_plot_data, render_stats, trace_stats, wear_report)
+from .analysis import (PHASE_MIN_EVENTS, Phase, detect_phases, render_stats,
+                       trace_stats, wear_report)
 from .config import (ConfigError, PartitionSpec, ScenarioSpec, default_spec,
                      load_scenario_spec)
 from .runner import (build_device, execute_scenario, overhead_harness,
@@ -56,7 +56,7 @@ __all__ = [
     "TraceEvent",
     "UnknownCommandError", "UnknownFileError", "UnknownSlotError", "attach",
     "boot_scenario_run", "build_device", "default_spec", "detect_phases",
-    "emit_plot_data", "execute_scenario", "flavor_config",
+    "execute_scenario", "flavor_config",
     "footprint_estimate", "format_time_ns", "load_scenario_spec",
     "overhead_harness", "page_to_block", "parse_spatial", "parse_temporal",
     "postmark_run", "raw_erase", "raw_read", "raw_write", "render_stats",

@@ -18,11 +18,12 @@ anchor the gc phase.
 from __future__ import annotations
 
 import statistics
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from typing import NamedTuple, Sequence, Union
 
 from .ffs import BACKGROUND_TASK
-from .monitor import EventRing, SpatialCounters, TraceEvent, format_time_ns
+from .monitor import (EventRing, SpatialCounters, TraceEvent, clock_fields,
+                      format_time_ns)
 
 # A kind dominates a segment when 10 * its events >= 9 * the segment's
 # length: the 90% share, in integers.
@@ -34,6 +35,10 @@ KINDS = ("R", "W", "E")
 _CREATION_SCORE = {ord("W"): 10 - PHASE_DOMINANT_TENTHS,
                    ord("R"): -PHASE_DOMINANT_TENTHS,
                    ord("E"): -PHASE_DOMINANT_TENTHS}
+# Per kind, a translate table that maps its log codes to 1 and every
+# other byte to 0; a background write, "w", is a "W" row.
+_PLOT_MASKS = {kind: bytes(code in codes for code in range(256))
+               for kind, codes in (("R", b"R"), ("W", b"Ww"), ("E", b"E"))}
 
 
 class Phase(NamedTuple):
@@ -167,11 +172,16 @@ def render_stats(stats: TraceStats) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_data(events: Sequence[TraceEvent]) -> dict:
-    """Three whitespace-separated columns (time, address, kind) split
-    into one series per event kind, ready for generic plotting tools."""
-    series = {kind: [] for kind in KINDS}
-    for event in events:
-        series[event.kind].append(
-            f"{format_time_ns(event.time_ns)} {event.address} {event.kind}\n")
-    return {kind: "".join(rows) for kind, rows in series.items()}
+def plot_rows(log: EventRing, kind: str):
+    """The ``kind`` series of the plot data, ready for generic plotting
+    tools: one ``<time> <address> <kind>`` line per entry of that kind
+    in ``log``, oldest first, as ASCII ``bytes``, one chunk per slice
+    of ``log.chunks()``."""
+    mask, row = _PLOT_MASKS[kind], b" %d " + kind.encode("ascii") + b"\n"
+    for run in log.chunks():
+        picked = log.kinds[run].translate(mask)
+        times = list(compress(log.times[run], picked))
+        if times:
+            stamp, clock = clock_fields(times)
+            yield (stamp + row) * len(times) % tuple(chain.from_iterable(
+                zip(*clock, compress(log.addresses[run], picked))))

@@ -441,8 +441,7 @@ class FlashFs:
             self._invalid_total = (sum(b.written for b in self._blocks)
                                    - sum(self._valid))
             if not self.first_mount_done:
-                data_free = [off for off in range(part.block_count)
-                             if self._valid[off] == 0]
+                data_free = [off for off in good if self._valid[off] == 0]
                 if self.config.flavor == "jffs2_like":
                     self._format_queue = deque(data_free)
                 else:

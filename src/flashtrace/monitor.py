@@ -36,21 +36,25 @@ task names.  A write by the file system's background task is stored as
 kind ``w`` (read back as ``W``), so phase detection can tell it apart
 without a task column.
 
-One chunk formatter, ``format_columns``, writes every temporal line:
-one ``%`` format of up to ``TEMPORAL_CHUNK_LINES`` lines over columns.
-The log's text is made chunk by chunk from slices of its columns, so
-``write_temporal`` streams the log without copying a whole column, and
-``format_events`` turns a list of ``TraceEvent``s into the same
-columns.
+One chunk formatter, ``format_columns``, writes every temporal line as
+UTF-8 bytes: one ``bytes`` ``%`` format of up to
+``TEMPORAL_CHUNK_LINES`` lines over slices of the columns, with the
+kinds read through ``bytes.translate`` and each task name encoded once
+per render.  A chunk ends at the first entry of the next second when
+that leaves it at least ``TEMPORAL_CHUNK_LINES // 8`` lines, so most
+chunks fall within one second and format only the nanoseconds past it.
+``write_temporal`` streams the chunks to a binary file without copying
+a whole column; ``render_temporal`` decodes them once.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from operator import floordiv, mod, sub
-from typing import NamedTuple, Optional, TextIO
+from typing import BinaryIO, NamedTuple, Optional
 
 from .ffs import BACKGROUND_TASK
 from .mtd import MtdDevice
@@ -73,6 +77,7 @@ RECORD_FIELDS = 6
 # a run may take the log past log_capacity before the oldest are dropped.
 FOLD_CHUNK_RECORDS = 4096
 _BACKGROUND_WRITE = ord("w")  # a background task's write, read as "W"
+_READ_KINDS = bytes.maketrans(b"w", b"W")
 # control() commands that set the mode: command -> (mode, probes active).
 _MODES = {"start": ("running", True), "stop": ("stopped", False),
           "pause": ("paused", False)}
@@ -121,36 +126,33 @@ def parse_time(text: str) -> int:
     return int(seconds) * NS_PER_SECOND + int(fraction)
 
 
-def format_columns(times, kinds, addresses, tasks=None) -> str:
-    """The temporal log lines of equal-length, non-empty columns, in
-    order: times in ns, kinds (each "R", "W" or "E"), addresses and,
-    unless ``tasks`` is None, task names.  The time reads as
-    format_time_ns prints it; when all of ``times`` fall within one
-    second, that second is part of the line template and only the
-    nanoseconds past it are formatted."""
+def clock_fields(times) -> tuple:
+    """The time of each of the non-empty ``times`` as format_time_ns
+    prints it: a ``bytes`` template part and the columns it formats.
+    When all of ``times`` fall within one second, that second is part
+    of the template and only the nanoseconds past it are formatted."""
     seconds = min(times) // NS_PER_SECOND
     if max(times) // NS_PER_SECOND == seconds:
-        line = f"{seconds}.%09d;%s;%d"
-        clock = (map(sub, times, repeat(seconds * NS_PER_SECOND)),)
-    else:
-        line = "%d.%09d;%s;%d"
-        clock = (map(floordiv, times, repeat(NS_PER_SECOND)),
-                 map(mod, times, repeat(NS_PER_SECOND)))
+        return (b"%d.%%09d" % seconds,
+                (map(sub, times, repeat(seconds * NS_PER_SECOND)),))
+    return (b"%d.%09d", (map(floordiv, times, repeat(NS_PER_SECOND)),
+                         map(mod, times, repeat(NS_PER_SECOND))))
+
+
+def format_columns(times, kinds, addresses, tasks=None) -> bytes:
+    """The temporal log lines of equal-length, non-empty columns, in
+    order, as UTF-8: times in ns, kinds (a ``bytes``-like of the log's
+    codes ``R``, ``W``, ``w`` or ``E``), addresses and, unless ``tasks``
+    is None, task names as UTF-8 ``bytes``."""
+    stamp, clock = clock_fields(times)
+    line = stamp + b";%c;%d"
+    kinds = kinds.translate(_READ_KINDS)
     if tasks is None:
         columns = zip(*clock, kinds, addresses)
     else:
-        line += ";%s"
+        line += b";%s"
         columns = zip(*clock, kinds, addresses, tasks)
-    return (line + "\n") * len(times) % tuple(chain.from_iterable(columns))
-
-
-def format_events(events, with_task: bool) -> str:
-    """The temporal log lines of ``events``, in order."""
-    columns = tuple(zip(*events))
-    if not columns:
-        return ""
-    times, kinds, addresses, tasks = columns
-    return format_columns(times, kinds, addresses, tasks if with_task else None)
+    return (line + b"\n") * len(times) % tuple(chain.from_iterable(columns))
 
 
 def parse_temporal(text: str) -> list[TraceEvent]:
@@ -228,17 +230,30 @@ class EventRing:
                  else map(names.__getitem__, self.tasks))
         return zip(self.times, kinds.replace("w", "W"), self.addresses, tasks)
 
+    def chunks(self):
+        """Consecutive slices of the log, oldest first, each of at most
+        TEMPORAL_CHUNK_LINES entries.  A slice ends before the first
+        entry of the second after its first entry's when that leaves it
+        at least TEMPORAL_CHUNK_LINES // 8 entries."""
+        times, start, size = self.times, 0, len(self)
+        while start < size:
+            end = min(start + TEMPORAL_CHUNK_LINES, size)
+            cut = bisect_left(times, (times[start] // NS_PER_SECOND + 1)
+                              * NS_PER_SECOND, start, end)
+            if cut - start >= TEMPORAL_CHUNK_LINES // 8:
+                end = cut
+            yield slice(start, end)
+            start = end
+
     def text_chunks(self):
-        """The temporal log lines, oldest first, one string per
-        TEMPORAL_CHUNK_LINES entries or fewer, each formatted from
-        slices of the columns."""
-        names = list(map(truncate_task_name, self.task_ids))
-        for start in range(0, len(self), TEMPORAL_CHUNK_LINES):
-            run = slice(start, start + TEMPORAL_CHUNK_LINES)
+        """The temporal log lines as UTF-8, oldest first, one ``bytes``
+        per slice of ``chunks()``, formatted from slices of the
+        columns."""
+        names = [truncate_task_name(name).encode("utf-8")
+                 for name in self.task_ids]
+        for run in self.chunks():
             yield format_columns(
-                self.times[run],
-                self.kinds[run].decode("ascii").replace("w", "W"),
-                self.addresses[run],
+                self.times[run], self.kinds[run], self.addresses[run],
                 None if self.tasks is None
                 else map(names.__getitem__, self.tasks[run]))
 
@@ -534,14 +549,13 @@ class FlashMonitor:
                                     counters.erases)))
 
     def render_temporal(self) -> str:
-        return "".join(self.log.text_chunks())
+        return b"".join(self.log.text_chunks()).decode("utf-8")
 
-    def write_temporal(self, out: TextIO) -> None:
-        """Write what render_temporal returns to the text file ``out``,
-        at most TEMPORAL_CHUNK_LINES lines at a time, so the whole log is
-        never one string."""
-        for chunk in self.log.text_chunks():
-            out.write(chunk)
+    def write_temporal(self, out: BinaryIO) -> None:
+        """Write what render_temporal returns, as UTF-8, to the binary
+        file ``out``, at most TEMPORAL_CHUNK_LINES lines at a time, so
+        the whole log is never one string."""
+        out.writelines(self.log.text_chunks())
 
     # -- accounting ------------------------------------------------------
 

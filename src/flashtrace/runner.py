@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .analysis import TraceStats, emit_plot_data, render_stats, trace_stats
+from .analysis import KINDS, TraceStats, plot_rows, render_stats, trace_stats
 from .config import ScenarioSpec
 from .ffs import FfsError, FlashFs, flavor_config
 from .monitor import FlashMonitor, MonitorConfig, attach
@@ -158,7 +158,7 @@ def write_outputs(spec: ScenarioSpec, result: ScenarioResult) -> TraceStats:
     stats = compute_stats(monitor)
     (out_dir / SPATIAL_FILE).write_text(monitor.render_spatial(),
                                         encoding="utf-8")
-    with open(out_dir / TEMPORAL_FILE, "w", encoding="utf-8") as out:
+    with open(out_dir / TEMPORAL_FILE, "wb") as out:
         monitor.write_temporal(out)
     (out_dir / STATS_FILE).write_text(render_stats(stats), encoding="utf-8")
     return stats
@@ -167,10 +167,12 @@ def write_outputs(spec: ScenarioSpec, result: ScenarioResult) -> TraceStats:
 def write_plot_data(spec: ScenarioSpec, result: ScenarioResult) -> list[str]:
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    log = result.monitor.log
     written = []
-    for kind, text in emit_plot_data(result.monitor.events()).items():
+    for kind in KINDS:
         name = f"plot_{kind}.txt"
-        (out_dir / name).write_text(text, encoding="utf-8")
+        with open(out_dir / name, "wb") as out:
+            out.writelines(plot_rows(log, kind))
         written.append(name)
     return written
 

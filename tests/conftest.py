@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from flashtrace import FlashChip, FlashGeometry, LatencyModel, MtdDevice
-from flashtrace.monitor import RECORD_FIELDS
+from flashtrace.monitor import RECORD_FIELDS, format_columns, format_time_ns
 
 # A small chip keeps property tests fast; pages_per_block must stay a
 # multiple of 32.
@@ -46,6 +46,28 @@ def feed(mon, records):
 def pending_records(mon) -> int:
     """The records ``mon`` holds that no view has folded yet."""
     return len(mon._pending) // RECORD_FIELDS
+
+
+def format_events(events, with_task: bool) -> str:
+    """The temporal log lines of ``events``, in order, formatted by the
+    chunk formatter from the events' fields as columns."""
+    if not events:
+        return ""
+    times, kinds, addresses, tasks = zip(*events)
+    return format_columns(
+        times, "".join(kinds).encode("ascii"), addresses,
+        [task.encode("utf-8") for task in tasks] if with_task else None,
+    ).decode("utf-8")
+
+
+def emit_plot_data(events) -> dict:
+    """The plot files' text per kind, written event by event with one
+    f-string per row: the reference the column writer must match."""
+    series = {kind: [] for kind in "RWE"}
+    for event in events:
+        series[event.kind].append(
+            f"{format_time_ns(event.time_ns)} {event.address} {event.kind}\n")
+    return {kind: "".join(rows) for kind, rows in series.items()}
 
 
 def count_bytecodes(fn) -> int:

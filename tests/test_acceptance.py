@@ -18,10 +18,9 @@ from flashtrace import (FlashChip, FlashError, FlashGeometry, LatencyModel,
                         boot_scenario_run, BootScenarioConfig, default_spec,
                         execute_scenario, footprint_estimate, overhead_harness,
                         parse_temporal, raw_erase, raw_read, raw_write)
-from flashtrace.monitor import format_events
 from flashtrace.runner import compute_stats
 
-from conftest import SMALL, queue_verdict
+from conftest import SMALL, format_events, queue_verdict
 
 
 def _report(number, verdict, summary):

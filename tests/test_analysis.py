@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from flashtrace import (BACKGROUND_TASK, PHASE_MIN_EVENTS, FlashChip,
                         MonitorConfig, MtdDevice, Phase, SpatialCounters,
-                        TraceEvent, attach, detect_phases, emit_plot_data,
-                        render_stats, trace_stats, wear_report)
+                        TraceEvent, attach, detect_phases, render_stats,
+                        trace_stats, wear_report)
+from flashtrace.analysis import plot_rows
 
 from conftest import feed
 
@@ -317,20 +318,28 @@ class TestRenderStats:
         assert render_stats(stats) == render_stats(stats)
 
 
+def plot_series(events):
+    """The plot files' text per kind, written from a log of ``events``."""
+    log = ring_of(events, max(len(events), 1))
+    return {kind: b"".join(plot_rows(log, kind)).decode("ascii")
+            for kind in "RWE"}
+
+
 class TestPlotData:
     def test_rows_split_by_kind(self):
-        events = stream("RRWE" * 3)
-        series = emit_plot_data(events)
-        assert set(series) == {"R", "W", "E"}
+        series = plot_series(stream("RRWE" * 3))
         assert len(series["R"].splitlines()) == 6
         assert len(series["W"].splitlines()) == 3
         assert len(series["E"].splitlines()) == 3
 
     def test_row_shape(self):
-        events = [TraceEvent(2_130_000, "W", 17, "app")]
-        series = emit_plot_data(events)
+        series = plot_series([TraceEvent(2_130_000, "W", 17, "app")])
         assert series["W"] == "0.002130000 17 W\n"
         assert series["R"] == "" and series["E"] == ""
 
+    def test_a_background_write_is_a_write_row(self):
+        series = plot_series(stream([("W", BACKGROUND_TASK), "W"]))
+        assert series["W"] == "0.000000000 0 W\n0.000001000 1 W\n"
+
     def test_empty(self):
-        assert emit_plot_data([]) == {"R": "", "W": "", "E": ""}
+        assert plot_series([]) == {"R": "", "W": "", "E": ""}

@@ -791,6 +791,20 @@ class TestWearOut:
         assert fs.free_blocks() == 1
         assert fs.accounting_ok()
 
+    @pytest.mark.parametrize("flavor",
+                             ["jffs2_like", "yaffs2_like", "ubifs_like"])
+    def test_a_first_mount_formats_around_a_bad_block(self, flavor):
+        dev = rig()
+        dev.chip.blocks[2].is_bad = True
+        fs = FlashFs(dev, "fs", quiet(flavor))
+        fs.mount()
+        while fs.background_step():
+            pass
+        fs.create_file("f", 3 * PAGE)
+        fs.read_file("f")
+        assert dev.chip.blocks[2].erase_count == 0
+        assert fs.accounting_ok()
+
 
 class TestPersistence:
     def test_files_survive_remount(self):

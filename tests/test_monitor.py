@@ -21,14 +21,15 @@ from flashtrace import (BACKGROUND_TASK, AlreadyAttachedError,
                         raw_erase, raw_read, raw_write, run_scenario,
                         truncate_task_name)
 from flashtrace import monitor
-from flashtrace.config import default_spec
+from flashtrace.analysis import plot_rows
+from flashtrace.config import ScenarioSpec, default_spec
 from flashtrace.monitor import (FOLD_CHUNK_RECORDS, NS_PER_SECOND,
                                 RECORD_FIELDS, SLICE_FILL_UNITS,
-                                TEMPORAL_CHUNK_LINES, format_events,
-                                parse_time)
+                                TEMPORAL_CHUNK_LINES, EventRing, parse_time)
+from flashtrace.runner import ScenarioResult, write_plot_data
 
-from conftest import (SMALL, count_bytecodes, feed, one_call,
-                      pending_records, unit_by_unit)
+from conftest import (SMALL, count_bytecodes, emit_plot_data, feed,
+                      format_events, one_call, pending_records, unit_by_unit)
 
 
 @pytest.fixture
@@ -107,7 +108,7 @@ class TestTemporalFormat:
                 rig.mtd_read(0, 256)
         assert (mon.total_inserted > len(mon.log)) == (capacity < events)
         path = tmp_path / "temporal.log"
-        with open(path, "w", encoding="utf-8") as out:
+        with open(path, "wb") as out:
             mon.write_temporal(out)
         text = mon.render_temporal()
         assert text.count("\n") == min(capacity, events)
@@ -689,6 +690,34 @@ def test_renderers_match_the_reference_lines(task_names, case):
     """render_temporal, write_temporal and format_events, byte for byte
     against the per-line renderer, on logs just short of, at and just
     past a chunk, wrapped or not, with times in any order."""
+    mon, events = _rendered_log(task_names, case)
+    out = io.BytesIO()
+    mon.write_temporal(out)
+    # Compared as lists of lines, so that a failure reports the first
+    # line that differs rather than diffing thousands of lines.
+    expected = reference_temporal_lines(events, task_names).splitlines(True)
+    assert out.getvalue().decode("utf-8").splitlines(True) == expected
+    assert mon.render_temporal().splitlines(True) == expected
+    assert format_events(events, task_names).splitlines(True) == expected
+
+
+@pytest.mark.parametrize("task_names", [True, False],
+                         ids=["tasks", "no-tasks"])
+@settings(max_examples=40, deadline=None)
+@given(case=_render_batches())
+def test_plot_rows_match_the_reference_rows(task_names, case):
+    """The plot files' rows, written from the log's columns, byte for
+    byte against the per-event writer, on the renderers' logs."""
+    mon, events = _rendered_log(task_names, case)
+    expected = emit_plot_data(events)
+    for kind in "RWE":
+        rows = b"".join(plot_rows(mon.log, kind)).decode("ascii")
+        assert rows.splitlines(True) == expected[kind].splitlines(True)
+
+
+def _rendered_log(task_names, case):
+    """A monitor that folded the batches of a ``_render_batches`` case,
+    and the events its log should hold."""
     capacity, batches = case
     mon = attach(MtdDevice(FlashChip(_RENDER)),
                  MonitorConfig(log_capacity=capacity,
@@ -698,15 +727,31 @@ def test_renderers_match_the_reference_lines(task_names, case):
         feed(mon, batch)
         _reference_fold(model, batch, 0, _RENDER.blocks_per_chip, task_names)
         len(mon.log)
-    events = list(model["log"])
-    out = io.StringIO()
-    mon.write_temporal(out)
-    # Compared as lists of lines, so that a failure reports the first
-    # line that differs rather than diffing thousands of lines.
-    expected = reference_temporal_lines(events, task_names).splitlines(True)
-    assert out.getvalue().splitlines(True) == expected
-    assert mon.render_temporal().splitlines(True) == expected
-    assert format_events(events, task_names).splitlines(True) == expected
+    return mon, list(model["log"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(lines=st.lists(st.integers(TEMPORAL_CHUNK_LINES // 8,
+                                  TEMPORAL_CHUNK_LINES),
+                      min_size=1, max_size=8),
+       first=st.integers(0, 1 << 20), seed=st.integers(0, 1 << 32))
+def test_no_chunk_spans_a_second_of_512_lines_or_more(lines, first, seed):
+    """When each second of the log holds at least TEMPORAL_CHUNK_LINES
+    // 8 lines (and at most a chunk), every chunk of the temporal log
+    falls within one second."""
+    rng = random.Random(seed)
+    log = EventRing(sum(lines), with_tasks=False)
+    for second, count in enumerate(lines, first):
+        log.times.extend(sorted(second * NS_PER_SECOND
+                                + rng.randrange(NS_PER_SECOND)
+                                for _ in range(count)))
+    log.addresses.extend(range(len(log.times)))
+    log.kinds.extend(b"R" * len(log.times))
+    chunks = list(log.text_chunks())
+    assert len(chunks) == len(lines)
+    for chunk in chunks:
+        assert len({line.partition(b".")[0]
+                    for line in chunk.splitlines()}) == 1
 
 
 def _monitor_with_a_log_of(entries):
@@ -729,9 +774,9 @@ def test_rendering_costs_a_fixed_few_opcodes_per_chunk():
     fixed few bytecodes per chunk, not a few dozen per line."""
     lines = 12_000
     mon = _monitor_with_a_log_of(lines)
-    out = io.StringIO()
+    out = io.BytesIO()
     opcodes = count_bytecodes(lambda: mon.write_temporal(out))
-    assert out.getvalue().count("\n") == lines
+    assert out.getvalue().count(b"\n") == lines
     assert opcodes <= lines
 
 
@@ -740,7 +785,7 @@ def test_render_memory_follows_the_chunk_not_the_log(tmp_path):
     memory, within a fixed allowance: no whole-column copy is made."""
     def render_peak(entries):
         mon = _monitor_with_a_log_of(entries)
-        with open(tmp_path / "temporal.log", "w", encoding="utf-8") as out:
+        with open(tmp_path / "temporal.log", "wb") as out:
             gc.collect()
             tracemalloc.start()
             try:
@@ -753,6 +798,29 @@ def test_render_memory_follows_the_chunk_not_the_log(tmp_path):
     short = render_peak(3 * TEMPORAL_CHUNK_LINES)
     long = render_peak(30 * TEMPORAL_CHUNK_LINES)
     assert long - short <= 64 * 1024, (short, long)
+
+
+def test_plot_data_memory_follows_the_chunk_not_the_log(tmp_path):
+    """Writing the plot files of a log ten times longer peaks at the same
+    memory, within a fixed allowance: no event list is built."""
+    spec = ScenarioSpec(out_dir=str(tmp_path))
+
+    def plot_peak(entries):
+        mon = _monitor_with_a_log_of(entries)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_plot_data(spec, ScenarioResult(mon.dev, mon, None))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    short = plot_peak(3 * TEMPORAL_CHUNK_LINES)
+    long = plot_peak(30 * TEMPORAL_CHUNK_LINES)
+    assert long - short <= 64 * 1024, (short, long)
+    assert (tmp_path / "plot_R.txt").read_bytes().count(b"\n") == \
+        30 * TEMPORAL_CHUNK_LINES
 
 
 @pytest.mark.parametrize("task_names", [True, False],
