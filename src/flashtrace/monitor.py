@@ -58,7 +58,7 @@ from typing import BinaryIO, NamedTuple, Optional
 
 from .ffs import BACKGROUND_TASK
 from .mtd import MtdDevice
-from .probes import ProbeError
+from .probes import DuplicateProbeError
 
 TASK_NAME_BYTES = 16
 STATIC_BASE_BYTES = 8861
@@ -87,7 +87,7 @@ class MonitorError(Exception):
     pass
 
 
-class AlreadyAttachedError(MonitorError):
+class AlreadyAttachedError(MonitorError, DuplicateProbeError):
     pass
 
 
@@ -334,14 +334,19 @@ class FlashMonitor:
 
     Construction performs the attachment: probe targets are resolved,
     the pending list's ``extend`` is registered as the record sink of
-    each kind's slot, and tracing starts immediately.  Attachment itself
-    performs no flash operations and never alters the device's behavior
-    or the records its calls return.
+    each kind's slot, and tracing starts immediately; when any of those
+    slots already has a probe, AlreadyAttachedError is raised before
+    anything is registered.  Attachment performs no flash operations and
+    never alters the device's behavior or the records its calls return.
+    The probes hold only the pending list, never the monitor.
     """
 
     def __init__(self, dev: MtdDevice, config: Optional[MonitorConfig] = None):
-        if getattr(dev, "_attached_monitor", None) is not None:
-            raise AlreadyAttachedError("device already has a monitor attached")
+        self.target_report = report = dev.resolve_probe_targets()
+        slots = (report.read_slot, report.write_slot, report.erase_slot)
+        if any(map(dev.hooks.is_probed, slots)):
+            raise AlreadyAttachedError("device already has a probe on "
+                                       "a slot the monitor traces")
         if config is None:
             config = MonitorConfig()
         self.dev = dev
@@ -368,31 +373,17 @@ class FlashMonitor:
         # RECORD_FIELDS slots per record, oldest record first.
         self._pending: list = []
         self._mode = "running"
-        self.target_report = report = dev.resolve_probe_targets()
-        self._handles = []
-        try:
-            for name in (report.read_slot, report.write_slot,
-                         report.erase_slot):
-                self._handles.append(dev.hooks.register_probe(
-                    name, self._pending.extend, records=True))
-        except ProbeError:
-            self._unregister_probes()
-            raise
-        dev._attached_monitor = self
+        self._handles = [dev.hooks.register_probe(
+            name, self._pending.extend, records=True) for name in slots]
 
     # -- probe plumbing --------------------------------------------------
-
-    def _unregister_probes(self) -> None:
-        for handle in self._handles:
-            self.dev.hooks.unregister_probe(handle)
-        self._handles = []
 
     def _set_probes_active(self, value: bool) -> None:
         for handle in self._handles:
             handle.active = value
 
     def _require_attached(self) -> None:
-        if self.dev._attached_monitor is not self:
+        if not self._handles:
             raise NotAttachedError("monitor is detached")
 
     # -- ingestion -------------------------------------------------------
@@ -568,8 +559,9 @@ class FlashMonitor:
 
     def detach(self) -> None:
         self.control("reset")
-        self._unregister_probes()
-        self.dev._attached_monitor = None
+        for handle in self._handles:
+            self.dev.hooks.unregister_probe(handle)
+        self._handles = []
 
 
 def attach(dev: MtdDevice, config: Optional[MonitorConfig] = None) -> FlashMonitor:

@@ -2,7 +2,9 @@
 
 The driver is organized as a small stack of named function slots.  Upper
 slots accept multi-page (or multi-block) ranges and check them against
-the chip; lower slots talk to the chip.  Every call that does not raise
+the chip; lower slots talk to the chip.  ``_dispatch`` runs every call
+through its upper and lower slot; no slot refers back to the device, so
+a device is freed by reference counting.  Every call that does not raise
 returns its request record ``(slot, kind, start, t0, task, count)``: the
 lower slot's name and kind, the first unit, the clock when that unit
 started, the current task and the unit count (0 for an empty range).
@@ -12,8 +14,8 @@ unit i started at ``t0`` plus i latencies.
 
 This module is the one place a probe fires, and every slot hands its
 probe a record of the same shape.  An upper slot fires its probe (if
-any) on entry with a one-unit record (the call is the unit), then runs
-the slot's target.  A lower slot hands its probe the call's request
+any) on entry with a one-unit record (the call is the unit), before the
+range is checked.  A lower slot hands its probe the call's request
 record, the same tuple the call returns, after the units ran; when a
 unit fails, the record counts every unit that was tried, the failing
 one included.  An exception a probe raises is counted, not propagated.
@@ -27,8 +29,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .nand import FlashChip, FlashError, OutOfRangeError
 from .probes import ProbeRegistry, UnknownSlotError
@@ -44,20 +45,19 @@ class PartitionError(Exception):
 class FunctionSlot:
     """One named entry in the driver stack.
 
-    ``target`` runs the slot's calls: an upper slot's checks a range and
-    runs it through its lower slot, and a lower slot's is the chip's
-    range operation of its kind.  ``exposes_address`` records whether a
-    probe on this slot can learn per-call addresses from the call
-    itself; legacy lower slots cannot.  ``probe_fn`` is managed by the
-    probe registry: the currently active handler (or None), called with
-    the record ``(name, kind, address, time_ns, task_name, count)``.
+    An upper slot's ``target`` is its lower slot, and a lower slot's is
+    the chip's range operation of its kind.  ``exposes_address`` records
+    whether a probe on this slot can learn per-call addresses from the
+    call itself; legacy lower slots cannot.  ``probe_fn`` is managed by
+    the probe registry: the currently active handler (or None), called
+    with the record ``(name, kind, address, time_ns, task_name, count)``.
     ``step_ns`` is the clock advance of one unit of a lower slot's kind.
     """
 
     __slots__ = ("name", "level", "kind", "target", "exposes_address",
                  "probe_fn", "step_ns")
 
-    def __init__(self, name: str, level: str, kind: str, target: Callable,
+    def __init__(self, name: str, level: str, kind: str, target,
                  exposes_address: bool = True, step_ns: int = 0):
         self.name = name
         self.level = level
@@ -132,20 +132,17 @@ class MtdDevice:
                              chip.write_pages, meta, latency.write_ns)
         erase = FunctionSlot("lower.erase_block", "lower", "E",
                              chip.erase_blocks, meta, latency.erase_ns)
+        upper_read = FunctionSlot("upper.read", "upper", "R", read)
+        upper_write = FunctionSlot("upper.write", "upper", "W", write)
+        upper_erase = FunctionSlot("upper.erase", "upper", "E", erase)
         pages = chip.geometry.total_pages
-        blocks = chip.geometry.blocks_per_chip
-        chunked = self._chunked
-        self._slots = {
-            "upper.read": FunctionSlot("upper.read", "upper", "R", partial(
-                chunked, read, pages, "page")),
-            "upper.write": FunctionSlot("upper.write", "upper", "W", partial(
-                chunked, write, pages, "page")),
-            "upper.erase": FunctionSlot("upper.erase", "upper", "E", partial(
-                chunked, erase, blocks, "block")),
-            read.name: read,
-            write.name: write,
-            erase.name: erase,
-        }
+        # Per operation, what _dispatch takes before the range.
+        self._read = (upper_read, read, pages, "page")
+        self._write = (upper_write, write, pages, "page")
+        self._erase = (upper_erase, erase, chip.geometry.blocks_per_chip,
+                       "block")
+        self._slots = {slot.name: slot for slot in (
+            upper_read, upper_write, upper_erase, read, write, erase)}
         self.hooks = ProbeRegistry(self._slots)
 
     # -- task attribution ------------------------------------------------
@@ -170,45 +167,39 @@ class MtdDevice:
 
     # -- dispatch --------------------------------------------------------
 
-    def _call(self, slot: FunctionSlot, start: int, count: int):
-        """Dispatch one call through an upper slot: fire its probe with a
-        one-unit record (the call is the unit), then run the target.
+    def _dispatch(self, upper: FunctionSlot, lower: FunctionSlot,
+                  limit: int, unit_name: str, start: int, count: int):
+        """Run one MTD call and return its request record.
 
-        The probe fires on entry, so it also runs for calls that then
-        fail; results and errors of the target pass through unchanged.
+        The upper slot's probe fires on entry with a one-unit record (the
+        call is the unit), so it also runs for calls that then fail.  The
+        range is then checked against the chip's ``limit`` units and run
+        as one call of the lower slot's target.  The lower slot's probe
+        gets the request record after the units ran; when a unit fails,
+        the record it gets counts the units tried, the failing one
+        included, and the chip's error passes through.
         """
-        fn = slot.probe_fn
+        fn = upper.probe_fn
         if fn is not None:
             try:
-                fn((slot.name, slot.kind, start, self.chip.clock_ns,
+                fn((upper.name, upper.kind, start, self.chip.clock_ns,
                     self.current_task, 1))
             except Exception:
                 self.hooks.handler_errors += 1
-        return slot.target(start, count)
-
-    # The one upper-slot behavior, bound into each upper slot with its
-    # lower slot, the chip's size in units and the unit's name.  It checks
-    # the range, runs it as one chip call and returns the call's request
-    # record.  The record is handed to the lower slot's probe after the
-    # units ran; when a unit fails, the probe's record counts the units
-    # tried, the failing one included.
-
-    def _chunked(self, slot: FunctionSlot, limit: int, unit_name: str,
-                 start: int, count: int):
         if start < 0 or count < 0 or start + count > limit:
             raise OutOfRangeError(
                 f"{unit_name} range [{start}, {start + count}) "
                 f"outside chip of {limit} {unit_name}s")
-        record = (slot.name, slot.kind, start, self.chip.clock_ns,
+        record = (lower.name, lower.kind, start, self.chip.clock_ns,
                   self.current_task, count)
         if not count:
             return record  # no unit runs and no probe fires
-        fn = slot.probe_fn
+        fn = lower.probe_fn
         try:
-            slot.target(start, count)
+            lower.target(start, count)
         except FlashError:
             if fn is not None:
-                done = (self.chip.clock_ns - record[3]) // slot.step_ns
+                done = (self.chip.clock_ns - record[3]) // lower.step_ns
                 try:
                     fn(record[:5] + (done + 1,))
                 except Exception:
@@ -224,14 +215,19 @@ class MtdDevice:
     # -- public operation entry points -----------------------------------
 
     def mtd_read(self, start_page: int, page_count: int):
-        return self._call(self._slots["upper.read"], start_page, page_count)
+        upper, lower, limit, unit_name = self._read
+        return self._dispatch(upper, lower, limit, unit_name, start_page,
+                              page_count)
 
     def mtd_write(self, start_page: int, page_count: int):
-        return self._call(self._slots["upper.write"], start_page, page_count)
+        upper, lower, limit, unit_name = self._write
+        return self._dispatch(upper, lower, limit, unit_name, start_page,
+                              page_count)
 
     def mtd_erase(self, start_block: int, block_count: int):
-        return self._call(self._slots["upper.erase"], start_block,
-                          block_count)
+        upper, lower, limit, unit_name = self._erase
+        return self._dispatch(upper, lower, limit, unit_name, start_block,
+                              block_count)
 
     # -- partitions ------------------------------------------------------
 

@@ -3,8 +3,12 @@ with the monitor attached, and write the trace outputs.
 
 The Postmark scenario attaches the monitor only after the mount and
 its background work have finished, so the trace covers the benchmark
-itself rather than boot activity.  The boot and raw scenarios attach
-up front because their whole point is to trace mount and tool traffic.
+itself rather than boot activity.  The boot, raw and custom scenarios
+attach up front because their whole point is to trace mount, tool and
+script traffic.
+
+A ``ScenarioResult`` holds no reference cycle, so once it is dropped its
+device, chip and monitor are freed by reference counting.
 
 Nothing here catches or prints an error: a spec is checked by
 ``config.validate`` before it runs, and ``cli.main`` turns what a run
@@ -178,16 +182,8 @@ def write_plot_data(spec: ScenarioSpec, result: ScenarioResult) -> list[str]:
 
 
 def run_scenario(spec: ScenarioSpec) -> TraceStats:
-    """Run the scenario and write the spatial, temporal and stats files.
-
-    The monitor is detached once the files are written: its device and
-    it refer to each other, so without that its views would stay
-    allocated until the next cyclic garbage collection."""
-    result = execute_scenario(spec)
-    try:
-        return write_outputs(spec, result)
-    finally:
-        result.monitor.detach()
+    """Run the scenario and write the spatial, temporal and stats files."""
+    return write_outputs(spec, execute_scenario(spec))
 
 
 def overhead_harness(spec: ScenarioSpec, runs: int = 5) -> float:
@@ -196,8 +192,10 @@ def overhead_harness(spec: ScenarioSpec, runs: int = 5) -> float:
 
     Each arm runs the identical deterministic scenario `runs` times,
     alternating attached and detached, with the collector disabled
-    while the clock runs.  Simulated time cannot show the cost (it is
-    monitor-invariant by construction), so wall CPU time is the metric.
+    while the clock runs.  A run's result is freed after the clock is
+    read, so neither arm times the release of what it allocated.
+    Simulated time cannot show the cost (it is monitor-invariant by
+    construction), so wall CPU time is the metric.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -206,8 +204,10 @@ def overhead_harness(spec: ScenarioSpec, runs: int = 5) -> float:
         _gc.disable()
         try:
             start = time.process_time()
-            execute_scenario(spec, attach_monitor=attach_monitor)
-            return time.process_time() - start
+            result = execute_scenario(spec, attach_monitor=attach_monitor)
+            elapsed = time.process_time() - start
+            del result  # freed once the clock is read
+            return elapsed
         finally:
             _gc.enable()
             _gc.collect()

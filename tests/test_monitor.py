@@ -5,6 +5,7 @@ import gc
 import io
 import random
 import tracemalloc
+import weakref
 from collections import deque
 
 import pytest
@@ -26,7 +27,8 @@ from flashtrace.config import ScenarioSpec, default_spec
 from flashtrace.monitor import (FOLD_CHUNK_RECORDS, NS_PER_SECOND,
                                 RECORD_FIELDS, SLICE_FILL_UNITS,
                                 TEMPORAL_CHUNK_LINES, EventRing, parse_time)
-from flashtrace.runner import ScenarioResult, write_plot_data
+from flashtrace.runner import (ScenarioResult, execute_scenario,
+                               write_plot_data)
 
 from conftest import (SMALL, count_bytecodes, emit_plot_data, feed,
                       format_events, one_call, pending_records, unit_by_unit)
@@ -904,10 +906,36 @@ def test_a_fold_into_a_full_log_holds_one_chunk_past_it(units, share):
     assert peak <= max(fold, turn) + 16 * 1024, (peak, fold, turn)
 
 
+def test_a_device_and_its_monitor_are_freed_by_reference_counting():
+    """Nothing in a device refers back to the device or to its monitor,
+    so with the cyclic collector off a chip and its attached monitor are
+    freed as soon as the last reference to them goes, and so is the chip
+    of an execute_scenario result."""
+    gc.collect()
+    gc.disable()
+    try:
+        dev = MtdDevice(FlashChip(SMALL))
+        mon = attach(dev)
+        dev.mtd_write(0, 3)
+        dev.mtd_read(0, 3)
+        dev.mtd_erase(0, 1)
+        assert mon.health()["events"] == 7
+        chip_ref, mon_ref = weakref.ref(dev.chip), weakref.ref(mon)
+        del dev, mon
+        assert chip_ref() is None
+        assert mon_ref() is None
+        result = execute_scenario(default_spec())
+        chip_ref = weakref.ref(result.dev.chip)
+        del result
+        assert chip_ref() is None
+    finally:
+        gc.enable()
+
+
 def test_run_scenario_lets_the_monitor_go(tmp_path):
     """Once run_scenario has written its files, what the run allocated
-    is freed without the cyclic collector, but for the device's own
-    state: the monitor's views are not kept alive by the device."""
+    is freed without the cyclic collector: the device's own state and
+    the monitor's views alike."""
     spec = dataclasses.replace(default_spec(), out_dir=str(tmp_path))
     run_scenario(spec)  # the first run settles lazy imports and caches
     gc.collect()
@@ -921,7 +949,7 @@ def test_run_scenario_lets_the_monitor_go(tmp_path):
         tracemalloc.stop()
         gc.enable()
     assert (tmp_path / "temporal.log").stat().st_size > 0
-    assert retained <= 256 * 1024, retained
+    assert retained <= 64 * 1024, retained
 
 
 @pytest.mark.parametrize("task_names", [True, False],
