@@ -17,10 +17,9 @@ The layers, bottom up:
 
 from .nand import (BadBlockError, FlashChip, FlashError, FlashGeometry,
                    LatencyModel, NonSequentialWriteError, OpReceipt,
-                   OutOfRangeError, OverwriteError, PageState, page_to_block)
+                   OutOfRangeError, OverwriteError)
 from .mtd import MtdDevice, Partition, PartitionError
-from .probes import (DuplicateProbeError, HookInvocation, StaleHandleError,
-                     UnknownSlotError)
+from .probes import DuplicateProbeError, StaleHandleError, UnknownSlotError
 from .monitor import (AlreadyAttachedError, EventRing, FlashMonitor,
                       MonitorConfig, NotAttachedError, SpatialCounters,
                       TraceEvent, UnknownCommandError, attach,
@@ -47,10 +46,10 @@ __all__ = [
     "ConfigError", "DuplicateProbeError", "EventRing", "FfsError",
     "FfsModelConfig",
     "FileAlreadyExistsError", "FlashChip", "FlashError", "FlashFs",
-    "FlashGeometry", "FlashMonitor", "FLAVOR_DEFAULTS", "HookInvocation",
+    "FlashGeometry", "FlashMonitor", "FLAVOR_DEFAULTS",
     "LatencyModel", "MonitorConfig", "MtdDevice", "NonSequentialWriteError",
     "NotAttachedError", "NotMountedError", "OpReceipt", "OutOfRangeError",
-    "OutOfSpaceError", "OverwriteError", "PageState", "Partition",
+    "OutOfSpaceError", "OverwriteError", "Partition",
     "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig",
     "ScenarioSpec", "SpatialCounters", "StaleHandleError",
     "TraceEvent",
@@ -58,7 +57,7 @@ __all__ = [
     "boot_scenario_run", "build_device", "default_spec", "detect_phases",
     "execute_scenario", "flavor_config",
     "footprint_estimate", "format_time_ns", "load_scenario_spec",
-    "overhead_harness", "page_to_block", "parse_spatial", "parse_temporal",
+    "overhead_harness", "parse_spatial", "parse_temporal",
     "postmark_run", "raw_erase", "raw_read", "raw_write", "render_stats",
     "run_scenario", "trace_stats", "truncate_task_name", "wear_report",
     "write_outputs", "write_plot_data",

@@ -373,8 +373,8 @@ class FlashMonitor:
         # RECORD_FIELDS slots per record, oldest record first.
         self._pending: list = []
         self._mode = "running"
-        self._handles = [dev.hooks.register_probe(
-            name, self._pending.extend, records=True) for name in slots]
+        self._handles = [dev.hooks.register_probe(name, self._pending.extend)
+                         for name in slots]
 
     # -- probe plumbing --------------------------------------------------
 

@@ -12,8 +12,8 @@ A lower slot runs a whole range as one chip-level run
 (``FlashChip.read_pages``, ``write_pages``, ``erase_blocks``), so its
 unit i started at ``t0`` plus i latencies.
 
-This module is the one place a probe fires, and every slot hands its
-probe a record of the same shape.  An upper slot fires its probe (if
+This module is the one place a probe fires, and a probe receives
+nothing but records of that shape.  An upper slot fires its probe (if
 any) on entry with a one-unit record (the call is the unit), before the
 range is checked.  A lower slot hands its probe the call's request
 record, the same tuple the call returns, after the units ran; when a
@@ -51,7 +51,8 @@ class FunctionSlot:
     call itself; legacy lower slots cannot.  ``probe_fn`` is managed by
     the probe registry: the currently active handler (or None), called
     with the record ``(name, kind, address, time_ns, task_name, count)``.
-    ``step_ns`` is the clock advance of one unit of a lower slot's kind.
+    ``step_ns`` is the clock advance of one unit of a lower slot's kind;
+    ``_dispatch`` counts a failing call's units tried with it.
     """
 
     __slots__ = ("name", "level", "kind", "target", "exposes_address",

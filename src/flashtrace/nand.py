@@ -14,7 +14,6 @@ methods are one-unit range calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Optional
 
 # Latency defaults sit inside the typical ranges for SLC NAND:
@@ -44,11 +43,6 @@ class NonSequentialWriteError(FlashError):
     """Write that skips ahead of the block's next free page offset."""
 
 
-class PageState(Enum):
-    FREE = "free"
-    WRITTEN = "written"
-
-
 @dataclass(frozen=True)
 class FlashGeometry:
     """Chip shape: blocks per chip, pages per block, page size in bytes."""
@@ -76,13 +70,6 @@ class FlashGeometry:
     @property
     def block_bytes(self) -> int:
         return self.pages_per_block * self.page_size
-
-
-def page_to_block(geometry: FlashGeometry, page: int) -> int:
-    """Map a page index to the index of its enclosing block."""
-    if page < 0 or page >= geometry.total_pages:
-        raise OutOfRangeError(f"page {page} outside 0..{geometry.total_pages - 1}")
-    return page // geometry.pages_per_block
 
 
 @dataclass(frozen=True)
@@ -119,18 +106,12 @@ class BlockState:
     and doubles as the next free page offset.
     """
 
-    __slots__ = ("written", "erase_count", "is_bad", "_pages_per_block")
+    __slots__ = ("written", "erase_count", "is_bad")
 
-    def __init__(self, pages_per_block: int):
-        self._pages_per_block = pages_per_block
+    def __init__(self):
         self.written = 0
         self.erase_count = 0
         self.is_bad = False
-
-    @property
-    def pages(self) -> list[PageState]:
-        n = self._pages_per_block
-        return [PageState.WRITTEN] * self.written + [PageState.FREE] * (n - self.written)
 
 
 class FlashChip:
@@ -153,18 +134,9 @@ class FlashChip:
             raise ValueError("endurance_limit must be positive when set")
         self.endurance_limit = endurance_limit
         self.clock_ns = 0
-        ppb = self.geometry.pages_per_block
-        self.blocks = [BlockState(ppb) for _ in range(self.geometry.blocks_per_chip)]
+        self.blocks = [BlockState() for _ in range(self.geometry.blocks_per_chip)]
 
     # -- state queries -----------------------------------------------------
-
-    def page_state(self, page: int) -> PageState:
-        _, error = self._clip(page, 1, self.geometry.total_pages, "page")
-        if error is not None:
-            raise error
-        block, off = divmod(page, self.geometry.pages_per_block)
-        return (PageState.WRITTEN if off < self.blocks[block].written
-                else PageState.FREE)
 
     def snapshot(self) -> tuple:
         """Hashable summary of all mutable chip state, for transcript diffs."""

@@ -7,19 +7,15 @@ probes; the driver (``mtd``) fires them, and contains a handler that
 raises by counting the exception in ``ProbeRegistry.handler_errors`` and
 running the slot's behavior anyway.
 
-Every slot hands its probe one record ``(slot_name, kind, address,
-time_ns, task_name, count)``: ``count`` consecutive units from
+Every handler receives one record ``(slot_name, kind, address, time_ns,
+task_name, count)`` per firing: ``count`` consecutive units from
 ``address``, the first of which started at ``time_ns``.  An upper slot
 hands it a one-unit record on entry; a lower slot hands it the call's
-request record after the call's units ran.  ``records`` only chooses
-the view a handler gets.  A handler registered with ``records=True``
-receives the record itself; that is the monitor's ingestion path, like
-a block tracer that logs one event per request with its start and
-length and leaves the expansion to its readers.  Any other handler is
-wrapped once, at registration, in an adapter that expands each record
-into one HookInvocation per unit: unit i has address ``address + i`` and
-time ``time_ns + i * step_ns``.  The adapter counts each exception the
-handler raises and goes on, so the handler sees every unit.
+request record after the call's units ran.  Like a block tracer that
+logs one event per request with its start and length, the driver
+leaves the expansion into pages or blocks to the handler: unit i has
+address ``address + i`` and started ``i`` unit latencies after
+``time_ns``.
 
 The active handler is stashed directly on the slot object (``probe_fn``)
 so the driver pays one attribute load when deciding whether to fire;
@@ -28,9 +24,7 @@ toggling a handle's ``active`` flag swaps that field in and out.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
-_tuple_new = tuple.__new__
+from typing import Callable
 
 
 class ProbeError(Exception):
@@ -47,31 +41,6 @@ class DuplicateProbeError(ProbeError):
 
 class StaleHandleError(ProbeError):
     pass
-
-
-class HookInvocation(NamedTuple):
-    """What a handler observes for one unit of a slot call."""
-
-    slot_name: str
-    kind: str  # "R" | "W" | "E"
-    address: int  # page index for R/W, block index for E
-    time_ns: int  # virtual clock when the unit started
-    task_name: str
-
-
-def _invocation_handler(handler: Callable, step_ns: int,
-                        registry: ProbeRegistry) -> Callable:
-    """Adapt a HookInvocation handler to a slot's records, ``step_ns``
-    apart per unit; each exception it raises is counted in ``registry``."""
-    def fire(record: tuple) -> None:
-        name, kind, start, t0, task, count = record
-        for i in range(count):
-            try:
-                handler(_tuple_new(HookInvocation, (
-                    name, kind, start + i, t0 + i * step_ns, task)))
-            except Exception:
-                registry.handler_errors += 1
-    return fire
 
 
 class ProbeHandle:
@@ -106,15 +75,13 @@ class ProbeRegistry:
         self._next_id = 1
         self.handler_errors = 0  # exceptions raised by probe handlers
 
-    def register_probe(self, slot_name: str, handler: Callable,
-                       records: bool = False) -> ProbeHandle:
+    def register_probe(self, slot_name: str,
+                       handler: Callable) -> ProbeHandle:
         slot = self._slots.get(slot_name)
         if slot is None:
             raise UnknownSlotError(f"no slot named {slot_name!r}")
         if slot_name in self._handles:
             raise DuplicateProbeError(f"slot {slot_name!r} already probed")
-        if not records:
-            handler = _invocation_handler(handler, slot.step_ns, self)
         handle = ProbeHandle(self._next_id, slot, handler)
         self._next_id += 1
         self._handles[slot_name] = handle

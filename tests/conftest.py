@@ -33,6 +33,15 @@ def unit_by_unit(dev, op, start, count):
     return first[:5] + (count,)
 
 
+def expand(record, step_ns):
+    """The units of a probe record ``(slot, kind, address, time_ns, task,
+    count)`` as ``(address, time_ns)`` pairs, unit i ``step_ns`` later
+    than unit i - 1: what the record stands for page by page or block by
+    block."""
+    _, _, address, time_ns, _, count = record
+    return [(address + i, time_ns + i * step_ns) for i in range(count)]
+
+
 def feed(mon, records):
     """Hand each request record ``(slot, kind, address, time_ns, task,
     count)`` to the sink ``mon`` registered on the slot of its kind, as

@@ -6,8 +6,8 @@ output capture and appear in order.  The numbered checks pin down the
 externally visible contract: exact footprint arithmetic, byte-exact
 log lines, exact mount/format/tool op counts, the qualitative Postmark
 ordering across file system flavors, ring-buffer and conservation
-properties, non-intrusiveness, the CPU overhead bound, and per-page
-probe fidelity.
+properties, non-intrusiveness, the CPU overhead bound, and the
+per-page log of a multi-page read.
 """
 
 import functools
@@ -20,7 +20,7 @@ from flashtrace import (FlashChip, FlashError, FlashGeometry, LatencyModel,
                         parse_temporal, raw_erase, raw_read, raw_write)
 from flashtrace.runner import compute_stats
 
-from conftest import SMALL, format_events, queue_verdict
+from conftest import SMALL, format_events, pending_records, queue_verdict
 
 
 def _report(number, verdict, summary):
@@ -261,27 +261,29 @@ def test_overhead_bound():
     assert percent < 6.0
 
 
-@criterion(11, "a k-page read fires k per-page probe invocations in "
-               "arithmetic time progression, and exactly one under the "
-               "legacy fallback")
+@criterion(11, "a k-page read hands the lower slot one record of k "
+               "units and logs k per-page entries in arithmetic time "
+               "progression; under the legacy fallback, one one-unit "
+               "record and exactly one entry")
 def test_multi_page_probe_fidelity():
     geometry = FlashGeometry(blocks_per_chip=64)
+    k = 7
 
-    def invocations(legacy, k):
+    def traced_read(legacy):
+        """The record the monitor's read probe got for one k-page read,
+        and the log entries it folds into."""
         dev = MtdDevice(FlashChip(geometry), legacy=legacy)
         dev.add_partition(0, 64, "all")
-        seen = []
-        report = dev.resolve_probe_targets()
-        dev.hooks.register_probe(report.read_slot,
-                                 lambda inv: seen.append(inv))
+        mon = attach(dev)
         dev.mtd_read(10, k)
-        return seen
+        assert pending_records(mon) == 1
+        return tuple(mon._pending), mon.events()
 
-    k = 7
     step = LatencyModel().read_ns
-    seen = invocations(False, k)
-    assert len(seen) == k
-    assert [inv.address for inv in seen] == list(range(10, 10 + k))
-    deltas = [b.time_ns - a.time_ns for a, b in zip(seen, seen[1:])]
-    assert deltas == [step] * (k - 1)
-    assert len(invocations(True, k)) == 1
+    record, events = traced_read(False)
+    assert record == ("lower.read_page", "R", 10, 0, "", k)
+    assert events == [TraceEvent(i * step, "R", 10 + i, "")
+                      for i in range(k)]
+    record, events = traced_read(True)
+    assert record == ("upper.read", "R", 10, 0, "", 1)
+    assert events == [TraceEvent(0, "R", 10, "")]

@@ -379,8 +379,7 @@ class TestSynchronousFileOps:
         fs.mount()
         fs.create_file("a", 3 * PAGE)
         records = []
-        dev.hooks.register_probe("lower.write_page", records.append,
-                                 records=True)
+        dev.hooks.register_probe("lower.write_page", records.append)
         fs.create_file("b", 5 * PAGE + 1)
         data = math.ceil(fs._compress(5 * PAGE + 1) / PAGE)
         meta = fs.config.metadata_pages_per_file_op

@@ -24,6 +24,7 @@ from flashtrace import (BACKGROUND_TASK, AlreadyAttachedError,
 from flashtrace import monitor
 from flashtrace.analysis import plot_rows
 from flashtrace.config import ScenarioSpec, default_spec
+from flashtrace.mtd import LOWER_SLOTS, UPPER_SLOTS
 from flashtrace.monitor import (FOLD_CHUNK_RECORDS, NS_PER_SECOND,
                                 RECORD_FIELDS, SLICE_FILL_UNITS,
                                 TEMPORAL_CHUNK_LINES, EventRing, parse_time)
@@ -181,7 +182,7 @@ class TestAttachment:
                     read()
 
     def test_failed_attach_leaves_no_probes(self, rig):
-        rig.hooks.register_probe("lower.write_page", lambda inv: None)
+        rig.hooks.register_probe("lower.write_page", lambda record: None)
         with pytest.raises(DuplicateProbeError):
             attach(rig)
         assert not rig.hooks.is_probed("lower.read_page")
@@ -380,7 +381,7 @@ class TestHealth:
         rig.mtd_write(0, 2)  # p0 only
         rig.mtd_erase(p1.first_block, 2)
 
-        def boom(inv):
+        def boom(record):
             raise RuntimeError("probe fault")
         rig.hooks.register_probe("upper.read", boom)
         rig.mtd_read(p1.first_page, 1)
@@ -927,6 +928,36 @@ def test_a_device_and_its_monitor_are_freed_by_reference_counting():
         result = execute_scenario(default_spec())
         chip_ref = weakref.ref(result.dev.chip)
         del result
+        assert chip_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_device_with_plain_probes_is_freed_by_reference_counting():
+    """A handler is stored as it was registered, not wrapped in anything
+    that refers back to the registry, so with the cyclic collector off
+    a device probed on every slot frees its chip as soon as the last
+    reference to the device goes, whether a probe was paused or
+    unregistered on the way."""
+    gc.collect()
+    gc.disable()
+    try:
+        dev = MtdDevice(FlashChip(SMALL))
+        seen = []
+        handles = [dev.hooks.register_probe(name, seen.append)
+                   for name in UPPER_SLOTS + LOWER_SLOTS]
+        handles[0].active = False
+        dev.hooks.unregister_probe(handles[-1])
+        dev.mtd_write(0, 3)
+        dev.mtd_read(0, 3)
+        dev.mtd_erase(0, 1)
+        # Every slot fires but the paused upper.read and the
+        # unregistered lower.erase_block.
+        assert {record[0] for record in seen} == {
+            "upper.write", "lower.write_page", "lower.read_page",
+            "upper.erase"}
+        chip_ref = weakref.ref(dev.chip)
+        del dev, handles
         assert chip_ref() is None
     finally:
         gc.enable()

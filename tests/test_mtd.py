@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flashtrace import (BACKGROUND_TASK, BadBlockError, FlashChip, FlashError,
-                        HookInvocation, MtdDevice, OutOfRangeError,
+                        MtdDevice, OutOfRangeError,
                         OverwriteError, Partition, PartitionError, TraceEvent,
                         UnknownSlotError, attach)
 from flashtrace.mtd import LOWER_SLOTS, UPPER_SLOTS
 
-from conftest import SMALL, count_bytecodes, one_call, unit_by_unit
+from conftest import SMALL, count_bytecodes, expand, one_call, unit_by_unit
 
 
 @pytest.fixture
@@ -69,8 +69,7 @@ class TestChunking:
 
     def test_zero_count_call_fires_no_probe(self, dev):
         seen = []
-        dev.hooks.register_probe("lower.read_page", seen.append,
-                                 records=True)
+        dev.hooks.register_probe("lower.read_page", seen.append)
         dev.hooks.register_probe("lower.write_page", seen.append)
         mon = attach(MtdDevice(FlashChip(SMALL)))
         for device in (dev, mon.dev):
@@ -134,26 +133,34 @@ def test_failing_call_reads_as_the_same_call_unit_by_unit(case):
 
 
 def _seen_then_raise(seen):
-    """A HookInvocation handler that appends what it sees to ``seen`` and
-    then raises."""
-    def handler(inv):
-        seen.append(inv)
-        raise RuntimeError(inv.slot_name)
+    """A record handler that appends what it sees to ``seen`` and then
+    raises."""
+    def handler(record):
+        seen.append(record)
+        raise RuntimeError(record[0])
     return handler
+
+
+def _lower_units(dev, records):
+    """The units of the lower slots' ``records`` from ``dev``, one
+    ``(slot, kind, task, address, time_ns)`` per page or block."""
+    return [(record[0], record[1], record[4]) + unit
+            for record in records if record[0] in LOWER_SLOTS
+            for unit in expand(record, dev.slot(record[0]).step_ns)]
 
 
 def _probed_devices():
     """A device with no probe, the first to compare the rest against;
-    one with a record sink on each lower slot; one with a raising
-    HookInvocation probe on every slot; and one that makes every call
-    unit by unit, with a raising HookInvocation probe on each lower slot.
-    Returns the devices and the lists that the sink and the two raising
-    probes append to."""
+    one with a record sink on each lower slot; one with a raising record
+    handler on every slot; and one that makes every call unit by unit,
+    with a raising record handler on each lower slot.  Returns the
+    devices and the lists that the sink and the two raising handlers
+    append to."""
     bare, sunk, hooked, per_unit = (
         MtdDevice(FlashChip(SMALL, endurance_limit=1)) for _ in range(4))
     sink, hooked_seen, per_unit_seen = [], [], []
     for name in LOWER_SLOTS:
-        sunk.hooks.register_probe(name, sink.append, records=True)
+        sunk.hooks.register_probe(name, sink.append)
         per_unit.hooks.register_probe(name, _seen_then_raise(per_unit_seen))
     for name in UPPER_SLOTS + LOWER_SLOTS:
         hooked.hooks.register_probe(name, _seen_then_raise(hooked_seen))
@@ -207,11 +214,10 @@ def test_every_device_returns_the_unprobed_call_result(calls):
             {bare.chip.snapshot()}
         refused = count == 0 or outcomes[0][0] is OutOfRangeError
         assert len(sink) == seen_before[0] + (not refused)
-        # The lower slots' invocations of one k-unit call are those of
-        # the same call made as k one-unit calls.
-        assert [inv for inv in hooked_seen[seen_before[1]:]
-                if inv.slot_name in LOWER_SLOTS] == \
-            per_unit_seen[seen_before[2]:]
+        # The lower slots' units of one k-unit call are those of the
+        # same call made as k one-unit calls.
+        assert _lower_units(hooked, hooked_seen[seen_before[1]:]) == \
+            _lower_units(per_unit, per_unit_seen[seen_before[2]:])
     assert hooked.hooks.handler_errors == len(hooked_seen)
     assert per_unit.hooks.handler_errors == len(per_unit_seen)
 
@@ -274,7 +280,7 @@ def test_out_of_range_call_is_refused_before_any_unit(op, start, count,
     dev.mtd_erase(SMALL.blocks_per_chip - 1, 1)
     before = dev.chip.snapshot()
     upper, lower = [], []
-    dev.hooks.register_probe(f"upper.{op}", upper.append, records=True)
+    dev.hooks.register_probe(f"upper.{op}", upper.append)
     for name in LOWER_SLOTS:
         dev.hooks.register_probe(name, lower.append)
     with pytest.raises(OutOfRangeError) as excinfo:
@@ -292,7 +298,7 @@ class TestTaskAttribution:
         seen = []
         dev.hooks.register_probe("lower.read_page", seen.append)
         dev.mtd_read(0, 1)
-        assert seen[0].task_name == ""
+        assert seen[0][4] == ""
 
     def test_nesting_restores(self, dev):
         seen = []
@@ -303,7 +309,7 @@ class TestTaskAttribution:
                 dev.mtd_read(0, 1)
             dev.mtd_read(0, 1)
         dev.mtd_read(0, 1)
-        assert [inv.task_name for inv in seen] == \
+        assert [record[4] for record in seen] == \
             ["outer", "inner", "outer", ""]
 
     def test_restored_after_exception(self, dev):
@@ -318,23 +324,24 @@ class TestUpperProbes:
         seen = []
         dev.hooks.register_probe("upper.read", seen.append)
         dev.mtd_read(5, 4)
-        assert len(seen) == 1
-        inv = seen[0]
-        assert isinstance(inv, HookInvocation)
-        assert (inv.slot_name, inv.kind, inv.address) == ("upper.read", "R", 5)
+        # The call is the unit: one one-unit record on entry.
+        assert seen == [("upper.read", "R", 5, 0, "", 1)]
 
     def test_upper_and_lower_probes_coexist(self, dev):
         upper, lower = [], []
         block = dev.chip.blocks[0]
         dev.hooks.register_probe(
-            "upper.write", lambda inv: upper.append((inv, block.written)))
+            "upper.write",
+            lambda record: upper.append((record, block.written)))
         dev.hooks.register_probe(
-            "lower.write_page", lambda inv: lower.append((inv, block.written)))
+            "lower.write_page",
+            lambda record: lower.append((record, block.written)))
         dev.mtd_write(0, 3)
         # The upper probe fires on entry, the lower one after the units.
-        assert [(inv.address, fill) for inv, fill in upper] == [(0, 0)]
-        assert [(inv.address, fill) for inv, fill in lower] == \
-            [(0, 3), (1, 3), (2, 3)]
+        assert [(record[2], record[5], fill) for record, fill in upper] == \
+            [(0, 1, 0)]
+        assert [(record[2], record[5], fill) for record, fill in lower] == \
+            [(0, 3, 3)]
 
 
 class TestPartitions:

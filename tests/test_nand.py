@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from flashtrace import (BadBlockError, FlashChip, FlashError, FlashGeometry,
                         LatencyModel, NonSequentialWriteError, OpReceipt,
-                        OutOfRangeError, OverwriteError, PageState,
-                        page_to_block)
+                        OutOfRangeError, OverwriteError)
 
 from conftest import SMALL
 
@@ -31,17 +30,6 @@ class TestGeometry:
     def test_rejects_bad_shape(self, kwargs):
         with pytest.raises(ValueError):
             FlashGeometry(**kwargs)
-
-    def test_page_to_block(self):
-        g = FlashGeometry()
-        assert page_to_block(g, 0) == 0
-        assert page_to_block(g, 63) == 0
-        assert page_to_block(g, 64) == 1
-        assert page_to_block(g, g.total_pages - 1) == g.blocks_per_chip - 1
-        with pytest.raises(OutOfRangeError):
-            page_to_block(g, -1)
-        with pytest.raises(OutOfRangeError):
-            page_to_block(g, g.total_pages)
 
 
 class TestLatency:
@@ -93,9 +81,8 @@ class TestWriteRules:
         for off in range(5):
             small_chip.write_page(off)
         assert small_chip.blocks[0].written == 5
-        states = small_chip.blocks[0].pages
-        assert states[:5] == [PageState.WRITTEN] * 5
-        assert states[5:] == [PageState.FREE] * (SMALL.pages_per_block - 5)
+        assert [b.written for b in small_chip.blocks[1:]] == \
+            [0] * (SMALL.blocks_per_chip - 1)
 
     def test_rewrite_needs_erase_first(self, small_chip):
         small_chip.write_page(0)
@@ -121,7 +108,7 @@ class TestWriteRules:
     def test_reading_a_free_page_is_allowed(self, small_chip):
         receipt = small_chip.read_page(3)
         assert receipt.kind == "R"
-        assert small_chip.page_state(3) is PageState.FREE
+        assert small_chip.blocks[0].written == 0
 
 
 class TestRanges:
@@ -186,8 +173,8 @@ class TestInstallImage:
         assert small_chip.clock_ns == 0
         assert small_chip.blocks[0].written == SMALL.pages_per_block
         assert small_chip.blocks[1].written == 8
-        assert small_chip.page_state(39) is PageState.WRITTEN
-        assert small_chip.page_state(40) is PageState.FREE
+        assert [b.written for b in small_chip.blocks[2:]] == \
+            [0] * (SMALL.blocks_per_chip - 2)
 
     def test_zero_pages_is_a_no_op(self, small_chip):
         small_chip.install_image(5, 0)

@@ -2,11 +2,10 @@
 
 import pytest
 
-from flashtrace import (DuplicateProbeError, HookInvocation, MtdDevice,
-                        FlashChip, OverwriteError, StaleHandleError,
-                        UnknownSlotError)
+from flashtrace import (DuplicateProbeError, MtdDevice, FlashChip,
+                        OverwriteError, StaleHandleError, UnknownSlotError)
 
-from conftest import SMALL
+from conftest import SMALL, expand
 
 PPB = SMALL.pages_per_block
 
@@ -23,16 +22,16 @@ class TestRegistration:
         assert handle.active
         assert dev.hooks.is_probed("lower.write_page")
         dev.mtd_write(0, 2)
-        assert [inv.address for inv in seen] == [0, 1]
+        assert seen == [("lower.write_page", "W", 0, 0, "", 2)]
 
     def test_unknown_slot(self, dev):
         with pytest.raises(UnknownSlotError):
-            dev.hooks.register_probe("lower.write", lambda inv: None)
+            dev.hooks.register_probe("lower.write", lambda record: None)
 
     def test_one_probe_per_slot(self, dev):
-        dev.hooks.register_probe("lower.read_page", lambda inv: None)
+        dev.hooks.register_probe("lower.read_page", lambda record: None)
         with pytest.raises(DuplicateProbeError):
-            dev.hooks.register_probe("lower.read_page", lambda inv: None)
+            dev.hooks.register_probe("lower.read_page", lambda record: None)
 
     def test_unregister_frees_the_slot(self, dev):
         seen = []
@@ -47,7 +46,7 @@ class TestRegistration:
         assert len(seen) == 1
 
     def test_stale_handle_rejected(self, dev):
-        handle = dev.hooks.register_probe("lower.read_page", lambda inv: None)
+        handle = dev.hooks.register_probe("lower.read_page", lambda _: None)
         dev.hooks.unregister_probe(handle)
         with pytest.raises(StaleHandleError):
             dev.hooks.unregister_probe(handle)
@@ -55,8 +54,8 @@ class TestRegistration:
             handle.active = True
 
     def test_handle_ids_are_unique(self, dev):
-        a = dev.hooks.register_probe("lower.read_page", lambda inv: None)
-        b = dev.hooks.register_probe("lower.write_page", lambda inv: None)
+        a = dev.hooks.register_probe("lower.read_page", lambda record: None)
+        b = dev.hooks.register_probe("lower.write_page", lambda record: None)
         assert a.id != b.id
 
 
@@ -69,14 +68,14 @@ class TestActiveToggle:
         dev.mtd_write(1, 1)
         handle.active = True
         dev.mtd_write(2, 1)
-        assert [inv.address for inv in seen] == [0, 2]
+        assert [record[2] for record in seen] == [0, 2]
 
     def test_inactive_probe_still_registered(self, dev):
-        handle = dev.hooks.register_probe("lower.write_page", lambda inv: None)
+        handle = dev.hooks.register_probe("lower.write_page", lambda _: None)
         handle.active = False
         assert dev.hooks.is_probed("lower.write_page")
         with pytest.raises(DuplicateProbeError):
-            dev.hooks.register_probe("lower.write_page", lambda inv: None)
+            dev.hooks.register_probe("lower.write_page", lambda record: None)
 
 
 class TestInvocationContents:
@@ -85,37 +84,37 @@ class TestInvocationContents:
         dev.hooks.register_probe("lower.write_page", seen.append)
         with dev.task("writer"):
             dev.mtd_write(0, 1)
-        inv = seen[0]
-        assert isinstance(inv, HookInvocation)
-        assert inv.slot_name == "lower.write_page"
-        assert inv.kind == "W"
-        assert inv.address == 0
-        assert inv.time_ns == 0
-        assert inv.task_name == "writer"
+        slot_name, kind, address, time_ns, task_name, count = seen[0]
+        assert slot_name == "lower.write_page"
+        assert kind == "W"
+        assert address == 0
+        assert time_ns == 0
+        assert task_name == "writer"
+        assert count == 1
 
     def test_handler_runs_after_the_units(self, dev):
         observed = []
         dev.hooks.register_probe(
             "lower.write_page",
-            lambda inv: observed.append(dev.chip.blocks[0].written))
+            lambda record: observed.append(dev.chip.blocks[0].written))
         dev.mtd_write(0, 2)
-        # At fire time both pages of the call are written.
-        assert observed == [2, 2]
+        # One firing per call, when both pages of the call are written.
+        assert observed == [2]
 
     def test_time_is_pre_latency_clock(self, dev):
-        times = []
-        dev.hooks.register_probe("lower.read_page",
-                                 lambda inv: times.append(inv.time_ns))
+        seen = []
+        dev.hooks.register_probe("lower.read_page", seen.append)
         dev.mtd_read(0, 3)
         step = dev.chip.latency.read_ns
-        assert times == [0, step, 2 * step]
+        assert [t for record in seen for _, t in expand(record, step)] == \
+            [0, step, 2 * step]
 
     def test_fires_even_when_the_op_fails(self, dev):
         seen = []
         dev.hooks.register_probe("lower.write_page", seen.append)
         dev.mtd_write(0, 1)
         dev.mtd_write(PPB, 1)
-        assert [inv.address for inv in seen] == [0, PPB]
+        assert [record[2] for record in seen] == [0, PPB]
         step = dev.chip.latency.write_ns
         # (start, count, failing page): the first and only unit fails;
         # the rest of block 0 lands, then page PPB of block 1 fails.
@@ -124,9 +123,10 @@ class TestInvocationContents:
             t0 = dev.chip.clock_ns
             with pytest.raises(OverwriteError):
                 dev.mtd_write(start, count)
-            # Every unit tried, the failing one included, in arithmetic
-            # time.
-            assert [(inv.address, inv.time_ns) for inv in seen] == \
+            # One record of every unit tried, the failing one included,
+            # in arithmetic time.
+            (record,) = seen
+            assert expand(record, step) == \
                 [(page, t0 + (page - start) * step)
                  for page in range(start, failing + 1)]
 
@@ -134,26 +134,25 @@ class TestInvocationContents:
         seen = []
         dev.hooks.register_probe("lower.erase_block", seen.append)
         dev.mtd_erase(3, 2)
-        assert [(inv.kind, inv.address) for inv in seen] == [("E", 3), ("E", 4)]
+        assert seen == [("lower.erase_block", "E", 3, 0, "", 2)]
+        assert expand(seen[0], dev.chip.latency.erase_ns) == \
+            [(3, 0), (4, dev.chip.latency.erase_ns)]
 
 
 class TestRawTupleMode:
-    """A ``records=True`` handler receives the plain record tuple."""
+    """Every handler receives the record as a plain tuple."""
 
     def test_plain_tuple_same_fields(self, dev):
         seen = []
-        dev.hooks.register_probe("lower.write_page", seen.append,
-                                 records=True)
+        dev.hooks.register_probe("lower.write_page", seen.append)
         with dev.task("t"):
             dev.mtd_write(0, 1)
         assert seen == [("lower.write_page", "W", 0, 0, "t", 1)]
         assert type(seen[0]) is tuple
-        assert HookInvocation(*seen[0][:5]).address == 0
 
     def test_k_page_call_gives_one_record(self, dev):
         seen = []
-        dev.hooks.register_probe("lower.read_page", seen.append,
-                                 records=True)
+        dev.hooks.register_probe("lower.read_page", seen.append)
         dev.mtd_write(0, 2)
         start = dev.chip.clock_ns
         with dev.task("t"):
@@ -162,8 +161,7 @@ class TestRawTupleMode:
 
     def test_failing_call_counts_the_failing_unit(self, dev):
         seen = []
-        dev.hooks.register_probe("lower.write_page", seen.append,
-                                 records=True)
+        dev.hooks.register_probe("lower.write_page", seen.append)
         ppb = SMALL.pages_per_block
         dev.mtd_write(ppb, 1)
         with pytest.raises(OverwriteError):
@@ -174,7 +172,7 @@ class TestRawTupleMode:
     def test_raising_record_sink_is_contained(self, dev):
         def boom(record):
             raise RuntimeError(record[0])
-        dev.hooks.register_probe("lower.write_page", boom, records=True)
+        dev.hooks.register_probe("lower.write_page", boom)
         control = MtdDevice(FlashChip(SMALL))
         assert dev.mtd_write(0, 3) == control.mtd_write(0, 3)
         with pytest.raises(OverwriteError):
@@ -184,20 +182,10 @@ class TestRawTupleMode:
         assert dev.chip.snapshot() == control.chip.snapshot()
         assert dev.hooks.handler_errors == 2
 
-    def test_mode_resets_on_unregister(self, dev):
-        handle = dev.hooks.register_probe("lower.write_page",
-                                          lambda inv: None, records=True)
-        dev.hooks.unregister_probe(handle)
-        seen = []
-        dev.hooks.register_probe("lower.write_page", seen.append)
-        dev.mtd_write(0, 3)
-        assert all(isinstance(inv, HookInvocation) for inv in seen)
-        assert [inv.address for inv in seen] == [0, 1, 2]
-
 
 class TestTransparency:
     def test_results_pass_through_unchanged(self, dev):
-        dev.hooks.register_probe("lower.write_page", lambda inv: None)
+        dev.hooks.register_probe("lower.write_page", lambda record: None)
         probed = dev.mtd_write(0, 3)
         control = MtdDevice(FlashChip(SMALL)).mtd_write(0, 3)
         assert probed == control
@@ -209,19 +197,21 @@ class TestTransparency:
                 dev, control = (MtdDevice(FlashChip(SMALL)) for _ in range(2))
                 seen = []
 
-                def boom(inv):
-                    seen.append((inv.slot_name, inv.address))
-                    raise RuntimeError(inv.slot_name)
+                def boom(record):
+                    seen.append(record)
+                    raise RuntimeError(record[0])
                 for name in slots:
                     dev.hooks.register_probe(name, boom)
                 assert dev.mtd_write(0, pages) == control.mtd_write(0, pages)
                 assert dev.chip.snapshot() == control.chip.snapshot()
-                # Called for every unit and counted once per raise.
-                upper = [("upper.write", 0)] if len(slots) == 2 else []
-                assert seen == upper + [("lower.write_page", page)
-                                        for page in range(pages)]
+                # Called once per slot with the call's units and counted
+                # once per raise.
+                upper = [("upper.write", "W", 0, 0, "", 1)] \
+                    if len(slots) == 2 else []
+                assert seen == upper + [("lower.write_page", "W", 0, 0, "",
+                                         pages)]
                 assert dev.hooks.handler_errors == len(seen)
 
     def test_handler_return_value_is_ignored(self, dev):
-        dev.hooks.register_probe("lower.read_page", lambda inv: "ignored")
+        dev.hooks.register_probe("lower.read_page", lambda record: "ignored")
         assert dev.mtd_read(0, 2) == ("lower.read_page", "R", 0, 0, "", 2)
