@@ -19,9 +19,9 @@ counters and the log are folded from that list the next time a view
 command runs.  The driver runs each call as one chip-level run and
 hands the monitor that call's request record (a start address, its
 start time and a unit count) after the units ran; it is the same tuple
-the call returns, so recording adds one list ``extend`` of its six
+the call returns, so recording adds one list ``extend`` of its five
 fields to a driver call.  The record tuple itself is not kept: a
-pending record is six list slots (48 B) plus its time and address ints,
+pending record is five list slots (40 B) plus its time and address ints,
 and the list grows with the number of driver calls, not of pages.  The
 fold takes the list from its newest end, FOLD_CHUNK_RECORDS records at
 a time, and expands each record into per-page (or per-block) counters
@@ -54,7 +54,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from operator import floordiv, mod, sub
-from typing import BinaryIO, NamedTuple, Optional
+from typing import BinaryIO, NamedTuple, Optional, Union
 
 from .ffs import BACKGROUND_TASK
 from .mtd import MtdDevice
@@ -71,8 +71,9 @@ NS_PER_SECOND = 1_000_000_000
 TEMPORAL_CHUNK_LINES = 4096
 # A fold appends runs this long or longer with one extend per column.
 SLICE_FILL_UNITS = 32
-# Fields of a request record, each one slot of the pending list.
-RECORD_FIELDS = 6
+# Fields of a request record (kind, address, time_ns, task, count),
+# each one slot of the pending list.
+RECORD_FIELDS = 5
 # Records a fold takes off the pending list at a time, and the entries
 # a run may take the log past log_capacity before the oldest are dropped.
 FOLD_CHUNK_RECORDS = 4096
@@ -308,7 +309,8 @@ class SpatialCounters:
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    traced_partition: Optional[int] = None  # None traces the whole chip
+    # An index or label (MtdDevice.partition); None traces the whole chip.
+    traced_partition: Union[int, str, None] = None
     log_capacity: int = 40_000
     record_task_names: bool = True
 
@@ -391,7 +393,7 @@ class FlashMonitor:
     def _drain(self) -> None:
         """Fold every pending record into both views.
 
-        A record ``(slot, kind, address, time_ns, task, count)``, six
+        A record ``(kind, address, time_ns, task, count)``, five
         consecutive slots of the pending list, stands for ``count``
         units from ``address``; unit i started at ``time_ns + i *
         latency(kind)``.  Records are taken off the list's newest end,
@@ -421,8 +423,8 @@ class FlashMonitor:
         while pending:
             fields = reversed(pending[-chunk_slots:])
             del pending[-chunk_slots:]
-            for count, raw_task, time_ns, address, kind, _ in zip(
-                    fields, fields, fields, fields, fields, fields):
+            for count, raw_task, time_ns, address, kind in zip(
+                    fields, fields, fields, fields, fields):
                 step, column, per_block, first, limit, code = spans[kind]
                 end = address + count
                 lo = address if address > first else first

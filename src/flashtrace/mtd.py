@@ -5,20 +5,20 @@ slots accept multi-page (or multi-block) ranges and check them against
 the chip; lower slots talk to the chip.  ``_dispatch`` runs every call
 through its upper and lower slot; no slot refers back to the device, so
 a device is freed by reference counting.  Every call that does not raise
-returns its request record ``(slot, kind, start, t0, task, count)``: the
-lower slot's name and kind, the first unit, the clock when that unit
-started, the current task and the unit count (0 for an empty range).
-A lower slot runs a whole range as one chip-level run
-(``FlashChip.read_pages``, ``write_pages``, ``erase_blocks``), so its
-unit i started at ``t0`` plus i latencies.
+returns its request record ``(kind, start, t0, task, count)``: the kind,
+the first unit, the clock when that unit started, the current task and
+the unit count (0 for an empty range).  A lower slot runs a whole range
+as one chip-level run (``FlashChip.read_pages``, ``write_pages``,
+``erase_blocks``), so its unit i started at ``t0`` plus i latencies.
 
 This module is the one place a probe fires, and a probe receives
-nothing but records of that shape.  An upper slot fires its probe (if
-any) on entry with a one-unit record (the call is the unit), before the
-range is checked.  A lower slot hands its probe the call's request
-record, the same tuple the call returns, after the units ran; when a
-unit fails, the record counts every unit that was tried, the failing
-one included.  An exception a probe raises is counted, not propagated.
+nothing but records of that shape, which never name a slot.  An upper
+slot fires its probe (if any) on entry with a one-unit record (the call
+is the unit), before the range is checked.  A lower slot hands its probe
+the call's request record, the same tuple the call returns, after the
+units ran; when a unit fails, the record counts every unit that was
+tried, the failing one included.  An exception a probe raises is
+counted, not propagated.
 
 A device built in legacy mode keeps the same behavior but its lower
 slots carry no address metadata, which forces probe-target resolution
@@ -45,31 +45,27 @@ class PartitionError(Exception):
 class FunctionSlot:
     """One named entry in the driver stack.
 
-    An upper slot's ``target`` is its lower slot, and a lower slot's is
-    the chip's range operation of its kind.  ``exposes_address`` records
-    whether a probe on this slot can learn per-call addresses from the
-    call itself; legacy lower slots cannot.  ``probe_fn`` is managed by
-    the probe registry: the currently active handler (or None), called
-    with the record ``(name, kind, address, time_ns, task_name, count)``.
-    ``step_ns`` is the clock advance of one unit of a lower slot's kind;
+    A lower slot's ``target`` is the chip's range operation of its kind;
+    an upper slot has none.  ``exposes_address`` records whether a probe
+    on this slot can learn per-call addresses from the call itself;
+    legacy lower slots cannot.  ``probe_fn`` is managed by the probe
+    registry: the currently active handler (or None), called with the
+    record ``(kind, address, time_ns, task_name, count)``.  ``step_ns``
+    is the clock advance of one unit of a lower slot's kind;
     ``_dispatch`` counts a failing call's units tried with it.
     """
 
-    __slots__ = ("name", "level", "kind", "target", "exposes_address",
-                 "probe_fn", "step_ns")
+    __slots__ = ("name", "kind", "target", "exposes_address", "probe_fn",
+                 "step_ns")
 
-    def __init__(self, name: str, level: str, kind: str, target,
+    def __init__(self, name: str, kind: str, target=None,
                  exposes_address: bool = True, step_ns: int = 0):
         self.name = name
-        self.level = level
         self.kind = kind
         self.target = target
         self.exposes_address = exposes_address
         self.probe_fn = None
         self.step_ns = step_ns
-
-    def __repr__(self):
-        return f"FunctionSlot({self.name!r}, level={self.level!r}, kind={self.kind!r})"
 
 
 @dataclass(frozen=True)
@@ -127,15 +123,15 @@ class MtdDevice:
         self.current_task = ""
         meta = not legacy
         latency = chip.latency
-        read = FunctionSlot("lower.read_page", "lower", "R", chip.read_pages,
-                            meta, latency.read_ns)
-        write = FunctionSlot("lower.write_page", "lower", "W",
-                             chip.write_pages, meta, latency.write_ns)
-        erase = FunctionSlot("lower.erase_block", "lower", "E",
-                             chip.erase_blocks, meta, latency.erase_ns)
-        upper_read = FunctionSlot("upper.read", "upper", "R", read)
-        upper_write = FunctionSlot("upper.write", "upper", "W", write)
-        upper_erase = FunctionSlot("upper.erase", "upper", "E", erase)
+        read = FunctionSlot("lower.read_page", "R", chip.read_pages, meta,
+                            latency.read_ns)
+        write = FunctionSlot("lower.write_page", "W", chip.write_pages, meta,
+                             latency.write_ns)
+        erase = FunctionSlot("lower.erase_block", "E", chip.erase_blocks,
+                             meta, latency.erase_ns)
+        upper_read = FunctionSlot("upper.read", "R")
+        upper_write = FunctionSlot("upper.write", "W")
+        upper_erase = FunctionSlot("upper.erase", "E")
         pages = chip.geometry.total_pages
         # Per operation, what _dispatch takes before the range.
         self._read = (upper_read, read, pages, "page")
@@ -176,23 +172,24 @@ class MtdDevice:
         call is the unit), so it also runs for calls that then fail.  The
         range is then checked against the chip's ``limit`` units and run
         as one call of the lower slot's target.  The lower slot's probe
-        gets the request record after the units ran; when a unit fails,
-        the record it gets counts the units tried, the failing one
-        included, and the chip's error passes through.
+        gets the request record after the units ran.  Neither names its
+        slot.  When a unit fails, the record the lower probe gets counts
+        the units tried, the failing one included, and the chip's error
+        passes through.
         """
         fn = upper.probe_fn
         if fn is not None:
             try:
-                fn((upper.name, upper.kind, start, self.chip.clock_ns,
-                    self.current_task, 1))
+                fn((upper.kind, start, self.chip.clock_ns, self.current_task,
+                    1))
             except Exception:
                 self.hooks.handler_errors += 1
         if start < 0 or count < 0 or start + count > limit:
             raise OutOfRangeError(
                 f"{unit_name} range [{start}, {start + count}) "
                 f"outside chip of {limit} {unit_name}s")
-        record = (lower.name, lower.kind, start, self.chip.clock_ns,
-                  self.current_task, count)
+        record = (lower.kind, start, self.chip.clock_ns, self.current_task,
+                  count)
         if not count:
             return record  # no unit runs and no probe fires
         fn = lower.probe_fn
@@ -200,9 +197,9 @@ class MtdDevice:
             lower.target(start, count)
         except FlashError:
             if fn is not None:
-                done = (self.chip.clock_ns - record[3]) // lower.step_ns
+                done = (self.chip.clock_ns - record[2]) // lower.step_ns
                 try:
-                    fn(record[:5] + (done + 1,))
+                    fn(record[:4] + (done + 1,))
                 except Exception:
                     self.hooks.handler_errors += 1
             raise

@@ -7,14 +7,15 @@ probes; the driver (``mtd``) fires them, and contains a handler that
 raises by counting the exception in ``ProbeRegistry.handler_errors`` and
 running the slot's behavior anyway.
 
-Every handler receives one record ``(slot_name, kind, address, time_ns,
-task_name, count)`` per firing: ``count`` consecutive units from
-``address``, the first of which started at ``time_ns``.  An upper slot
-hands it a one-unit record on entry; a lower slot hands it the call's
-request record after the call's units ran.  Like a block tracer that
-logs one event per request with its start and length, the driver
-leaves the expansion into pages or blocks to the handler: unit i has
-address ``address + i`` and started ``i`` unit latencies after
+Every handler receives one record ``(kind, address, time_ns, task_name,
+count)`` per firing: ``count`` consecutive units from ``address``, the
+first of which started at ``time_ns``.  The record does not name its
+slot; a handler is registered on one slot and knows it from there.  An
+upper slot hands it a one-unit record on entry; a lower slot hands it
+the call's request record after the call's units ran.  Like a block
+tracer that logs one event per request with its start and length, the
+driver leaves the expansion into pages or blocks to the handler: unit i
+has address ``address + i`` and started ``i`` unit latencies after
 ``time_ns``.
 
 The active handler is stashed directly on the slot object (``probe_fn``)
@@ -46,10 +47,9 @@ class StaleHandleError(ProbeError):
 class ProbeHandle:
     """Registration token; flipping ``active`` pauses or resumes the probe."""
 
-    __slots__ = ("id", "slot_name", "_slot", "_fn", "_registered")
+    __slots__ = ("slot_name", "_slot", "_fn", "_registered")
 
-    def __init__(self, probe_id: int, slot, fn: Callable):
-        self.id = probe_id
+    def __init__(self, slot, fn: Callable):
         self.slot_name = slot.name
         self._slot = slot
         self._fn = fn
@@ -62,7 +62,7 @@ class ProbeHandle:
     @active.setter
     def active(self, value: bool) -> None:
         if not self._registered:
-            raise StaleHandleError(f"handle {self.id} is not registered")
+            raise StaleHandleError(f"stale handle on {self.slot_name!r}")
         self._slot.probe_fn = self._fn if value else None
 
 
@@ -72,7 +72,6 @@ class ProbeRegistry:
     def __init__(self, slots):
         self._slots = dict(slots)
         self._handles: dict[str, ProbeHandle] = {}
-        self._next_id = 1
         self.handler_errors = 0  # exceptions raised by probe handlers
 
     def register_probe(self, slot_name: str,
@@ -82,8 +81,7 @@ class ProbeRegistry:
             raise UnknownSlotError(f"no slot named {slot_name!r}")
         if slot_name in self._handles:
             raise DuplicateProbeError(f"slot {slot_name!r} already probed")
-        handle = ProbeHandle(self._next_id, slot, handler)
-        self._next_id += 1
+        handle = ProbeHandle(slot, handler)
         self._handles[slot_name] = handle
         slot.probe_fn = handler
         return handle
@@ -91,7 +89,7 @@ class ProbeRegistry:
     def unregister_probe(self, handle: ProbeHandle) -> None:
         current = self._handles.get(handle.slot_name)
         if current is not handle or not handle._registered:
-            raise StaleHandleError(f"handle {handle.id} is not registered")
+            raise StaleHandleError(f"stale handle on {handle.slot_name!r}")
         handle._slot.probe_fn = None
         handle._registered = False
         del self._handles[handle.slot_name]

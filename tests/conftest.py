@@ -30,26 +30,26 @@ def unit_by_unit(dev, op, start, count):
     first = call(start, 1)
     for unit in range(start + 1, start + count):
         call(unit, 1)
-    return first[:5] + (count,)
+    return first[:4] + (count,)
 
 
 def expand(record, step_ns):
-    """The units of a probe record ``(slot, kind, address, time_ns, task,
+    """The units of a probe record ``(kind, address, time_ns, task,
     count)`` as ``(address, time_ns)`` pairs, unit i ``step_ns`` later
     than unit i - 1: what the record stands for page by page or block by
     block."""
-    _, _, address, time_ns, _, count = record
+    _, address, time_ns, _, count = record
     return [(address + i, time_ns + i * step_ns) for i in range(count)]
 
 
 def feed(mon, records):
-    """Hand each request record ``(slot, kind, address, time_ns, task,
-    count)`` to the sink ``mon`` registered on the slot of its kind, as
-    the driver does after a call."""
+    """Hand each request record ``(kind, address, time_ns, task, count)``
+    to the sink ``mon`` registered on the slot of its kind, as the driver
+    does after a call."""
     sinks = {kind: mon.dev.slot(name).probe_fn
              for kind, name in zip("RWE", mon.target_report[:3])}
     for record in records:
-        sinks[record[1]](record)
+        sinks[record[0]](record)
 
 
 def pending_records(mon) -> int:

@@ -270,20 +270,22 @@ def test_multi_page_probe_fidelity():
     k = 7
 
     def traced_read(legacy):
-        """The record the monitor's read probe got for one k-page read,
-        and the log entries it folds into."""
+        """The slot the monitor's read probe is registered on, the record
+        it got for one k-page read, and the log entries it folds into."""
         dev = MtdDevice(FlashChip(geometry), legacy=legacy)
         dev.add_partition(0, 64, "all")
         mon = attach(dev)
+        slot = mon.target_report.read_slot
+        assert dev.slot(slot).probe_fn == mon._pending.extend
         dev.mtd_read(10, k)
         assert pending_records(mon) == 1
-        return tuple(mon._pending), mon.events()
+        return slot, tuple(mon._pending), mon.events()
 
     step = LatencyModel().read_ns
-    record, events = traced_read(False)
-    assert record == ("lower.read_page", "R", 10, 0, "", k)
+    slot, record, events = traced_read(False)
+    assert (slot, record) == ("lower.read_page", ("R", 10, 0, "", k))
     assert events == [TraceEvent(i * step, "R", 10 + i, "")
                       for i in range(k)]
-    record, events = traced_read(True)
-    assert record == ("upper.read", "R", 10, 0, "", 1)
+    slot, record, events = traced_read(True)
+    assert (slot, record) == ("upper.read", ("R", 10, 0, "", 1))
     assert events == [TraceEvent(0, "R", 10, "")]

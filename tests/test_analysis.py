@@ -190,7 +190,7 @@ def ring_of(events, capacity, task_names=True):
     dev = MtdDevice(FlashChip())
     mon = attach(dev, MonitorConfig(log_capacity=capacity,
                                     record_task_names=task_names))
-    feed(mon, [("slot", kind, address, time_ns, task, 1)
+    feed(mon, [(kind, address, time_ns, task, 1)
                for time_ns, kind, address, task in events])
     return mon.log
 

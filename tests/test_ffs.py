@@ -384,14 +384,14 @@ class TestSynchronousFileOps:
         data = math.ceil(fs._compress(5 * PAGE + 1) / PAGE)
         meta = fs.config.metadata_pages_per_file_op
         assert len(records) == 1
-        assert records[0][5] == data + meta
+        assert records[0][4] == data + meta
         # Data and journal start on fresh pages and share none.
         (extent,) = fs.files["b"].extents
         assert len(extent.pages) == data and extent.start_off == 0
         assert len(fs._journal.pages) == meta
         assert not set(extent.pages) & set(fs._journal.pages)
         assert extent.pages + fs._journal.pages == list(
-            range(records[0][2], records[0][2] + data + meta))
+            range(records[0][1], records[0][1] + data + meta))
         assert fs.accounting_ok()
 
     @pytest.mark.parametrize("flavor", ["jffs2_like", "yaffs2_like"])

@@ -405,10 +405,11 @@ def test_pending_is_bounded_by_driver_calls():
     assert mon.total_inserted == 2 * SMALL.total_pages + SMALL.blocks_per_chip
 
 
-# What one unfolded record may hold: six list slots, the call's start
-# time and its address as ints, and the list's spare room.  Keeping
-# the record tuple as well would cost about 48 B more.
-PENDING_BYTES_PER_CALL = 128
+# What one unfolded record may hold: five list slots, the call's start
+# time and its address as ints, and the list's spare room: about 109 B
+# on CPython 3.11.  Keeping the record tuple as well would cost about
+# 48 B more, and a sixth field (the slot's name) about 6 B more.
+PENDING_BYTES_PER_CALL = 112
 
 
 def test_pending_costs_a_fixed_few_bytes_per_driver_call():
@@ -534,8 +535,7 @@ def _ring_batches(draw):
         units = _REF.blocks_per_chip if kind == "E" else _REF.total_pages
         count = draw(st.integers(1, min(3 * capacity, units, 200)))
         address = draw(st.integers(0, units - count))
-        records.append((f"slot-{kind}", kind, address,
-                        draw(st.integers(0, 1 << 40)),
+        records.append((kind, address, draw(st.integers(0, 1 << 40)),
                         draw(st.sampled_from(_REF_TASKS)), count))
     cuts = sorted(draw(st.sets(st.integers(1, len(records)), max_size=4)))
     return capacity, [records[lo:hi] for lo, hi
@@ -545,7 +545,7 @@ def _ring_batches(draw):
 def _reference_fold(model, records, first_block, block_limit, task_names):
     latency = {"R": LatencyModel().read_ns, "W": LatencyModel().write_ns,
                "E": LatencyModel().erase_ns}
-    for _, kind, address, time_ns, task, count in records:
+    for kind, address, time_ns, task, count in records:
         for i in range(count):
             unit = address + i
             block = unit if kind == "E" else unit // _REF.pages_per_block
@@ -577,24 +577,24 @@ def reference_temporal_lines(events, with_task):
     fold_chunk=st.sampled_from((FOLD_CHUNK_RECORDS, 1, 2, 3)))
 # A slice-fill run that exactly fills an empty log, then one unit that
 # overflows the full log.
-@example(case=(32, [[("slot-R", "R", 512, 0, "app", 32)],
-                    [("slot-E", "E", 16, 5, "app", 1)]]), view="len",
+@example(case=(32, [[("R", 512, 0, "app", 32)],
+                    [("E", 16, 5, "app", 1)]]), view="len",
          fold_chunk=FOLD_CHUNK_RECORDS)
 # A batch that overflows a partly full log, after a background write,
 # one record per chunk.
-@example(case=(40, [[("slot-W", "W", 512, 0, "app", 9)],
-                    [("slot-W", "W", 700, 3, BACKGROUND_TASK, 3),
-                     ("slot-R", "R", 600, 9, "app", 32)]]), view="events",
+@example(case=(40, [[("W", 512, 0, "app", 9)],
+                    [("W", 700, 3, BACKGROUND_TASK, 3),
+                     ("R", 600, 9, "app", 32)]]), view="events",
          fold_chunk=1)
 # A batch of exactly ``capacity`` units into a full log.
-@example(case=(40, [[("slot-R", "R", 512, 0, "app", 40)],
-                    [("slot-W", "W", 700, 3, BACKGROUND_TASK, 8),
-                     ("slot-R", "R", 600, 9, "app", 32)]]), view="temporal",
+@example(case=(40, [[("R", 512, 0, "app", 40)],
+                    [("W", 700, 3, BACKGROUND_TASK, 8),
+                     ("R", 600, 9, "app", 32)]]), view="temporal",
          fold_chunk=FOLD_CHUNK_RECORDS)
 # A fold into a log that a flush emptied, past its capacity.
-@example(case=(8, [[("slot-R", "R", 512, 0, "app", 5)],
-                   [("slot-R", "R", 600, 9, "app", 3),
-                    ("slot-W", "W", 700, 3, "", 9)]]), view="flush",
+@example(case=(8, [[("R", 512, 0, "app", 5)],
+                   [("R", 600, 9, "app", 3),
+                    ("W", 700, 3, "", 9)]]), view="flush",
          fold_chunk=2)
 def test_ring_matches_a_deque_of_events(task_names, case, view, fold_chunk):
     with pytest.MonkeyPatch.context() as patch:
@@ -676,8 +676,7 @@ def _render_batches(draw):
             st.tuples(st.integers(0, count - 1), st.integers(0, 1)).map(
                 lambda unit_and_gap: second * NS_PER_SECOND
                 - unit_and_gap[0] * step - unit_and_gap[1])))
-        records.append((f"slot-{kind}", kind,
-                        draw(st.integers(0, units - count)), time_ns,
+        records.append((kind, draw(st.integers(0, units - count)), time_ns,
                         draw(st.sampled_from(_REF_TASKS + ("per%cent%s",))),
                         count))
     fold = draw(st.integers(0, len(records)))
@@ -762,7 +761,7 @@ def _monitor_with_a_log_of(entries):
     overwritten."""
     mon = attach(MtdDevice(FlashChip(_RENDER)),
                  MonitorConfig(log_capacity=entries))
-    feed(mon, [("slot-R", "R", start % 16_384, start * _STEP["R"],
+    feed(mon, [("R", start % 16_384, start * _STEP["R"],
                 _REF_TASKS[start % len(_REF_TASKS)],
                 min(1000, entries + 100 - start))
                for start in range(0, entries + 100, 1000)])
@@ -883,11 +882,11 @@ def test_a_fold_into_a_full_log_holds_one_chunk_past_it(units, share):
     tracemalloc.start()
     try:
         mon = attach(dev, MonitorConfig(log_capacity=capacity))
-        feed(mon, [("slot-R", "R", 0, 0, "app", capacity)])
+        feed(mon, [("R", 0, 0, "app", capacity)])
         assert len(mon.log) == capacity
         records = max(capacity // share // units, 1)
-        feed(mon, [("slot-W", "W", units * i, (capacity + i) * 10**6, "app",
-                    units) for i in range(records)])
+        feed(mon, [("W", units * i, (capacity + i) * 10**6, "app", units)
+                   for i in range(records)])
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -943,9 +942,9 @@ def test_a_device_with_plain_probes_is_freed_by_reference_counting():
     gc.disable()
     try:
         dev = MtdDevice(FlashChip(SMALL))
-        seen = []
-        handles = [dev.hooks.register_probe(name, seen.append)
-                   for name in UPPER_SLOTS + LOWER_SLOTS]
+        seen = {name: [] for name in UPPER_SLOTS + LOWER_SLOTS}
+        handles = [dev.hooks.register_probe(name, records.append)
+                   for name, records in seen.items()]
         handles[0].active = False
         dev.hooks.unregister_probe(handles[-1])
         dev.mtd_write(0, 3)
@@ -953,7 +952,7 @@ def test_a_device_with_plain_probes_is_freed_by_reference_counting():
         dev.mtd_erase(0, 1)
         # Every slot fires but the paused upper.read and the
         # unregistered lower.erase_block.
-        assert {record[0] for record in seen} == {
+        assert {name for name, records in seen.items() if records} == {
             "upper.write", "lower.write_page", "lower.read_page",
             "upper.erase"}
         chip_ref = weakref.ref(dev.chip)

@@ -23,7 +23,6 @@ class TestSlots:
         for name in UPPER_SLOTS + LOWER_SLOTS:
             slot = dev.slot(name)
             assert slot.name == name
-            assert slot.level == name.split(".")[0]
         assert dev.slot("lower.read_page").kind == "R"
         assert dev.slot("upper.erase").kind == "E"
 
@@ -44,7 +43,7 @@ class TestChunking:
         step = dev.chip.latency.read_ns
         with dev.task("t"):
             record = dev.mtd_read(10, 4)
-        assert record == ("lower.read_page", "R", 10, 2 * step, "t", 4)
+        assert record == ("R", 10, 2 * step, "t", 4)
         assert dev.chip.clock_ns == 6 * step
         assert mon.events()[2:] == [TraceEvent((2 + i) * step, "R", 10 + i,
                                                "t") for i in range(4)]
@@ -56,7 +55,7 @@ class TestChunking:
         assert dev.chip.blocks[1].written == ppb
 
     def test_erase_decomposes_to_blocks(self, dev):
-        assert dev.mtd_erase(1, 3) == ("lower.erase_block", "E", 1, 0, "", 3)
+        assert dev.mtd_erase(1, 3) == ("E", 1, 0, "", 3)
         assert dev.chip.clock_ns == 3 * dev.chip.latency.erase_ns
         assert [dev.chip.blocks[b].erase_count for b in range(5)] == \
             [0, 1, 1, 1, 0]
@@ -64,7 +63,7 @@ class TestChunking:
     def test_zero_count_is_empty(self, dev):
         dev.mtd_erase(0, 1)
         clock = dev.chip.clock_ns
-        assert dev.mtd_read(7, 0) == ("lower.read_page", "R", 7, clock, "", 0)
+        assert dev.mtd_read(7, 0) == ("R", 7, clock, "", 0)
         assert dev.chip.clock_ns == clock
 
     def test_zero_count_call_fires_no_probe(self, dev):
@@ -75,11 +74,11 @@ class TestChunking:
         for device in (dev, mon.dev):
             with device.task("t"):
                 assert device.mtd_read(SMALL.total_pages, 0) == \
-                    ("lower.read_page", "R", SMALL.total_pages, 0, "t", 0)
+                    ("R", SMALL.total_pages, 0, "t", 0)
                 assert device.mtd_write(5, 0) == \
-                    ("lower.write_page", "W", 5, 0, "t", 0)
+                    ("W", 5, 0, "t", 0)
                 assert device.mtd_erase(0, 0) == \
-                    ("lower.erase_block", "E", 0, 0, "t", 0)
+                    ("E", 0, 0, "t", 0)
         assert seen == []
         assert mon.health()["events"] == 0
 
@@ -109,6 +108,7 @@ def _monitored_views(setup, call, per_unit):
 
 
 PPB = SMALL.pages_per_block
+_LOWER_SLOT = dict(zip(("read", "write", "erase"), LOWER_SLOTS))
 # (setup calls, failing call); a call is (op, start, count).
 FAILING_CALLS = {
     # Block 1 wears out on its second erase; the read fails at page PPB.
@@ -132,21 +132,22 @@ def test_failing_call_reads_as_the_same_call_unit_by_unit(case):
         [PPB - 3, PPB - 2, PPB - 1, PPB]
 
 
-def _seen_then_raise(seen):
-    """A record handler that appends what it sees to ``seen`` and then
-    raises."""
+def _tag_then_raise(seen, name):
+    """A record handler for the slot ``name`` that appends ``(name,
+    record)`` to ``seen`` and then raises."""
     def handler(record):
-        seen.append(record)
-        raise RuntimeError(record[0])
+        seen.append((name, record))
+        raise RuntimeError(name)
     return handler
 
 
-def _lower_units(dev, records):
-    """The units of the lower slots' ``records`` from ``dev``, one
-    ``(slot, kind, task, address, time_ns)`` per page or block."""
-    return [(record[0], record[1], record[4]) + unit
-            for record in records if record[0] in LOWER_SLOTS
-            for unit in expand(record, dev.slot(record[0]).step_ns)]
+def _lower_units(dev, tagged):
+    """The units of the lower slots' records in ``tagged``, a list of
+    ``(slot, record)`` from ``dev``, one ``(slot, kind, task, address,
+    time_ns)`` per page or block."""
+    return [(name, record[0], record[3]) + unit
+            for name, record in tagged if name in LOWER_SLOTS
+            for unit in expand(record, dev.slot(name).step_ns)]
 
 
 def _probed_devices():
@@ -154,16 +155,18 @@ def _probed_devices():
     one with a record sink on each lower slot; one with a raising record
     handler on every slot; and one that makes every call unit by unit,
     with a raising record handler on each lower slot.  Returns the
-    devices and the lists that the sink and the two raising handlers
-    append to."""
+    devices and the lists that the sink and the two kinds of raising
+    handlers append to; a raising handler tags each record with its
+    slot."""
     bare, sunk, hooked, per_unit = (
         MtdDevice(FlashChip(SMALL, endurance_limit=1)) for _ in range(4))
     sink, hooked_seen, per_unit_seen = [], [], []
     for name in LOWER_SLOTS:
         sunk.hooks.register_probe(name, sink.append)
-        per_unit.hooks.register_probe(name, _seen_then_raise(per_unit_seen))
+        per_unit.hooks.register_probe(name,
+                                      _tag_then_raise(per_unit_seen, name))
     for name in UPPER_SLOTS + LOWER_SLOTS:
-        hooked.hooks.register_probe(name, _seen_then_raise(hooked_seen))
+        hooked.hooks.register_probe(name, _tag_then_raise(hooked_seen, name))
     return (bare, sunk, hooked, per_unit), (sink, hooked_seen, per_unit_seen)
 
 
@@ -202,10 +205,11 @@ def test_every_device_returns_the_unprobed_call_result(calls):
             except FlashError as exc:
                 outcomes.append((type(exc), str(exc)))
             else:
-                assert type(result) is tuple and len(result) == 6
-                assert result[2:] == (start, dev.chip.clock_ns - count
-                                      * dev.slot(result[0]).step_ns, task,
-                                      count)
+                assert type(result) is tuple and len(result) == 5
+                step = dev.slot(_LOWER_SLOT[op]).step_ns
+                assert result == (op[0].upper(), start,
+                                  dev.chip.clock_ns - count * step, task,
+                                  count)
                 outcomes.append(result)
                 if dev is sunk and count:
                     assert result is sink[-1]
@@ -288,7 +292,7 @@ def test_out_of_range_call_is_refused_before_any_unit(op, start, count,
     assert str(excinfo.value) == message
     assert dev.chip.snapshot() == before
     assert len(upper) == 1
-    assert upper[0][2] == start and upper[0][5] == 1
+    assert upper[0][1] == start and upper[0][4] == 1
     assert lower == []
     assert dev.hooks.handler_errors == 0
 
@@ -298,7 +302,7 @@ class TestTaskAttribution:
         seen = []
         dev.hooks.register_probe("lower.read_page", seen.append)
         dev.mtd_read(0, 1)
-        assert seen[0][4] == ""
+        assert seen[0][3] == ""
 
     def test_nesting_restores(self, dev):
         seen = []
@@ -309,7 +313,7 @@ class TestTaskAttribution:
                 dev.mtd_read(0, 1)
             dev.mtd_read(0, 1)
         dev.mtd_read(0, 1)
-        assert [record[4] for record in seen] == \
+        assert [record[3] for record in seen] == \
             ["outer", "inner", "outer", ""]
 
     def test_restored_after_exception(self, dev):
@@ -325,7 +329,7 @@ class TestUpperProbes:
         dev.hooks.register_probe("upper.read", seen.append)
         dev.mtd_read(5, 4)
         # The call is the unit: one one-unit record on entry.
-        assert seen == [("upper.read", "R", 5, 0, "", 1)]
+        assert seen == [("R", 5, 0, "", 1)]
 
     def test_upper_and_lower_probes_coexist(self, dev):
         upper, lower = [], []
@@ -338,9 +342,9 @@ class TestUpperProbes:
             lambda record: lower.append((record, block.written)))
         dev.mtd_write(0, 3)
         # The upper probe fires on entry, the lower one after the units.
-        assert [(record[2], record[5], fill) for record, fill in upper] == \
+        assert [(record[1], record[4], fill) for record, fill in upper] == \
             [(0, 1, 0)]
-        assert [(record[2], record[5], fill) for record, fill in lower] == \
+        assert [(record[1], record[4], fill) for record, fill in lower] == \
             [(0, 3, 3)]
 
 
@@ -411,6 +415,6 @@ def test_chunked_read_timestamps_form_arithmetic_progression(start, count):
     mon = attach(dev)
     record = dev.mtd_read(start, count)
     step = dev.chip.latency.read_ns
-    assert record == ("lower.read_page", "R", start, 0, "", count)
+    assert record == ("R", start, 0, "", count)
     assert [(e.address, e.time_ns) for e in mon.events()] == \
         [(start + i, i * step) for i in range(count)]
