@@ -8,11 +8,12 @@ garbage collection region.  The 90% dominance share and the 8-event
 minimum segment length are tuning constants, not measured quantities.
 
 One routine finds the phases, from the log's kinds as ASCII bytes (so
-the scans are ``bytes`` methods) and its times.  From a monitor's
-``EventRing`` the times column is indexed in place and only the kinds
-are copied, 1 B per entry; a list of ``TraceEvent``s is converted.  A
-write by the background task is ``w`` in the kinds, so it does not
-anchor the gc phase.
+the scans are ``bytes`` methods), one per event.  From a monitor's
+``EventRing`` the kinds are expanded from its entries, each entry's
+code repeated once per unit, and a phase's first and last times are
+read from the entries that hold those events; a list of
+``TraceEvent``s is converted.  A write by the background task is ``w``
+in the kinds, so it does not anchor the gc phase.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .ffs import BACKGROUND_TASK
 from .monitor import (EventRing, SpatialCounters, TraceEvent, clock_fields,
-                      format_time_ns)
+                      expand_addresses, expand_times, format_time_ns)
 
 # A kind dominates a segment when 10 * its events >= 9 * the segment's
 # length: the 90% share, in integers.
@@ -73,17 +74,16 @@ def detect_phases(events: Union[Sequence[TraceEvent], EventRing]) -> list[Phase]
     counts sum to the log length.
     """
     if isinstance(events, EventRing):
-        kinds, times = bytes(events.kinds), events.times
+        kinds = events.unit_kinds()
     else:
         kinds = "".join(["w" if event.kind == "W"
                          and event.task_name == BACKGROUND_TASK
                          else event.kind for event in events]).encode("ascii")
-        times = [event.time_ns for event in events]
     n = len(kinds)
-    phases: list[Phase] = []
+    bounds: list[tuple] = []  # (label, first, end, dominant)
 
     def add(label: str, lo: int, hi: int, dominant: str) -> None:
-        phases.append(Phase(label, times[lo], times[hi - 1], dominant, hi - lo))
+        bounds.append((label, lo, hi, dominant))
 
     # Leading all-read region: a mount scan, and a contiguous erase run
     # right after it: first-mount format.
@@ -122,7 +122,12 @@ def detect_phases(events: Union[Sequence[TraceEvent], EventRing]) -> list[Phase]
 
     if tail_start < n:
         add("gc", tail_start, n, "E")
-    return phases
+    # A phase's times are those of its first and last events.
+    edges = [i for _, lo, hi, _ in bounds for i in (lo, hi - 1)]
+    times = iter(events.unit_times(edges) if isinstance(events, EventRing)
+                 else [events[i].time_ns for i in edges])
+    return [Phase(label, next(times), next(times), dominant, hi - lo)
+            for label, lo, hi, dominant in bounds]
 
 
 def wear_report(counters: SpatialCounters) -> WearSpread:
@@ -174,14 +179,18 @@ def render_stats(stats: TraceStats) -> str:
 
 def plot_rows(log: EventRing, kind: str):
     """The ``kind`` series of the plot data, ready for generic plotting
-    tools: one ``<time> <address> <kind>`` line per entry of that kind
-    in ``log``, oldest first, as ASCII ``bytes``, one chunk per slice
-    of ``log.chunks()``."""
+    tools: one ``<time> <address> <kind>`` line per unit of that kind
+    in ``log``, oldest first, as ASCII ``bytes``, one per chunk of
+    ``log.chunks()``.  Only that kind's entries are expanded."""
     mask, row = _PLOT_MASKS[kind], b" %d " + kind.encode("ascii") + b"\n"
-    for run in log.chunks():
-        picked = log.kinds[run].translate(mask)
-        times = list(compress(log.times[run], picked))
-        if times:
+    step = log.steps[ord(kind)]
+    for times, addresses, counts, kinds, _ in log.chunks():
+        picked = kinds.translate(mask)
+        counts = list(compress(counts, picked))
+        if counts:
+            times = expand_times(list(compress(times, picked)), counts,
+                                 [step] * len(counts))
             stamp, clock = clock_fields(times)
-            yield (stamp + row) * len(times) % tuple(chain.from_iterable(
-                zip(*clock, compress(log.addresses[run], picked))))
+            yield (stamp + row) * len(times) % tuple(chain.from_iterable(zip(
+                *clock, expand_addresses(list(compress(addresses, picked)),
+                                         counts))))

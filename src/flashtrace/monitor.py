@@ -16,44 +16,54 @@ Collection is lazy and has one path: each probe only adds the raw
 record's fields to a flat pending list, and the scope filter, the
 counters and the log are folded from that list the next time a view
 (``counters``, ``log`` and ``health()`` included) is read or a control
-command runs.  The driver runs each call as one chip-level run and
-hands the monitor that call's request record (a start address, its
-start time and a unit count) after the units ran; it is the same tuple
-the call returns, so recording adds one list ``extend`` of its five
-fields to a driver call.  The record tuple itself is not kept: a
-pending record is five list slots (40 B) plus its time and address ints,
-and the list grows with the number of driver calls, not of pages.  The
-fold takes the list from its newest end, FOLD_CHUNK_RECORDS records at
-a time, and expands each record into per-page (or per-block) counters
-and events, as if each unit had been seen on its own.  There is no
-callback API; when the fold runs never changes what the views show.
+command runs.  The driver runs each call as one chip-level run and hands
+the monitor that call's request record (a start address, its start time
+and a unit count) after the units ran; it is the same tuple the call
+returns, so recording adds one list ``extend`` of its five fields to a
+driver call.  The record tuple itself is not kept: a pending record is
+five list slots (40 B) plus its time and address ints, and the list
+grows with the number of driver calls, not of pages.  The fold takes the
+list from its newest end, FOLD_CHUNK_RECORDS records at a time: it adds
+each record's units in scope to the per-block counters, a span of blocks
+as one slice, and keeps the record as one log entry, or lengthens the
+entry of the record before it when the record runs on from it.  There is
+no callback API; when the fold runs never changes what the views show.
 
-The temporal log is an ``EventRing``: the newest ``log_capacity``
-entries, oldest first, in columns that grow with the entries they hold:
-time ``array('q')``, address ``array('I')``, kind ``bytearray`` and,
-with task names on, task id ``array('I')``: 17 B per entry, 13 B without
-task names.  A write by the file system's background task is stored as
-kind ``w`` (read back as ``W``), so phase detection can tell it apart
-without a task column.
+The temporal log is an ``EventRing``: the newest ``log_capacity`` units
+(pages or blocks), oldest first, one entry per request record (or per
+run of records, each starting at the address and time where the one
+before it ended, with the same kind and task), in columns that grow with
+the entries they hold: the time and address of the entry's first unit
+(``array('q')`` and ``array('I')``), its unit count (``array('I')``),
+its kind (``bytearray``) and, with task names on, its task id
+(``array('I')``): 21 B per entry, 17 B without task names.  Unit i of an
+entry started i latencies of its kind after its first.  When the log is
+full, the oldest entry loses its front units.  A write by the file
+system's background task is stored as kind ``w`` (read back as ``W``),
+so phase detection can tell it apart without a task column.
 
-One chunk formatter, ``format_columns``, writes every temporal line as
-UTF-8 bytes: one ``bytes`` ``%`` format of up to
-``TEMPORAL_CHUNK_LINES`` lines over slices of the columns, with the
-kinds read through ``bytes.translate`` and each task name encoded once
-per render.  A chunk ends at the first entry of the next second when
-that leaves it at least ``TEMPORAL_CHUNK_LINES // 8`` lines, so most
-chunks fall within one second and format only the nanoseconds past it.
-``write_temporal`` streams the chunks to a binary file without copying
-a whole column; ``render_temporal`` decodes them once.
+Every reader expands entries to units a chunk at a time, with C-level
+iterators, and never expands an entry past the chunk:
+``EventRing.chunks`` gives the columns of each chunk's entries, and a
+reader expands only the entries it needs.  A chunk holds at most
+``TEMPORAL_CHUNK_LINES`` units and ends at the first unit of the next
+second (found from the entries) when that leaves it at least
+``TEMPORAL_CHUNK_LINES // 8``, so most chunks fall within one second and
+format only the nanoseconds past it.  One chunk formatter,
+``format_entries``, writes every temporal line as UTF-8 bytes: one
+``bytes`` ``%`` format per chunk, whose template repeats each entry's
+line, its kind and task name already in it, once per unit, so that only
+times and addresses are formatted per line.  ``write_temporal`` streams
+the chunks to a binary file; ``render_temporal`` decodes them once.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
-from operator import floordiv, mod, sub
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import add, floordiv, getitem, mod, mul, sub
 from typing import BinaryIO, NamedTuple, Optional, Union
 
 from .ffs import BACKGROUND_TASK
@@ -67,18 +77,17 @@ LOG_ENTRY_BYTES_BARE = 20
 LOG_ENTRY_BYTES_WITH_TASKS = LOG_ENTRY_BYTES_BARE + TASK_NAME_BYTES
 
 NS_PER_SECOND = 1_000_000_000
-# Lines per format_columns call when the temporal log is rendered.
+# Units per chunk when the temporal log is read (EventRing.chunks).
 TEMPORAL_CHUNK_LINES = 4096
-# A fold appends runs this long or longer with one extend per column.
-SLICE_FILL_UNITS = 32
 # Fields of a request record (kind, address, time_ns, task, count),
 # each one slot of the pending list.
 RECORD_FIELDS = 5
-# Records a fold takes off the pending list at a time, and the entries
-# a run may take the log past log_capacity before the oldest are dropped.
+# Records a fold takes off the pending list at a time, and so the most
+# entries the log holds past log_capacity before the oldest are dropped.
 FOLD_CHUNK_RECORDS = 4096
 _BACKGROUND_WRITE = ord("w")  # a background task's write, read as "W"
 _READ_KINDS = bytes.maketrans(b"w", b"W")
+_KIND_BYTES = [bytes((code,)) for code in range(256)]
 # control() commands that set the mode: command -> (mode, probes active).
 _MODES = {"start": ("running", True), "stop": ("stopped", False),
           "pause": ("paused", False)}
@@ -140,20 +149,39 @@ def clock_fields(times) -> tuple:
                          map(mod, times, repeat(NS_PER_SECOND))))
 
 
-def format_columns(times, kinds, addresses, tasks=None) -> bytes:
-    """The temporal log lines of equal-length, non-empty columns, in
-    order, as UTF-8: times in ns, kinds (a ``bytes``-like of the log's
-    codes ``R``, ``W``, ``w`` or ``E``), addresses and, unless ``tasks``
-    is None, task names as UTF-8 ``bytes``."""
+def expand_kinds(kinds, counts) -> bytes:
+    """The kind code of each unit of entries with these kind codes and
+    unit counts."""
+    return b"".join(map(mul, map(_KIND_BYTES.__getitem__, kinds), counts))
+
+
+def expand_times(times, counts, steps):
+    """The time of each unit of entries with these first times, unit
+    counts and steps (sequences): a ``range`` for one entry, a list for
+    more."""
+    if len(counts) == 1:
+        return range(times[0], times[0] + counts[0] * steps[0], steps[0])
+    return list(chain.from_iterable(map(
+        range, times, map(add, times, map(mul, counts, steps)), steps)))
+
+
+def expand_addresses(addresses, counts):
+    """An iterator over the address of each unit of entries with these
+    first addresses and unit counts."""
+    return chain.from_iterable(map(range, addresses,
+                                   map(add, addresses, counts)))
+
+
+def format_entries(times, addresses, counts, lines) -> bytes:
+    """The temporal log lines of entries, in order, as UTF-8.  ``times``
+    holds the time in ns of each of their units, a non-empty sequence;
+    ``addresses``, ``counts`` and ``lines`` hold per entry its first
+    address, its unit count and the text of each of its lines after the
+    time: ``;<R|W|E>;%d``, then ``;<task>`` with any ``%`` doubled when
+    task names are on, and a newline."""
     stamp, clock = clock_fields(times)
-    line = stamp + b";%c;%d"
-    kinds = kinds.translate(_READ_KINDS)
-    if tasks is None:
-        columns = zip(*clock, kinds, addresses)
-    else:
-        line += b";%s"
-        columns = zip(*clock, kinds, addresses, tasks)
-    return (line + b"\n") * len(times) % tuple(chain.from_iterable(columns))
+    return b"".join(map(mul, map(add, repeat(stamp), lines), counts)) % tuple(
+        chain.from_iterable(zip(*clock, expand_addresses(addresses, counts))))
 
 
 def parse_temporal(text: str) -> list[TraceEvent]:
@@ -190,73 +218,159 @@ def parse_spatial(text: str) -> list[tuple[int, int, int]]:
 
 
 class EventRing:
-    """The monitor's temporal log: the newest ``capacity`` events in
-    columns (see the module docstring), oldest first from index 0.  A
-    task column entry indexes ``task_ids``, the distinct task names the
-    driver gave in the order they came; reads truncate them."""
+    """The monitor's temporal log: the newest ``capacity`` units (pages
+    or blocks) of the traced requests, oldest first from index 0, one
+    entry per request record, or per run of records that continue one
+    another, in columns (see the module docstring).  An entry stands for
+    ``counts[i]`` units from ``addresses[i]``, the first at ``times[i]``
+    and each ``steps[kinds[i]]`` ns after the one before: ``steps`` maps
+    each kind code to its latency.  A task column entry indexes
+    ``task_ids``, the distinct task names the driver gave in the order
+    they came; reads truncate them.  ``len()`` counts units, not
+    entries."""
 
-    __slots__ = ("capacity", "total_inserted", "times", "addresses", "kinds",
-                 "tasks", "task_ids")
+    __slots__ = ("capacity", "steps", "units", "total_inserted", "times",
+                 "addresses", "counts", "kinds", "tasks", "columns",
+                 "task_ids")
 
-    def __init__(self, capacity: int, with_tasks: bool):
-        if capacity < 1:
-            raise ValueError("log capacity must be positive")
+    def __init__(self, capacity: int, with_tasks: bool, steps: dict):
         self.capacity = capacity
-        self.total_inserted = 0
-        self.times, self.addresses = array("q"), array("I")
+        self.steps = steps
+        self.units = self.total_inserted = 0
+        self.times = array("q")
+        self.addresses, self.counts = array("I"), array("I")
         self.kinds = bytearray()
         self.tasks = array("I") if with_tasks else None
+        # Every column, for what is done to each alike.
+        self.columns = ((self.times, self.addresses, self.counts, self.kinds)
+                        + ((self.tasks,) if with_tasks else ()))
         self.task_ids: dict[str, int] = {}
 
     def clear(self) -> None:
-        self.total_inserted = 0
-        self.drop_oldest(len(self))
+        self.units = self.total_inserted = 0
+        for column in self.columns:
+            del column[:]
 
-    def drop_oldest(self, count: int) -> None:
-        for column in (self.times, self.addresses, self.kinds, self.tasks):
-            if column is not None:
-                del column[:count]
+    def drop_oldest(self, units: int) -> int:
+        """Drop the oldest ``units`` units: the entries they cover whole,
+        then the front units of the oldest entry kept.  Returns the
+        number of entries dropped whole."""
+        self.units -= units
+        # Each entry holds at least one unit, so the first ``units``
+        # entries reach the first one kept.
+        ends = array("q", accumulate(self.counts[:units]))
+        whole = bisect_right(ends, units)
+        for column in self.columns:
+            del column[:whole]
+        units -= ends[whole - 1] if whole else 0
+        if units:
+            self.times[0] += units * self.steps[self.kinds[0]]
+            self.addresses[0] += units
+            self.counts[0] -= units
+        return whole
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self.units
 
     def __iter__(self):
-        """``(time_ns, kind, address, task)`` per entry, oldest first; what
+        """``(time_ns, kind, address, task)`` per unit, oldest first; what
         ``FlashMonitor.events()`` reads."""
-        kinds = self.kinds.decode("ascii")
         names = list(map(truncate_task_name, self.task_ids))
-        # Without task names, a background write still names its task.
-        tasks = (map({"w": BACKGROUND_TASK}.get, kinds, repeat(""))
-                 if self.tasks is None
-                 else map(names.__getitem__, self.tasks))
-        return zip(self.times, kinds.replace("w", "W"), self.addresses, tasks)
+
+        def events(times, addresses, counts, kinds, tasks):
+            times = expand_times(times, counts,
+                                 list(map(self.steps.__getitem__, kinds)))
+            kinds = expand_kinds(kinds, counts).decode("ascii")
+            # Without task names, a background write still names its task.
+            tasks = (map({"w": BACKGROUND_TASK}.get, kinds, repeat(""))
+                     if tasks is None else chain.from_iterable(
+                         map(repeat, map(names.__getitem__, tasks), counts)))
+            return zip(times, kinds.replace("w", "W"),
+                       expand_addresses(addresses, counts), tasks)
+        return chain.from_iterable(starmap(events, self.chunks()))
 
     def chunks(self):
-        """Consecutive slices of the log, oldest first, each of at most
-        TEMPORAL_CHUNK_LINES entries.  A slice ends before the first
-        entry of the second after its first entry's when that leaves it
-        at least TEMPORAL_CHUNK_LINES // 8 entries."""
-        times, start, size = self.times, 0, len(self)
+        """The log a chunk at a time, oldest first: per chunk the columns
+        of its entries, the first starting and the last ending with the
+        chunk, as copies: their times, addresses, counts, kinds and,
+        unless task names are off (then None), task ids.  A chunk holds
+        at most TEMPORAL_CHUNK_LINES units, and ends before the first
+        unit of the second after its first unit's when that leaves it at
+        least TEMPORAL_CHUNK_LINES // 8.  That unit is found from the
+        entries; no unit is expanded here, so a reader expands each
+        entry's units of a chunk once, and never past the chunk."""
+        ends = array("q", accumulate(self.counts))
+        start, size = 0, len(self)
         while start < size:
             end = min(start + TEMPORAL_CHUNK_LINES, size)
-            cut = bisect_left(times, (times[start] // NS_PER_SECOND + 1)
-                              * NS_PER_SECOND, start, end)
-            if cut - start >= TEMPORAL_CHUNK_LINES // 8:
-                end = cut
-            yield slice(start, end)
+            entries = self._entries(ends, start, end)
+            times, _, counts, kinds, _ = entries
+            second = (times[0] // NS_PER_SECOND + 1) * NS_PER_SECOND
+            # The units before the next second: those of the entries that
+            # start before it, up to the first of their units past it.
+            last = bisect_left(times, second) - 1  # times[last] < second
+            within = (second - times[last] - 1) // self.steps[kinds[last]] + 1
+            cut = sum(counts[:last]) + min(within, counts[last])
+            if TEMPORAL_CHUNK_LINES // 8 <= cut < end - start:
+                end = start + cut
+                entries = self._entries(ends, start, end)
+            yield entries
             start = end
+
+    def _entries(self, ends, lo: int, hi: int) -> tuple:
+        """The columns of the entries that hold units [lo, hi), as
+        copies, the first entry starting at unit lo and the last ending
+        at unit hi.  ``ends`` is the running sum of the counts."""
+        first, last = bisect_right(ends, lo), bisect_left(ends, hi) + 1
+        times, addresses, counts = (self.times[first:last],
+                                    self.addresses[first:last],
+                                    self.counts[first:last])
+        kinds = self.kinds[first:last]
+        skip = lo - ends[first] + counts[0]
+        if skip:
+            times[0] += skip * self.steps[kinds[0]]
+            addresses[0] += skip
+            counts[0] -= skip
+        counts[-1] -= ends[last - 1] - hi
+        return (times, addresses, counts, kinds,
+                None if self.tasks is None else self.tasks[first:last])
+
+    def unit_kinds(self) -> bytearray:
+        """The kind code of every unit, oldest first, expanded
+        TEMPORAL_CHUNK_LINES entries at a time."""
+        kinds = bytearray()
+        for lo in range(0, len(self.counts), TEMPORAL_CHUNK_LINES):
+            hi = lo + TEMPORAL_CHUNK_LINES
+            kinds += expand_kinds(self.kinds[lo:hi], self.counts[lo:hi])
+        return kinds
+
+    def unit_times(self, indexes) -> list[int]:
+        """The times of the units at ``indexes``, each read from the
+        entry that holds it."""
+        ends = array("q", accumulate(self.counts))
+        return [self._entries(ends, i, i + 1)[0][0] for i in indexes]
 
     def text_chunks(self):
         """The temporal log lines as UTF-8, oldest first, one ``bytes``
-        per slice of ``chunks()``, formatted from slices of the
-        columns."""
-        names = [truncate_task_name(name).encode("utf-8")
+        per chunk of ``chunks()``, each entry's lines from one template
+        of its kind and task."""
+        names = [truncate_task_name(name).encode("utf-8").replace(b"%", b"%%")
                  for name in self.task_ids]
-        for run in self.chunks():
-            yield format_columns(
-                self.times[run], self.kinds[run], self.addresses[run],
-                None if self.tasks is None
-                else map(names.__getitem__, self.tasks[run]))
+        # Per kind code, what follows the time in a line (format_entries).
+        lines = {code: b";%s;%%d" % _KIND_BYTES[code].translate(_READ_KINDS)
+                 for code in self.steps}
+        if self.tasks is None:
+            lines = {code: line + b"\n" for code, line in lines.items()}
+        else:
+            lines = {code: [line + b";" + name + b"\n" for name in names]
+                     for code, line in lines.items()}
+        for times, addresses, counts, kinds, tasks in self.chunks():
+            yield format_entries(
+                expand_times(times, counts,
+                             list(map(self.steps.__getitem__, kinds))),
+                addresses, counts,
+                map(lines.__getitem__, kinds) if tasks is None
+                else map(getitem, map(lines.__getitem__, kinds), tasks))
 
 
 def _reverse_from(column, start: int) -> None:
@@ -325,7 +439,10 @@ class MonitorConfig:
 
 
 def footprint_estimate(config: MonitorConfig, n_blocks: int) -> int:
-    """Modeled RAM usage: static base + counters + preallocated log."""
+    """Modeled RAM usage: static base + counters + a full log.  A log
+    entry holds at least one unit and costs at most 21 B (17 B without
+    task names), within the modeled bytes per unit, so this bounds what
+    a log grown to its capacity holds."""
     return (STATIC_BASE_BYTES
             + COUNTER_BYTES_PER_BLOCK * n_blocks
             + config.log_entry_bytes * config.log_capacity)
@@ -362,16 +479,23 @@ class FlashMonitor:
         self._filtered = 0  # units outside the traced scope
         self._counters = counters = SpatialCounters(first_block,
                                                     block_limit - first_block)
+        # The latency of each kind code in the log.
+        latency = dev.chip.latency
+        steps = {ord("R"): latency.read_ns, ord("W"): latency.write_ns,
+                 _BACKGROUND_WRITE: latency.write_ns,
+                 ord("E"): latency.erase_ns}
+        self._log = EventRing(config.log_capacity, config.record_task_names,
+                              steps)
         # Per kind: latency, counter column, units per block, the traced
         # units [first, limit), and the kind's code in the log.
-        ppb, latency = geometry.pages_per_block, dev.chip.latency
+        ppb = geometry.pages_per_block
         pages = (first_block * ppb, block_limit * ppb)
+        read, write, erase = ord("R"), ord("W"), ord("E")
         self._spans = {
-            "R": (latency.read_ns, counters.reads, ppb, *pages, ord("R")),
-            "W": (latency.write_ns, counters.writes, ppb, *pages, ord("W")),
-            "E": (latency.erase_ns, counters.erases, 1, first_block,
-                  block_limit, ord("E"))}
-        self._log = EventRing(config.log_capacity, config.record_task_names)
+            "R": (steps[read], counters.reads, ppb, *pages, read),
+            "W": (steps[write], counters.writes, ppb, *pages, write),
+            "E": (steps[erase], counters.erases, 1, first_block, block_limit,
+                  erase)}
         # RECORD_FIELDS slots per record, oldest record first.
         self._pending: list = []
         self._mode = "running"
@@ -398,13 +522,15 @@ class FlashMonitor:
         units from ``address``; unit i started at ``time_ns + i *
         latency(kind)``.  Records are taken off the list's newest end,
         FOLD_CHUNK_RECORDS at a time, and walked newest first: the
-        counters take every unit in scope, and the newest
-        ``log_capacity`` are appended to the log's columns, newest
-        first.  The oldest entries past ``log_capacity`` are dropped
-        after each chunk, and before a run of SLICE_FILL_UNITS or more
-        that would take the log more than FOLD_CHUNK_RECORDS entries
-        past it; so the log holds at most that many, plus one chunk's
-        shorter runs, past ``log_capacity``.  At the end the new
+        counters take every unit in scope, a span of blocks as one
+        slice, and while the log has room the record's newest units in
+        scope become one entry, staged in columns of the chunk's own.  A
+        record whose units end at the address and time where the entry
+        staged just before it begins, with that entry's kind and task,
+        lengthens that entry instead.  After each chunk the log drops
+        its oldest units past ``log_capacity``, then takes the staged
+        entries, so it holds at most one chunk's entries past it and its
+        columns do not grow past what they keep.  At the end the new
         entries are turned around in place.
         """
         pending = self._pending
@@ -412,17 +538,26 @@ class FlashMonitor:
             return
         log = self._log
         spans, task_ids = self._spans, log.task_ids
-        times, addresses, kinds, tasks = (log.times, log.addresses, log.kinds,
-                                          log.tasks)
-        put_time, put_address, put_kind = (times.append, addresses.append,
-                                           kinds.append)
-        put_task = None if tasks is None else tasks.append
+        # A chunk's new entries, appended to the log's columns once its
+        # oldest entries past the capacity are gone.
+        fresh = [column[:0] for column in log.columns]
+        fresh_times, fresh_addresses, fresh_counts = fresh[:3]
+        put_time, put_address, put_count, put_kind = (
+            column.append for column in fresh[:4])
+        put_task = None if log.tasks is None else fresh[4].append
         capacity = room = log.capacity
-        seen = filtered = 0
+        units = seen = 0  # the records' units, and those in scope
+        old = len(log.counts)  # entries before the new ones
         chunk_slots = FOLD_CHUNK_RECORDS * RECORD_FIELDS
         while pending:
-            fields = reversed(pending[-chunk_slots:])
+            fields = pending[-chunk_slots:]
             del pending[-chunk_slots:]
+            units += sum(islice(fields, RECORD_FIELDS - 1, None,
+                                RECORD_FIELDS))
+            fields = reversed(fields)  # lets the chunk go once walked
+            # The first address, kind and task of the entry staged last,
+            # which the next record walked may run on into.
+            next_address = next_kind = next_task = None
             for count, raw_task, time_ns, address, kind in zip(
                     fields, fields, fields, fields, fields):
                 step, column, per_block, first, limit, code = spans[kind]
@@ -430,54 +565,53 @@ class FlashMonitor:
                 lo = address if address > first else first
                 hi = end if end < limit else limit
                 if lo >= hi:
-                    filtered += count
                     continue
                 n = hi - lo
-                filtered += count - n
-                lo_in, hi_in = lo - first, hi - first
-                head, tail = lo_in // per_block, (hi_in - 1) // per_block
+                head = (lo - first) // per_block
+                tail = (hi - 1 - first) // per_block
                 if head == tail:
                     column[head] += n
                 else:  # the first and last blocks may be partly covered
-                    column[head] += (head + 1) * per_block - lo_in
-                    for i in range(head + 1, tail):
-                        column[i] += per_block
-                    column[tail] += hi_in - tail * per_block
+                    column[head] += (head + 1) * per_block - (lo - first)
+                    column[tail] += hi - first - tail * per_block
+                    column[head + 1:tail] = array("I", map(
+                        add, column[head + 1:tail], repeat(per_block)))
                 seen += n
                 if room:
                     if n > room:
                         n = room
+                        lo = hi - n
                     room -= n
-                    t = time_ns + (hi - 1 - address) * step  # of unit hi - 1
-                    if kind == "W" and raw_task == BACKGROUND_TASK:
-                        code = _BACKGROUND_WRITE
-                    task = task_ids.setdefault(raw_task, len(task_ids))
-                    if n >= SLICE_FILL_UNITS:
-                        overflow = len(kinds) + n - capacity
-                        if overflow > FOLD_CHUNK_RECORDS:  # old entries only
-                            log.drop_oldest(overflow)
-                        times.extend(range(t, t - n * step, -step))
-                        addresses.extend(range(hi - 1, hi - 1 - n, -1))
-                        kinds.extend(repeat(code, n))
-                        if tasks is not None:
-                            tasks.extend(repeat(task, n))
-                        continue
-                    for unit in range(hi - 1, hi - 1 - n, -1):
-                        put_time(t)
-                        put_address(unit)
-                        put_kind(code)
-                        if tasks is not None:
-                            put_task(task)
-                        t -= step
-            overflow = len(kinds) - capacity
-            if overflow > 0:  # only old entries: the new ones fit
-                log.drop_oldest(overflow)
-        self._filtered += filtered
+                    time_ns += (lo - address) * step
+                    if (hi == next_address
+                            and time_ns + n * step == fresh_times[-1]
+                            and kind == next_kind and raw_task == next_task):
+                        # The units run on into the entry staged last:
+                        # that entry now starts at these.
+                        fresh_times[-1] = time_ns
+                        fresh_addresses[-1] = lo
+                        fresh_counts[-1] += n
+                    else:
+                        put_time(time_ns)
+                        put_address(lo)
+                        put_count(n)
+                        put_kind(_BACKGROUND_WRITE if kind == "W"
+                                 and raw_task == BACKGROUND_TASK else code)
+                        if put_task is not None:
+                            put_task(task_ids.setdefault(raw_task,
+                                                         len(task_ids)))
+                        next_kind, next_task = kind, raw_task
+                    next_address = lo
+            if log.units > room:  # only old units: the new ones fit
+                old -= log.drop_oldest(log.units - room)
+            for column, entries in zip(log.columns, fresh):
+                column.extend(entries)
+                del entries[:]
+        self._filtered += units - seen
         log.total_inserted += seen
-        old = len(kinds) - (capacity - room)
-        for column in (times, addresses, kinds, tasks):
-            if column is not None:
-                _reverse_from(column, old)
+        log.units += capacity - room
+        for column in log.columns:
+            _reverse_from(column, old)
 
     # -- control and state -----------------------------------------------
 

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from flashtrace import FlashChip, FlashGeometry, LatencyModel, MtdDevice
-from flashtrace.monitor import RECORD_FIELDS, format_columns, format_time_ns
+from flashtrace.monitor import RECORD_FIELDS, format_entries, format_time_ns
 
 # A small chip keeps property tests fast; pages_per_block must stay a
 # multiple of 32.
@@ -59,14 +59,15 @@ def pending_records(mon) -> int:
 
 def format_events(events, with_task: bool) -> str:
     """The temporal log lines of ``events``, in order, formatted by the
-    chunk formatter from the events' fields as columns."""
+    chunk formatter with each event as an entry of one unit."""
     if not events:
         return ""
     times, kinds, addresses, tasks = zip(*events)
-    return format_columns(
-        times, "".join(kinds).encode("ascii"), addresses,
-        [task.encode("utf-8") for task in tasks] if with_task else None,
-    ).decode("utf-8")
+    lines = [(f";{kind};%d" + (";" + task.replace("%", "%%") if with_task
+                               else "") + "\n").encode("utf-8")
+             for kind, task in zip(kinds, tasks)]
+    return format_entries(times, addresses, [1] * len(events),
+                          lines).decode("utf-8")
 
 
 def emit_plot_data(events) -> dict:

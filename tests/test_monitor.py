@@ -3,11 +3,14 @@
 import dataclasses
 import gc
 import io
+import os
 import random
 import tracemalloc
 import weakref
 from collections import deque
+from itertools import repeat
 
+import hypothesis
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,12 +29,12 @@ from flashtrace.analysis import plot_rows
 from flashtrace.config import ScenarioSpec, default_spec
 from flashtrace.mtd import LOWER_SLOTS, UPPER_SLOTS
 from flashtrace.monitor import (FOLD_CHUNK_RECORDS, NS_PER_SECOND,
-                                RECORD_FIELDS, SLICE_FILL_UNITS,
-                                TEMPORAL_CHUNK_LINES, EventRing, parse_time)
+                                RECORD_FIELDS, TEMPORAL_CHUNK_LINES,
+                                EventRing, parse_time)
 from flashtrace.runner import (ScenarioResult, execute_scenario,
                                write_plot_data)
 
-from conftest import (SMALL, count_bytecodes, emit_plot_data, feed,
+from conftest import (SMALL, count_bytecodes, emit_plot_data, expand, feed,
                       format_events, one_call, pending_records, unit_by_unit)
 
 
@@ -287,6 +290,12 @@ class TestControl:
         mon = attach(rig)
         with pytest.raises(UnknownCommandError):
             mon.control("restart")
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_a_log_capacity_below_one_is_refused(capacity):
+    with pytest.raises(ValueError, match="log_capacity"):
+        MonitorConfig(log_capacity=capacity)
 
 
 class TestFootprint:
@@ -742,13 +751,15 @@ def test_no_chunk_spans_a_second_of_512_lines_or_more(lines, first, seed):
     // 8 lines (and at most a chunk), every chunk of the temporal log
     falls within one second."""
     rng = random.Random(seed)
-    log = EventRing(sum(lines), with_tasks=False)
+    log = EventRing(sum(lines), with_tasks=False, steps={ord("R"): 1})
     for second, count in enumerate(lines, first):
         log.times.extend(sorted(second * NS_PER_SECOND
                                 + rng.randrange(NS_PER_SECOND)
                                 for _ in range(count)))
-    log.addresses.extend(range(len(log.times)))
-    log.kinds.extend(b"R" * len(log.times))
+    log.units = len(log.times)  # one single-unit entry per line
+    log.addresses.extend(range(log.units))
+    log.counts.extend(repeat(1, log.units))
+    log.kinds.extend(b"R" * log.units)
     chunks = list(log.text_chunks())
     assert len(chunks) == len(lines)
     for chunk in chunks:
@@ -768,6 +779,59 @@ def _monitor_with_a_log_of(entries):
     assert len(mon.log) == entries
     assert mon.health()["overwritten"] == 100
     return mon
+
+
+# What folding one record may cost in bytecodes, whatever its unit
+# count.  A fold that appended one log entry per unit, and added a span
+# of blocks to the counters block by block, cost 172, 272, 1,176 and
+# about 26,700 per record of 1, 4, 31 and 131,072 units here.
+FOLD_BYTECODES_PER_RECORD = 200
+
+
+@pytest.mark.parametrize("units", [1, 4, 31, 131_072])
+def test_a_fold_costs_a_fixed_few_opcodes_per_record(units):
+    """A deterministic companion to the fold timings: each record is at
+    most one log entry and a span of blocks is one slice of counters, so
+    the interpreter runs a fixed few bytecodes per record folded into a
+    full 40,000-unit log, however many units the record has (131,072 is
+    the whole chip).  Each record starts later than the one before it
+    ended, so none runs on from it and each is kept as its own entry."""
+    records = 1000
+    dev = MtdDevice(FlashChip())
+    mon = attach(dev, MonitorConfig(log_capacity=40_000))
+    feed(mon, [("R", 0, 0, "app", 40_000)])
+    assert len(mon.log) == 40_000
+    feed(mon, [("R", units * i % dev.chip.geometry.total_pages,
+                (i + 1) * 10**6, "app", units) for i in range(records)])
+    opcodes = count_bytecodes(lambda: len(mon.log))
+    assert mon.health()["events"] == 40_000 + units * records
+    assert opcodes <= FOLD_BYTECODES_PER_RECORD * records, opcodes / records
+
+
+@pytest.mark.parametrize("task_names", [True, False],
+                         ids=["tasks", "no-tasks"])
+def test_records_that_run_on_share_one_entry(task_names):
+    """A record that starts at the address and time where the record
+    before it ended, with its kind and task, lengthens that record's log
+    entry; any other record starts an entry.  Either way the log expands
+    to each record's units."""
+    read, write = LatencyModel().read_ns, LatencyModel().write_ns
+    w = 6 * read  # when the writes start
+    records = [("R", 0, 0, "app", 3),
+               ("R", 3, 3 * read, "app", 2),  # runs on
+               ("R", 5, 5 * read, "x", 1),  # another task
+               ("W", 6, w, "x", 1),  # another kind
+               ("W", 7, w + write, "x", 1),  # runs on
+               ("W", 9, w + 2 * write, "x", 1),  # an address skipped
+               ("W", 10, w + 4 * write, "x", 1),  # a time skipped
+               ("W", 11, w + 5 * write, BACKGROUND_TASK, 1)]  # gc's write
+    mon = attach(MtdDevice(FlashChip(SMALL)),
+                 MonitorConfig(record_task_names=task_names))
+    feed(mon, records)
+    assert mon.log.counts.tolist() == [5, 1, 2, 1, 1, 1]
+    step = {"R": read, "W": write}
+    assert [(event.address, event.time_ns) for event in mon.events()] == [
+        unit for record in records for unit in expand(record, step[record[0]])]
 
 
 def test_rendering_costs_a_fixed_few_opcodes_per_chunk():
@@ -840,20 +904,28 @@ def test_retained_memory_stays_within_the_footprint(task_names):
                 dev.mtd_read(0, 200)
 
     traffic(1024)  # the device's own state settles before measuring
+    # Not the monitor's: the readings this test keeps, and the floats a
+    # gc callback that hypothesis installs allocates on each collection.
+    noise = (__file__, os.path.dirname(hypothesis.__file__))
+
+    def traced():
+        return sum(trace.size for trace in tracemalloc.take_snapshot().traces
+                   if not trace.traceback[0].filename.startswith(noise))
+
     gc.collect()
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
+        base = traced()
         mon = attach(dev, MonitorConfig(log_capacity=capacity,
                                         record_task_names=task_names))
         traffic(2 * capacity)
         mon.health()  # folds
         gc.collect()
-        after_2x = tracemalloc.get_traced_memory()[0] - base
+        after_2x = traced() - base
         traffic(8 * capacity)
         mon.health()
         gc.collect()
-        after_10x = tracemalloc.get_traced_memory()[0] - base
+        after_10x = traced() - base
     finally:
         tracemalloc.stop()
     assert mon.total_inserted == 10 * capacity
@@ -864,25 +936,25 @@ def test_retained_memory_stays_within_the_footprint(task_names):
 _FULL_LOG = 40_000
 
 
-@pytest.mark.parametrize("units", [1, 2, SLICE_FILL_UNITS, _FULL_LOG // 2,
-                                   _FULL_LOG])
+@pytest.mark.parametrize("units", [1, 2, 32, _FULL_LOG // 2, _FULL_LOG])
 @pytest.mark.parametrize("share", [1, 2], ids=["whole", "half"])
 def test_a_fold_into_a_full_log_holds_one_chunk_past_it(units, share):
     """Folding records of ``units`` units each, a whole or half log's
-    worth (or one record), into a full log peaks above the state before
-    the fold by no more than one chunk of records: two lists of its
-    fields (the chunk, and what deleting it from the pending list lets
-    go) and the log entries it may hold past the capacity, which are
-    the chunk's runs shorter than SLICE_FILL_UNITS, or at most
-    FOLD_CHUNK_RECORDS entries however long the runs are.  Turning the
-    new entries around at the end copies two blocks at a time."""
+    worth (or one record), into a full log of records that size peaks
+    above the state before the fold by no more than one chunk of
+    records: two lists of its fields while the chunk is taken off the
+    pending list (the chunk, and what deleting it lets go), then that
+    chunk and the log entries it may hold past the capacity, one per
+    record.  Turning the new entries around at the end copies two
+    blocks at a time."""
     capacity = _FULL_LOG
     dev = MtdDevice(FlashChip())
     gc.collect()
     tracemalloc.start()
     try:
         mon = attach(dev, MonitorConfig(log_capacity=capacity))
-        feed(mon, [("R", 0, 0, "app", capacity)])
+        feed(mon, [("R", units * i, i * 10**6, "app", units)
+                   for i in range(capacity // units)])
         assert len(mon.log) == capacity
         records = max(capacity // share // units, 1)
         feed(mon, [("W", units * i, (capacity + i) * 10**6, "app", units)
@@ -895,13 +967,15 @@ def test_a_fold_into_a_full_log_holds_one_chunk_past_it(units, share):
     finally:
         tracemalloc.stop()
     kept = capacity - records * units
-    assert bytes(mon.log.kinds) == b"R" * kept + b"W" * (records * units)
-    assert mon.log.addresses.tolist() == [*range(capacity - kept, capacity),
-                                          *range(records * units)]
-    entry = 8 + 4 + 1 + 4  # time, address, kind and task id columns
+    events = mon.events()
+    assert "".join(event.kind for event in events) == \
+        "R" * kept + "W" * (records * units)
+    assert [event.address for event in events] == \
+        [*range(capacity - kept, capacity), *range(records * units)]
+    entry = 8 + 4 + 4 + 1 + 4  # time, address, count, kind and task id
     chunk = min(records, FOLD_CHUNK_RECORDS)
-    past = chunk * units if units < SLICE_FILL_UNITS else FOLD_CHUNK_RECORDS
-    fold = past * entry + chunk * 2 * 8 * RECORD_FIELDS
+    fields = chunk * 8 * RECORD_FIELDS
+    fold = max(2 * fields, fields + chunk * entry)
     turn = 2 * FOLD_CHUNK_RECORDS * 8  # the time blocks the end swaps
     assert peak <= max(fold, turn) + 16 * 1024, (peak, fold, turn)
 
