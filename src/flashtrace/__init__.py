@@ -6,10 +6,11 @@ The layers, bottom up:
     nand       the chip: pages, blocks, latencies, wear, failure modes
     mtd        a two-level driver over the chip with probeable slots
     probes     function-entry hooks on driver slots
-    monitor    the tracer: spatial counters plus a bounded temporal log
+    monitor    the tracer: spatial counters plus a bounded temporal log,
+               its text and its plot rows
     ffs        simplified flash file system behavior models
     workloads  Postmark, a boot sequence, raw MTD tools
-    analysis   phase detection, wear spread, plot data
+    analysis   phase detection, wear spread, stats text
     config     INI scenario descriptions
     runner     scenario execution and the overhead harness
     cli        the flashtrace command

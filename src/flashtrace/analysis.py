@@ -19,12 +19,11 @@ in the kinds, so it does not anchor the gc phase.
 from __future__ import annotations
 
 import statistics
-from itertools import accumulate, chain, compress
+from itertools import accumulate
 from typing import NamedTuple, Sequence, Union
 
 from .ffs import BACKGROUND_TASK
-from .monitor import (EventRing, SpatialCounters, TraceEvent, clock_fields,
-                      expand_addresses, expand_times, format_time_ns)
+from .monitor import EventRing, SpatialCounters, TraceEvent, format_time_ns
 
 # A kind dominates a segment when 10 * its events >= 9 * the segment's
 # length: the 90% share, in integers.
@@ -36,10 +35,6 @@ KINDS = ("R", "W", "E")
 _CREATION_SCORE = {ord("W"): 10 - PHASE_DOMINANT_TENTHS,
                    ord("R"): -PHASE_DOMINANT_TENTHS,
                    ord("E"): -PHASE_DOMINANT_TENTHS}
-# Per kind, a translate table that maps its log codes to 1 and every
-# other byte to 0; a background write, "w", is a "W" row.
-_PLOT_MASKS = {kind: bytes(code in codes for code in range(256))
-               for kind, codes in (("R", b"R"), ("W", b"Ww"), ("E", b"E"))}
 
 
 class Phase(NamedTuple):
@@ -175,22 +170,3 @@ def render_stats(stats: TraceStats) -> str:
     lines.append(f"wear: min={wear.min_erases} max={wear.max_erases} "
                  f"mean={wear.mean_erases:.4f} stddev={wear.stddev_erases:.4f}")
     return "\n".join(lines) + "\n"
-
-
-def plot_rows(log: EventRing, kind: str):
-    """The ``kind`` series of the plot data, ready for generic plotting
-    tools: one ``<time> <address> <kind>`` line per unit of that kind
-    in ``log``, oldest first, as ASCII ``bytes``, one per chunk of
-    ``log.chunks()``.  Only that kind's entries are expanded."""
-    mask, row = _PLOT_MASKS[kind], b" %d " + kind.encode("ascii") + b"\n"
-    step = log.steps[ord(kind)]
-    for times, addresses, counts, kinds, _ in log.chunks():
-        picked = kinds.translate(mask)
-        counts = list(compress(counts, picked))
-        if counts:
-            times = expand_times(list(compress(times, picked)), counts,
-                                 [step] * len(counts))
-            stamp, clock = clock_fields(times)
-            yield (stamp + row) * len(times) % tuple(chain.from_iterable(zip(
-                *clock, expand_addresses(list(compress(addresses, picked)),
-                                         counts))))

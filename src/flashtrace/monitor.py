@@ -26,8 +26,10 @@ grows with the number of driver calls, not of pages.  The fold takes the
 list from its newest end, FOLD_CHUNK_RECORDS records at a time: it adds
 each record's units in scope to the per-block counters, a span of blocks
 as one slice, and keeps the record as one log entry, or lengthens the
-entry of the record before it when the record runs on from it.  There is
-no callback API; when the fold runs never changes what the views show.
+entry of the record before it when the record runs on from it.  The
+log takes the new entries oldest first, at the end of the fold, so it
+is always written in order.  There is no callback API; when the fold
+runs never changes what the views show.
 
 The temporal log is an ``EventRing``: the newest ``log_capacity`` units
 (pages or blocks), oldest first, one entry per request record (or per
@@ -55,6 +57,9 @@ format only the nanoseconds past it.  One chunk formatter,
 line, its kind and task name already in it, once per unit, so that only
 times and addresses are formatted per line.  ``write_temporal`` streams
 the chunks to a binary file; ``render_temporal`` decodes them once.
+``EventRing.plot_chunks`` writes the plot rows of one kind the same
+way, from that kind's entries alone, so the chunk layout is known to
+this module only.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat, starmap
+from itertools import accumulate, chain, compress, islice, repeat, starmap
 from operator import add, floordiv, getitem, mod, mul, sub
 from typing import BinaryIO, NamedTuple, Optional, Union
 
@@ -88,6 +93,10 @@ FOLD_CHUNK_RECORDS = 4096
 _BACKGROUND_WRITE = ord("w")  # a background task's write, read as "W"
 _READ_KINDS = bytes.maketrans(b"w", b"W")
 _KIND_BYTES = [bytes((code,)) for code in range(256)]
+# Per plot series, a translate table that maps its kind codes to 1 and
+# every other byte to 0; a background write, "w", is a "W" row.
+_PLOT_MASKS = {kind: bytes(code in codes for code in range(256))
+               for kind, codes in (("R", b"R"), ("W", b"Ww"), ("E", b"E"))}
 # control() commands that set the mode: command -> (mode, probes active).
 _MODES = {"start": ("running", True), "stop": ("stopped", False),
           "pause": ("paused", False)}
@@ -251,10 +260,9 @@ class EventRing:
         for column in self.columns:
             del column[:]
 
-    def drop_oldest(self, units: int) -> int:
+    def drop_oldest(self, units: int) -> None:
         """Drop the oldest ``units`` units: the entries they cover whole,
-        then the front units of the oldest entry kept.  Returns the
-        number of entries dropped whole."""
+        then the front units of the oldest entry kept."""
         self.units -= units
         # Each entry holds at least one unit, so the first ``units``
         # entries reach the first one kept.
@@ -267,7 +275,6 @@ class EventRing:
             self.times[0] += units * self.steps[self.kinds[0]]
             self.addresses[0] += units
             self.counts[0] -= units
-        return whole
 
     def __len__(self) -> int:
         return self.units
@@ -372,20 +379,24 @@ class EventRing:
                 map(lines.__getitem__, kinds) if tasks is None
                 else map(getitem, map(lines.__getitem__, kinds), tasks))
 
-
-def _reverse_from(column, start: int) -> None:
-    """Reverse ``column[start:]`` in place, swapping at most
-    FOLD_CHUNK_RECORDS entries from each end at a time."""
-    lo, hi = start, len(column)
-    while hi - lo > 1:
-        k = min(FOLD_CHUNK_RECORDS, (hi - lo) // 2)
-        head, tail = column[lo:lo + k], column[hi - k:hi]
-        head.reverse()
-        tail.reverse()
-        column[lo:lo + k], column[hi - k:hi] = tail, head
-        del head, tail  # before the next pair is copied
-        lo += k
-        hi -= k
+    def plot_chunks(self, kind: str):
+        """The ``kind`` (R, W or E) series of the plot data, ready for
+        generic plotting tools: one ``<time> <address> <kind>`` line per
+        unit of that kind, oldest first, as ASCII ``bytes``, one per
+        chunk of ``chunks()`` that holds any.  Only that kind's entries
+        are expanded."""
+        mask, row = _PLOT_MASKS[kind], b" %d " + kind.encode("ascii") + b"\n"
+        step = self.steps[ord(kind)]
+        for times, addresses, counts, kinds, _ in self.chunks():
+            picked = kinds.translate(mask)
+            counts = list(compress(counts, picked))
+            if counts:
+                times = expand_times(list(compress(times, picked)), counts,
+                                     [step] * len(counts))
+                stamp, clock = clock_fields(times)
+                yield (stamp + row) * len(times) % tuple(chain.from_iterable(
+                    zip(*clock, expand_addresses(
+                        list(compress(addresses, picked)), counts))))
 
 
 class SpatialCounters:
@@ -528,18 +539,17 @@ class FlashMonitor:
         record whose units end at the address and time where the entry
         staged just before it begins, with that entry's kind and task,
         lengthens that entry instead.  After each chunk the log drops
-        its oldest units past ``log_capacity``, then takes the staged
-        entries, so it holds at most one chunk's entries past it and its
-        columns do not grow past what they keep.  At the end the new
-        entries are turned around in place.
+        its oldest units past ``log_capacity`` and the staged entries are
+        kept, oldest first, so the log and the kept entries hold at most
+        one chunk's entries past it.  At the end the log takes the kept
+        entries, oldest chunk first.
         """
         pending = self._pending
         if not pending:
             return
         log = self._log
         spans, task_ids = self._spans, log.task_ids
-        # A chunk's new entries, appended to the log's columns once its
-        # oldest entries past the capacity are gone.
+        # A chunk's new entries, newest first, as they are walked.
         fresh = [column[:0] for column in log.columns]
         fresh_times, fresh_addresses, fresh_counts = fresh[:3]
         put_time, put_address, put_count, put_kind = (
@@ -547,7 +557,7 @@ class FlashMonitor:
         put_task = None if log.tasks is None else fresh[4].append
         capacity = room = log.capacity
         units = seen = 0  # the records' units, and those in scope
-        old = len(log.counts)  # entries before the new ones
+        stack = []  # per chunk walked, its new entries oldest first
         chunk_slots = FOLD_CHUNK_RECORDS * RECORD_FIELDS
         while pending:
             fields = pending[-chunk_slots:]
@@ -603,15 +613,16 @@ class FlashMonitor:
                         next_kind, next_task = kind, raw_task
                     next_address = lo
             if log.units > room:  # only old units: the new ones fit
-                old -= log.drop_oldest(log.units - room)
-            for column, entries in zip(log.columns, fresh):
-                column.extend(entries)
+                log.drop_oldest(log.units - room)
+            stack.append([entries[::-1] for entries in fresh])
+            for entries in fresh:
                 del entries[:]
+        while stack:  # the oldest chunk walked last
+            for column, entries in zip(log.columns, stack.pop()):
+                column.extend(entries)
         self._filtered += units - seen
         log.total_inserted += seen
         log.units += capacity - room
-        for column in log.columns:
-            _reverse_from(column, old)
 
     # -- control and state -----------------------------------------------
 

@@ -46,24 +46,19 @@ class FunctionSlot:
     """One named entry in the driver stack.
 
     A lower slot's ``target`` is the chip's range operation of its kind;
-    an upper slot has none.  ``exposes_address`` records whether a probe
-    on this slot can learn per-call addresses from the call itself;
-    legacy lower slots cannot.  ``probe_fn`` is managed by the probe
+    an upper slot has none.  ``probe_fn`` is managed by the probe
     registry: the currently active handler (or None), called with the
     record ``(kind, address, time_ns, task_name, count)``.  ``step_ns``
     is the clock advance of one unit of a lower slot's kind;
     ``_dispatch`` counts a failing call's units tried with it.
     """
 
-    __slots__ = ("name", "kind", "target", "exposes_address", "probe_fn",
-                 "step_ns")
+    __slots__ = ("name", "kind", "target", "probe_fn", "step_ns")
 
-    def __init__(self, name: str, kind: str, target=None,
-                 exposes_address: bool = True, step_ns: int = 0):
+    def __init__(self, name: str, kind: str, target=None, step_ns: int = 0):
         self.name = name
         self.kind = kind
         self.target = target
-        self.exposes_address = exposes_address
         self.probe_fn = None
         self.step_ns = step_ns
 
@@ -119,16 +114,16 @@ class MtdDevice:
 
     def __init__(self, chip: FlashChip, legacy: bool = False):
         self.chip = chip
+        self.legacy = legacy
         self.partitions: list[Partition] = []
         self.current_task = ""
-        meta = not legacy
         latency = chip.latency
-        read = FunctionSlot("lower.read_page", "R", chip.read_pages, meta,
+        read = FunctionSlot("lower.read_page", "R", chip.read_pages,
                             latency.read_ns)
-        write = FunctionSlot("lower.write_page", "W", chip.write_pages, meta,
+        write = FunctionSlot("lower.write_page", "W", chip.write_pages,
                              latency.write_ns)
         erase = FunctionSlot("lower.erase_block", "E", chip.erase_blocks,
-                             meta, latency.erase_ns)
+                             latency.erase_ns)
         upper_read = FunctionSlot("upper.read", "R")
         upper_write = FunctionSlot("upper.write", "W")
         upper_erase = FunctionSlot("upper.erase", "E")
@@ -196,18 +191,15 @@ class MtdDevice:
         try:
             lower.target(start, count)
         except FlashError:
+            done = (self.chip.clock_ns - record[2]) // lower.step_ns
+            record = record[:4] + (done + 1,)
+            raise
+        finally:
             if fn is not None:
-                done = (self.chip.clock_ns - record[2]) // lower.step_ns
                 try:
-                    fn(record[:4] + (done + 1,))
+                    fn(record)
                 except Exception:
                     self.hooks.handler_errors += 1
-            raise
-        if fn is not None:
-            try:
-                fn(record)
-            except Exception:
-                self.hooks.handler_errors += 1
         return record
 
     # -- public operation entry points -----------------------------------
@@ -260,8 +252,8 @@ class MtdDevice:
     # -- probe-target resolution (the function finder) -------------------
 
     def resolve_probe_targets(self) -> ProbeTargetReport:
-        """The lower slots if every one of them exposes addresses, else
-        the upper slots as a fallback."""
-        if all(self._slots[name].exposes_address for name in LOWER_SLOTS):
-            return ProbeTargetReport(*LOWER_SLOTS, fallback_used=False)
-        return ProbeTargetReport(*UPPER_SLOTS, fallback_used=True)
+        """The lower slots, unless the device is legacy: its lower slots
+        carry no address metadata, so the upper slots are the fallback."""
+        if self.legacy:
+            return ProbeTargetReport(*UPPER_SLOTS, fallback_used=True)
+        return ProbeTargetReport(*LOWER_SLOTS, fallback_used=False)

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .analysis import KINDS, TraceStats, plot_rows, render_stats, trace_stats
+from .analysis import KINDS, TraceStats, render_stats, trace_stats
 from .config import ScenarioSpec
 from .ffs import FfsError, FlashFs, flavor_config
 from .monitor import FlashMonitor, MonitorConfig, attach
@@ -129,8 +129,6 @@ def _run_custom(spec: ScenarioSpec, dev: MtdDevice,
                 created.append(name)
             elif created:
                 fs.read_file(created[step % len(created)], 0, nbytes)
-            elif "rootfs" in fs.files:
-                fs.read_file("rootfs", 0, nbytes)
     _drain(fs)
     fs.unmount()
     return ScenarioResult(dev, monitor, None)
@@ -176,7 +174,7 @@ def write_plot_data(spec: ScenarioSpec, result: ScenarioResult) -> list[str]:
     for kind in KINDS:
         name = f"plot_{kind}.txt"
         with open(out_dir / name, "wb") as out:
-            out.writelines(plot_rows(log, kind))
+            out.writelines(log.plot_chunks(kind))
         written.append(name)
     return written
 

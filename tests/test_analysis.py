@@ -8,7 +8,6 @@ from flashtrace import (BACKGROUND_TASK, PHASE_MIN_EVENTS, FlashChip,
                         MonitorConfig, MtdDevice, Phase, SpatialCounters,
                         TraceEvent, attach, detect_phases, render_stats,
                         trace_stats, wear_report)
-from flashtrace.analysis import plot_rows
 
 from conftest import feed
 
@@ -321,7 +320,7 @@ class TestRenderStats:
 def plot_series(events):
     """The plot files' text per kind, written from a log of ``events``."""
     log = ring_of(events, max(len(events), 1))
-    return {kind: b"".join(plot_rows(log, kind)).decode("ascii")
+    return {kind: b"".join(log.plot_chunks(kind)).decode("ascii")
             for kind in "RWE"}
 
 

@@ -25,7 +25,6 @@ from flashtrace import (BACKGROUND_TASK, AlreadyAttachedError,
                         raw_erase, raw_read, raw_write, run_scenario,
                         truncate_task_name)
 from flashtrace import monitor
-from flashtrace.analysis import plot_rows
 from flashtrace.config import ScenarioSpec, default_spec
 from flashtrace.mtd import LOWER_SLOTS, UPPER_SLOTS
 from flashtrace.monitor import (FOLD_CHUNK_RECORDS, NS_PER_SECOND,
@@ -722,7 +721,7 @@ def test_plot_rows_match_the_reference_rows(task_names, case):
     mon, events = _rendered_log(task_names, case)
     expected = emit_plot_data(events)
     for kind in "RWE":
-        rows = b"".join(plot_rows(mon.log, kind)).decode("ascii")
+        rows = b"".join(mon.log.plot_chunks(kind)).decode("ascii")
         assert rows.splitlines(True) == expected[kind].splitlines(True)
 
 
@@ -945,8 +944,7 @@ def test_a_fold_into_a_full_log_holds_one_chunk_past_it(units, share):
     records: two lists of its fields while the chunk is taken off the
     pending list (the chunk, and what deleting it lets go), then that
     chunk and the log entries it may hold past the capacity, one per
-    record.  Turning the new entries around at the end copies two
-    blocks at a time."""
+    record."""
     capacity = _FULL_LOG
     dev = MtdDevice(FlashChip())
     gc.collect()
@@ -976,8 +974,7 @@ def test_a_fold_into_a_full_log_holds_one_chunk_past_it(units, share):
     chunk = min(records, FOLD_CHUNK_RECORDS)
     fields = chunk * 8 * RECORD_FIELDS
     fold = max(2 * fields, fields + chunk * entry)
-    turn = 2 * FOLD_CHUNK_RECORDS * 8  # the time blocks the end swaps
-    assert peak <= max(fold, turn) + 16 * 1024, (peak, fold, turn)
+    assert peak <= fold + 16 * 1024, (peak, fold)
 
 
 def test_a_device_and_its_monitor_are_freed_by_reference_counting():

@@ -31,9 +31,9 @@ class TestSlots:
             dev.slot("middle.read")
 
     def test_lower_slots_expose_addresses(self, dev):
-        assert all(dev.slot(n).exposes_address for n in LOWER_SLOTS)
+        assert dev.resolve_probe_targets()[:3] == LOWER_SLOTS
         legacy = MtdDevice(FlashChip(SMALL), legacy=True)
-        assert not any(legacy.slot(n).exposes_address for n in LOWER_SLOTS)
+        assert legacy.resolve_probe_targets()[:3] == UPPER_SLOTS
 
 
 class TestChunking:
