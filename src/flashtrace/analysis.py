@@ -1,29 +1,32 @@
 """Trace statistics: per-kind totals, phase detection, wear spread.
 
-Phase detection segments a time-ordered event list into the regions a
+Phase detection segments a monitor's time-ordered log into the regions a
 person would mark up on a trace plot: a leading all-read scan, a
 formatting erase burst right after it, a write-dominated creation
 region, a mixed transaction region, and a trailing erase-dominated
 garbage collection region.  The 90% dominance share and the 8-event
 minimum segment length are tuning constants, not measured quantities.
 
-One routine finds the phases, from the log's kinds as ASCII bytes (so
-the scans are ``bytes`` methods), one per event.  From a monitor's
-``EventRing`` the kinds are expanded from its entries, each entry's
-code repeated once per unit, and a phase's first and last times are
-read from the entries that hold those events; a list of
-``TraceEvent``s is converted.  A write by the background task is ``w``
-in the kinds, so it does not anchor the gc phase.
+One routine finds the phases, from a monitor's ``EventRing``, per entry:
+it never expands an entry to its units.  The scan and format lengths
+are sums of the leading entries' counts; the creation test's running
+score moves one way within an entry, so where it last stays
+non-negative is solved inside the entry; a kind's share of a phase is a
+count-weighted sum; and a phase's first and last times are read from
+the entries that hold those events.  A write by the background task is
+``w`` in the kinds, so it does not anchor the gc phase.
 """
 
 from __future__ import annotations
 
 import statistics
-from itertools import accumulate
-from typing import NamedTuple, Sequence, Union
+from array import array
+from bisect import bisect_right
+from itertools import accumulate, compress
+from operator import mul
+from typing import NamedTuple
 
-from .ffs import BACKGROUND_TASK
-from .monitor import EventRing, SpatialCounters, TraceEvent, format_time_ns
+from .monitor import KIND_MASKS, EventRing, SpatialCounters, format_time_ns
 
 # A kind dominates a segment when 10 * its events >= 9 * the segment's
 # length: the 90% share, in integers.
@@ -31,10 +34,11 @@ PHASE_DOMINANT_TENTHS = 9
 PHASE_MIN_EVENTS = 8
 
 KINDS = ("R", "W", "E")
-# Each event's term in 10 * writes - 9 * length, the creation test.
-_CREATION_SCORE = {ord("W"): 10 - PHASE_DOMINANT_TENTHS,
-                   ord("R"): -PHASE_DOMINANT_TENTHS,
-                   ord("E"): -PHASE_DOMINANT_TENTHS}
+# Each event's term in 10 * writes - 9 * length, the creation test, as a
+# signed byte per kind code; a background write, "w", is a write.
+_CREATION_SCORES = bytes(
+    (10 - PHASE_DOMINANT_TENTHS if code in b"Ww" else -PHASE_DOMINANT_TENTHS)
+    & 0xFF for code in range(256))
 
 
 class Phase(NamedTuple):
@@ -61,67 +65,82 @@ class TraceStats(NamedTuple):
     wear: WearSpread
 
 
-def detect_phases(events: Union[Sequence[TraceEvent], EventRing]) -> list[Phase]:
-    """Split a time-ordered log into labeled, gap-free segments.
+def detect_phases(log: EventRing) -> list[Phase]:
+    """Split a monitor's log into labeled, gap-free segments.
 
-    ``events`` is a sequence of ``TraceEvent``s or a monitor's log.  The
-    returned phases are time ordered, never overlap, and their event
+    The returned phases are time ordered, never overlap, and their event
     counts sum to the log length.
     """
-    if isinstance(events, EventRing):
-        kinds = events.unit_kinds()
-    else:
-        kinds = "".join(["w" if event.kind == "W"
-                         and event.task_name == BACKGROUND_TASK
-                         else event.kind for event in events]).encode("ascii")
-    n = len(kinds)
+    kinds, counts = log.kinds, log.counts
+    n, m = len(log), len(kinds)
+    starts = array("q", accumulate(counts, initial=0))  # per entry, and n
     bounds: list[tuple] = []  # (label, first, end, dominant)
 
-    def add(label: str, lo: int, hi: int, dominant: str) -> None:
+    def mark(label: str, lo: int, hi: int, dominant: str) -> None:
         bounds.append((label, lo, hi, dominant))
 
+    def units(kind: str, first: int, last: int, skip: int = 0) -> int:
+        """The units of ``kind`` in entries [first, last), less the
+        first ``skip`` units of the first."""
+        ours = kinds[first:last].translate(KIND_MASKS[kind])
+        return sum(compress(counts[first:last], ours)) - (
+            skip if skip and ours[0] else 0)
+
     # Leading all-read region: a mount scan, and a contiguous erase run
-    # right after it: first-mount format.
-    i = 0
-    scan = n - len(kinds.lstrip(b"R"))
-    if scan >= PHASE_MIN_EVENTS:
-        add("scan", 0, scan, "R")
-        i = n - len(kinds[scan:].lstrip(b"E"))
-        if i > scan:
-            add("format", scan, i, "E")
+    # right after it: first-mount format.  Both are whole entries; the
+    # phases go on at unit i, the first of entry e.
+    e = i = 0
+    reads = m - len(kinds.lstrip(b"R"))
+    if starts[reads] >= PHASE_MIN_EVENTS:
+        i = starts[reads]
+        mark("scan", 0, i, "R")
+        e = m - len(kinds[reads:].lstrip(b"E"))
+        if e > reads:
+            mark("format", i, starts[e], "E")
+            i = starts[e]
 
     # Trailing erase-dominated region after the last foreground write:
     # garbage collection.  Past it, a background write is any write.
-    candidate = max(kinds.rfind(b"W", i) + 1, i)
-    kinds = kinds.replace(b"w", b"W")
-    tail_start = n
-    if n - candidate >= PHASE_MIN_EVENTS and (
-            10 * kinds.count(b"E", candidate)
-            >= PHASE_DOMINANT_TENTHS * (n - candidate)):
-        tail_start = candidate
+    tail = kinds.rfind(b"W", e) + 1 or e  # its first entry
+    tail_start = starts[tail]
+    if not (n - tail_start >= PHASE_MIN_EVENTS and (
+            10 * units("E", tail, m)
+            >= PHASE_DOMINANT_TENTHS * (n - tail_start))):
+        tail, tail_start = m, n
 
     # Middle: the longest write-dominated prefix (at least the minimum
-    # length) is creation; the rest is the transaction mix.  Prefix k
-    # is write-dominated when its running score is >= 0.
+    # length) is creation; the rest is the transaction mix.  Prefix k is
+    # write-dominated when its running score is >= 0.  A write entry
+    # raises the score and any other lowers it, so the longest such
+    # prefix takes the entries up to the last one after which the score
+    # is >= 0, and then the units of the entry after those, a read or
+    # erase entry, while the score stays >= 0.
     if tail_start > i:
-        dominated = bytes(map((0).__le__, accumulate(
-            map(_CREATION_SCORE.__getitem__, kinds[i:tail_start]))))
-        best = dominated.rfind(1) + 1
+        scores = array("b", kinds[e:tail].translate(_CREATION_SCORES))
+        # The score after each count of whole entries, from none.
+        after = list(accumulate(map(mul, counts[e:tail], scores), initial=0))
+        whole = bytes(map((0).__le__, after)).rfind(1)
+        best = starts[e + whole] - i
+        if e + whole < tail:
+            best += after[whole] // PHASE_DOMINANT_TENTHS
         if best >= PHASE_MIN_EVENTS:
-            add("creation", i, i + best, "W")
+            mark("creation", i, i + best, "W")
             i += best
         if tail_start > i:
-            add("transactions", i, tail_start,
-                max(KINDS, key=lambda kind: kinds.count(kind.encode(), i,
-                                                        tail_start)))
+            first = bisect_right(starts, i) - 1  # the entry unit i is in
+            skip = i - starts[first]
+            mark("transactions", i, tail_start,
+                max(KINDS, key=lambda kind: units(kind, first, tail, skip)))
 
     if tail_start < n:
-        add("gc", tail_start, n, "E")
+        mark("gc", tail_start, n, "E")
+
+    def time_of(unit: int) -> int:
+        e = bisect_right(starts, unit) - 1
+        return log.times[e] + (unit - starts[e]) * log.steps[kinds[e]]
+
     # A phase's times are those of its first and last events.
-    edges = [i for _, lo, hi, _ in bounds for i in (lo, hi - 1)]
-    times = iter(events.unit_times(edges) if isinstance(events, EventRing)
-                 else [events[i].time_ns for i in edges])
-    return [Phase(label, next(times), next(times), dominant, hi - lo)
+    return [Phase(label, time_of(lo), time_of(hi - 1), dominant, hi - lo)
             for label, lo, hi, dominant in bounds]
 
 
@@ -134,16 +153,14 @@ def wear_report(counters: SpatialCounters) -> WearSpread:
                       statistics.fmean(erases), statistics.pstdev(erases))
 
 
-def trace_stats(events: Union[Sequence[TraceEvent], EventRing],
-                counters: SpatialCounters) -> TraceStats:
+def trace_stats(log: EventRing, counters: SpatialCounters) -> TraceStats:
     """Per-kind totals come from the counters (they never overflow);
-    phases come from the log, a ``TraceEvent`` sequence or a monitor's
-    ``EventRing``."""
+    phases come from the monitor's log."""
     reads, writes, erases = counters.sums()
     per_block = tuple(zip(counters.reads, counters.writes, counters.erases))
     return TraceStats(reads, writes, erases,
                       (counters.first_block, per_block),
-                      tuple(detect_phases(events)),
+                      tuple(detect_phases(log)),
                       wear_report(counters))
 
 

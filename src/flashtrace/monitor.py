@@ -44,22 +44,24 @@ full, the oldest entry loses its front units.  A write by the file
 system's background task is stored as kind ``w`` (read back as ``W``),
 so phase detection can tell it apart without a task column.
 
-Every reader expands entries to units a chunk at a time, with C-level
-iterators, and never expands an entry past the chunk:
+Readers that write units work a chunk at a time, per entry, with
+C-level iterators, and never expand an entry past the chunk:
 ``EventRing.chunks`` gives the columns of each chunk's entries, and a
-reader expands only the entries it needs.  A chunk holds at most
+reader takes only the entries it needs.  A chunk holds at most
 ``TEMPORAL_CHUNK_LINES`` units and ends at the first unit of the next
 second (found from the entries) when that leaves it at least
 ``TEMPORAL_CHUNK_LINES // 8``, so most chunks fall within one second and
-format only the nanoseconds past it.  One chunk formatter,
-``format_entries``, writes every temporal line as UTF-8 bytes: one
-``bytes`` ``%`` format per chunk, whose template repeats each entry's
-line, its kind and task name already in it, once per unit, so that only
-times and addresses are formatted per line.  ``write_temporal`` streams
-the chunks to a binary file; ``render_temporal`` decodes them once.
-``EventRing.plot_chunks`` writes the plot rows of one kind the same
-way, from that kind's entries alone, so the chunk layout is known to
-this module only.
+format only the nanoseconds past it.  Every temporal line is written as
+UTF-8 bytes by one ``bytes`` ``%`` format per chunk, whose template
+repeats each entry's line, its kind and task name already in it, once
+per unit; its values are one list that ``line_values`` fills from the
+entries, each entry's clock and addresses a ``range`` (``unit_runs``).
+``write_temporal`` streams the chunks to a binary file;
+``render_temporal`` decodes them once.  ``EventRing.plot_chunks`` writes
+the plot rows of one kind the same way, from that kind's entries alone,
+so the chunk layout is known to this module only.  Phase detection
+(``analysis.detect_phases``) reads the entries' kinds and counts and
+expands no unit.
 """
 
 from __future__ import annotations
@@ -93,9 +95,9 @@ FOLD_CHUNK_RECORDS = 4096
 _BACKGROUND_WRITE = ord("w")  # a background task's write, read as "W"
 _READ_KINDS = bytes.maketrans(b"w", b"W")
 _KIND_BYTES = [bytes((code,)) for code in range(256)]
-# Per plot series, a translate table that maps its kind codes to 1 and
-# every other byte to 0; a background write, "w", is a "W" row.
-_PLOT_MASKS = {kind: bytes(code in codes for code in range(256))
+# Per kind, a translate table that maps its kind codes to 1 and every
+# other byte to 0; a background write, "w", is a "W".
+KIND_MASKS = {kind: bytes(code in codes for code in range(256))
                for kind, codes in (("R", b"R"), ("W", b"Ww"), ("E", b"E"))}
 # control() commands that set the mode: command -> (mode, probes active).
 _MODES = {"start": ("running", True), "stop": ("stopped", False),
@@ -145,52 +147,39 @@ def parse_time(text: str) -> int:
     return int(seconds) * NS_PER_SECOND + int(fraction)
 
 
-def clock_fields(times) -> tuple:
-    """The time of each of the non-empty ``times`` as format_time_ns
-    prints it: a ``bytes`` template part and the columns it formats.
-    When all of ``times`` fall within one second, that second is part
-    of the template and only the nanoseconds past it are formatted."""
-    seconds = min(times) // NS_PER_SECOND
-    if max(times) // NS_PER_SECOND == seconds:
-        return (b"%d.%%09d" % seconds,
-                (map(sub, times, repeat(seconds * NS_PER_SECOND)),))
-    return (b"%d.%09d", (map(floordiv, times, repeat(NS_PER_SECOND)),
-                         map(mod, times, repeat(NS_PER_SECOND))))
+def unit_runs(starts, counts, steps):
+    """An iterator over the values of entries' units: per entry
+    ``count`` values from ``start``, ``step`` apart.  ``starts`` is a
+    sequence; ``steps`` is a sequence or ``repeat(step)``."""
+    return chain.from_iterable(map(range, starts, map(
+        add, starts, map(mul, counts, steps)), steps))
 
 
-def expand_kinds(kinds, counts) -> bytes:
-    """The kind code of each unit of entries with these kind codes and
-    unit counts."""
-    return b"".join(map(mul, map(_KIND_BYTES.__getitem__, kinds), counts))
-
-
-def expand_times(times, counts, steps):
-    """The time of each unit of entries with these first times, unit
-    counts and steps (sequences): a ``range`` for one entry, a list for
-    more."""
-    if len(counts) == 1:
-        return range(times[0], times[0] + counts[0] * steps[0], steps[0])
-    return list(chain.from_iterable(map(
-        range, times, map(add, times, map(mul, counts, steps)), steps)))
-
-
-def expand_addresses(addresses, counts):
-    """An iterator over the address of each unit of entries with these
-    first addresses and unit counts."""
-    return chain.from_iterable(map(range, addresses,
-                                   map(add, addresses, counts)))
-
-
-def format_entries(times, addresses, counts, lines) -> bytes:
-    """The temporal log lines of entries, in order, as UTF-8.  ``times``
-    holds the time in ns of each of their units, a non-empty sequence;
-    ``addresses``, ``counts`` and ``lines`` hold per entry its first
-    address, its unit count and the text of each of its lines after the
-    time: ``;<R|W|E>;%d``, then ``;<task>`` with any ``%`` doubled when
-    task names are on, and a newline."""
-    stamp, clock = clock_fields(times)
-    return b"".join(map(mul, map(add, repeat(stamp), lines), counts)) % tuple(
-        chain.from_iterable(zip(*clock, expand_addresses(addresses, counts))))
+def line_values(times, addresses, counts, steps) -> tuple:
+    """The ``%`` values of the lines of a chunk's entries, from their
+    first times, first addresses, unit counts and steps (non-empty
+    sequences): a ``bytes`` template part for the clock and one list
+    that holds, per unit in order, its clock fields and its address.
+    When every unit falls within the second of the earliest, that second
+    is part of the template and only the nanoseconds past it are
+    formatted, as one range per entry."""
+    second = min(times) // NS_PER_SECOND
+    lasts = map(add, times, map(mul, map(sub, counts, repeat(1)), steps))
+    units = sum(counts)
+    if max(lasts) // NS_PER_SECOND == second:
+        stamp, width = b"%d.%%09d" % second, 2
+        values = [0] * (2 * units)
+        values[::2] = unit_runs(
+            list(map(sub, times, repeat(second * NS_PER_SECOND))),
+            counts, steps)
+    else:  # each unit's second and the nanoseconds past it
+        stamp, width = b"%d.%09d", 3
+        values = [0] * (3 * units)
+        clock = list(unit_runs(times, counts, steps))
+        values[::3] = map(floordiv, clock, repeat(NS_PER_SECOND))
+        values[1::3] = map(mod, clock, repeat(NS_PER_SECOND))
+    values[width - 1::width] = unit_runs(addresses, counts, repeat(1))
+    return stamp, values
 
 
 def parse_temporal(text: str) -> list[TraceEvent]:
@@ -285,15 +274,16 @@ class EventRing:
         names = list(map(truncate_task_name, self.task_ids))
 
         def events(times, addresses, counts, kinds, tasks):
-            times = expand_times(times, counts,
-                                 list(map(self.steps.__getitem__, kinds)))
-            kinds = expand_kinds(kinds, counts).decode("ascii")
+            times = unit_runs(times, counts,
+                              list(map(self.steps.__getitem__, kinds)))
+            kinds = b"".join(map(mul, map(_KIND_BYTES.__getitem__, kinds),
+                                 counts)).decode("ascii")
             # Without task names, a background write still names its task.
             tasks = (map({"w": BACKGROUND_TASK}.get, kinds, repeat(""))
                      if tasks is None else chain.from_iterable(
                          map(repeat, map(names.__getitem__, tasks), counts)))
             return zip(times, kinds.replace("w", "W"),
-                       expand_addresses(addresses, counts), tasks)
+                       unit_runs(addresses, counts, repeat(1)), tasks)
         return chain.from_iterable(starmap(events, self.chunks()))
 
     def chunks(self):
@@ -342,28 +332,15 @@ class EventRing:
         return (times, addresses, counts, kinds,
                 None if self.tasks is None else self.tasks[first:last])
 
-    def unit_kinds(self) -> bytearray:
-        """The kind code of every unit, oldest first, expanded
-        TEMPORAL_CHUNK_LINES entries at a time."""
-        kinds = bytearray()
-        for lo in range(0, len(self.counts), TEMPORAL_CHUNK_LINES):
-            hi = lo + TEMPORAL_CHUNK_LINES
-            kinds += expand_kinds(self.kinds[lo:hi], self.counts[lo:hi])
-        return kinds
-
-    def unit_times(self, indexes) -> list[int]:
-        """The times of the units at ``indexes``, each read from the
-        entry that holds it."""
-        ends = array("q", accumulate(self.counts))
-        return [self._entries(ends, i, i + 1)[0][0] for i in indexes]
-
     def text_chunks(self):
         """The temporal log lines as UTF-8, oldest first, one ``bytes``
         per chunk of ``chunks()``, each entry's lines from one template
         of its kind and task."""
         names = [truncate_task_name(name).encode("utf-8").replace(b"%", b"%%")
                  for name in self.task_ids]
-        # Per kind code, what follows the time in a line (format_entries).
+        # Per kind code, what follows the time in a line: ``;<R|W|E>;%d``,
+        # then ``;<task>`` with any ``%`` doubled when task names are on,
+        # and a newline.
         lines = {code: b";%s;%%d" % _KIND_BYTES[code].translate(_READ_KINDS)
                  for code in self.steps}
         if self.tasks is None:
@@ -372,12 +349,13 @@ class EventRing:
             lines = {code: [line + b";" + name + b"\n" for name in names]
                      for code, line in lines.items()}
         for times, addresses, counts, kinds, tasks in self.chunks():
-            yield format_entries(
-                expand_times(times, counts,
-                             list(map(self.steps.__getitem__, kinds))),
-                addresses, counts,
-                map(lines.__getitem__, kinds) if tasks is None
-                else map(getitem, map(lines.__getitem__, kinds), tasks))
+            stamp, values = line_values(
+                times, addresses, counts,
+                list(map(self.steps.__getitem__, kinds)))
+            lines_of = (map(lines.__getitem__, kinds) if tasks is None else
+                        map(getitem, map(lines.__getitem__, kinds), tasks))
+            yield b"".join(map(mul, map(add, repeat(stamp), lines_of),
+                               counts)) % tuple(values)
 
     def plot_chunks(self, kind: str):
         """The ``kind`` (R, W or E) series of the plot data, ready for
@@ -385,18 +363,17 @@ class EventRing:
         unit of that kind, oldest first, as ASCII ``bytes``, one per
         chunk of ``chunks()`` that holds any.  Only that kind's entries
         are expanded."""
-        mask, row = _PLOT_MASKS[kind], b" %d " + kind.encode("ascii") + b"\n"
+        mask, row = KIND_MASKS[kind], b" %d " + kind.encode("ascii") + b"\n"
         step = self.steps[ord(kind)]
         for times, addresses, counts, kinds, _ in self.chunks():
             picked = kinds.translate(mask)
             counts = list(compress(counts, picked))
             if counts:
-                times = expand_times(list(compress(times, picked)), counts,
-                                     [step] * len(counts))
-                stamp, clock = clock_fields(times)
-                yield (stamp + row) * len(times) % tuple(chain.from_iterable(
-                    zip(*clock, expand_addresses(
-                        list(compress(addresses, picked)), counts))))
+                stamp, values = line_values(
+                    list(compress(times, picked)),
+                    list(compress(addresses, picked)), counts,
+                    [step] * len(counts))
+                yield (stamp + row) * sum(counts) % tuple(values)
 
 
 class SpatialCounters:
@@ -651,13 +628,14 @@ class FlashMonitor:
 
     def health(self) -> dict:
         """The monitor's own counters: events recorded, units filtered out
-        of the traced scope, events the ring overwrote, and exceptions
-        raised by the device's probe handlers."""
+        of the traced scope, events the ring overwrote, exceptions raised
+        by the device's probe handlers, and the entries the log holds."""
         log = self.log
         return {"events": log.total_inserted,
                 "filtered": self._filtered,
                 "overwritten": log.total_inserted - len(log),
-                "handler_errors": self.dev.hooks.handler_errors}
+                "handler_errors": self.dev.hooks.handler_errors,
+                "log_entries": len(log.counts)}
 
     def control(self, command: str) -> None:
         self._require_attached()

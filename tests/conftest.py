@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from flashtrace import FlashChip, FlashGeometry, LatencyModel, MtdDevice
-from flashtrace.monitor import RECORD_FIELDS, format_entries, format_time_ns
+from flashtrace.monitor import RECORD_FIELDS, EventRing, format_time_ns
 
 # A small chip keeps property tests fast; pages_per_block must stay a
 # multiple of 32.
@@ -58,16 +58,19 @@ def pending_records(mon) -> int:
 
 
 def format_events(events, with_task: bool) -> str:
-    """The temporal log lines of ``events``, in order, formatted by the
-    chunk formatter with each event as an entry of one unit."""
-    if not events:
-        return ""
-    times, kinds, addresses, tasks = zip(*events)
-    lines = [(f";{kind};%d" + (";" + task.replace("%", "%%") if with_task
-                               else "") + "\n").encode("utf-8")
-             for kind, task in zip(kinds, tasks)]
-    return format_entries(times, addresses, [1] * len(events),
-                          lines).decode("utf-8")
+    """The temporal log lines of ``events``, in order, written by the
+    log's chunk formatter from a log that holds each event as an entry
+    of one unit."""
+    log = EventRing(len(events), with_task, dict.fromkeys(b"RWE", 1))
+    for time_ns, kind, address, task in events:
+        log.times.append(time_ns)
+        log.addresses.append(address)
+        log.counts.append(1)
+        log.kinds.append(ord(kind))
+        if with_task:
+            log.tasks.append(log.task_ids.setdefault(task, len(log.task_ids)))
+    log.units = len(events)
+    return b"".join(log.text_chunks()).decode("utf-8")
 
 
 def emit_plot_data(events) -> dict:

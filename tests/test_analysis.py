@@ -1,13 +1,16 @@
 """Phase detection, wear spread, and the stats/plot renderers."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashtrace import (BACKGROUND_TASK, PHASE_MIN_EVENTS, FlashChip,
-                        MonitorConfig, MtdDevice, Phase, SpatialCounters,
-                        TraceEvent, attach, detect_phases, render_stats,
-                        trace_stats, wear_report)
+                        LatencyModel, MonitorConfig, MtdDevice, Phase,
+                        SpatialCounters, TraceEvent, attach, detect_phases,
+                        render_stats, trace_stats, wear_report)
 
 from conftest import feed
 
@@ -21,6 +24,11 @@ def stream(spec):
         kind, task = (item, "app") if isinstance(item, str) else item
         events.append(TraceEvent(i * STEP, kind, i % 64, task))
     return events
+
+
+def log_of(events):
+    """A monitor log that holds all of ``events`` (see ring_of)."""
+    return ring_of(events, max(len(events), 1))
 
 
 def labels(phases):
@@ -41,11 +49,11 @@ def check_partition(events, phases):
 
 class TestDetectPhases:
     def test_empty_log(self):
-        assert detect_phases([]) == []
+        assert detect_phases(log_of([])) == []
 
     def test_pure_scan(self):
         events = stream("R" * 10)
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert labels(phases) == ["scan"]
         assert phases[0].dominant == "R"
         assert phases[0].n_events == 10
@@ -53,13 +61,13 @@ class TestDetectPhases:
 
     def test_short_read_run_is_not_a_scan(self):
         events = stream("R" * (PHASE_MIN_EVENTS - 1))
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert labels(phases) == ["transactions"]
         check_partition(events, phases)
 
     def test_scan_then_format_then_mix(self):
         events = stream("R" * 100 + "E" * 50 + "RWRWWRWR" * 5 + "W")
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert labels(phases) == ["scan", "format", "transactions"]
         assert [p.n_events for p in phases] == [100, 50, 41]
         assert [p.dominant for p in phases] == ["R", "E", "W"]
@@ -67,7 +75,7 @@ class TestDetectPhases:
 
     def test_format_requires_a_scan_before_it(self):
         events = stream("E" * 20 + "RW" * 10)
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert "format" not in labels(phases)
         check_partition(events, phases)
 
@@ -76,14 +84,14 @@ class TestDetectPhases:
         # the dominance bound through 3 trailing reads (30/33), so the
         # creation phase claims exactly 33 events.
         events = stream("R" * 20 + "W" * 30 + "R" * 10 + "WR" * 10 + "W")
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert labels(phases) == ["scan", "creation", "transactions"]
         assert phases[1].n_events == 33
         check_partition(events, phases)
 
     def test_trailing_erases_are_gc(self):
         events = stream("W" * 20 + "E" * 12)
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert labels(phases) == ["creation", "gc"]
         assert phases[-1].dominant == "E"
         assert phases[-1].n_events == 12
@@ -92,20 +100,20 @@ class TestDetectPhases:
     def test_background_writes_do_not_anchor_the_tail(self):
         tail = ["E"] * 4 + [("W", BACKGROUND_TASK)] + ["E"] * 5
         events = stream(["W"] * 20 + tail)
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert labels(phases)[-1] == "gc"
         assert phases[-1].n_events == 10  # relocation write included
         check_partition(events, phases)
 
     def test_foreground_write_in_the_tail_blocks_gc(self):
         events = stream("W" * 20 + "E" * 4 + "W" + "E" * 3)
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert "gc" not in labels(phases)
         check_partition(events, phases)
 
     def test_short_erase_tail_is_not_gc(self):
         events = stream("W" * 20 + "E" * (PHASE_MIN_EVENTS - 1))
-        phases = detect_phases(events)
+        phases = detect_phases(log_of(events))
         assert "gc" not in labels(phases)
         check_partition(events, phases)
 
@@ -116,7 +124,7 @@ class TestDetectPhases:
                      max_size=120))
 def test_phases_always_tile_the_log(spec):
     events = stream(spec)
-    phases = detect_phases(events)
+    phases = detect_phases(log_of(events))
     check_partition(events, phases)
     seen = labels(phases)
     assert all(label in ("scan", "format", "creation", "transactions", "gc")
@@ -232,13 +240,76 @@ def test_phases_match_the_reference_detector(task_names, segments, capacity):
     background task, so the phases are those of the named events."""
     events = stream([(kind, task) for kinds, task in segments
                      for kind in kinds])
-    expected = reference_detect_phases(events)
-    assert detect_phases(events) == expected
+    whole = ring_of(events, max(len(events), 1), task_names)
+    assert detect_phases(whole) == reference_detect_phases(events)
     log = ring_of(events, capacity, task_names)
     kept = events[max(0, len(events) - capacity):]
     assert detect_phases(log) == reference_detect_phases(kept)
     assert trace_stats(log, SpatialCounters(0, 1)).phases == \
         tuple(reference_detect_phases(kept))
+
+
+# One request record: its kind, unit count and task, and whether it
+# starts a nanosecond after the one before it ends (else it runs on
+# from it when it has its kind and task).
+_RECORD = st.tuples(st.sampled_from("RWE"), st.integers(1, 40),
+                    st.sampled_from(("app", BACKGROUND_TASK)), st.booleans())
+
+
+@pytest.mark.parametrize("task_names", [True, False],
+                         ids=["tasks", "no-tasks"])
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(_RECORD, max_size=10), capacity=st.integers(1, 200))
+# Creation ends inside a read entry, and the transactions after it are
+# erase-dominated only when the units before them are left out.
+@example(records=[("W", 20, "app", True), ("R", 5, "app", True),
+                  ("E", 4, "app", True)], capacity=200)
+# The oldest entry is cut: a scan of its newest 15 units.
+@example(records=[("R", 30, "app", True), ("E", 5, "app", True),
+                  ("W", 20, "app", True)], capacity=40)
+def test_phases_of_multi_unit_entries_match_the_reference(task_names,
+                                                          records, capacity):
+    """A log of multi-unit entries, whose oldest entry may be cut, has
+    the phases that the reference finds in the events it holds."""
+    latency = LatencyModel()
+    step = {"R": latency.read_ns, "W": latency.write_ns,
+            "E": latency.erase_ns}
+    mon = attach(MtdDevice(FlashChip()),
+                 MonitorConfig(log_capacity=capacity,
+                               record_task_names=task_names))
+    fed, address, time_ns = [], 0, 0
+    for kind, count, task, gap in records:
+        fed.append((kind, address, time_ns, task, count))
+        address += count
+        time_ns += count * step[kind] + gap
+    feed(mon, fed)
+    assert detect_phases(mon.log) == reference_detect_phases(mon.events())
+
+
+def test_phases_allocate_per_entry_not_per_unit():
+    """Phases of a 40,000-unit log held in five entries take less than
+    16 KiB: no unit is expanded."""
+    mon = attach(MtdDevice(FlashChip()), MonitorConfig(log_capacity=40_000))
+    second = 10**9
+    feed(mon, [("R", 0, 0, "app", 10_000), ("E", 0, second, "app", 100),
+               ("W", 0, 2 * second, "app", 25_000),
+               ("R", 0, 20 * second, "app", 4_000),
+               ("W", 25_000, 30 * second, BACKGROUND_TASK, 900)])
+    log = mon.log
+    assert (len(log), len(log.counts)) == (40_000, 5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        phases = detect_phases(log)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 25,000 writes stay 90% of the prefix through 2,777 reads.
+    assert [(p.label, p.n_events) for p in phases] == [
+        ("scan", 10_000), ("format", 100), ("creation", 27_777),
+        ("transactions", 2_123)]
+    assert peak < 16 * 1024, peak
 
 
 def counters_with_erases(values):
@@ -278,48 +349,48 @@ class TestTraceStats:
 
     def test_totals_come_from_counters(self):
         events, counters = self.make()
-        stats = trace_stats(events, counters)
+        stats = trace_stats(log_of(events), counters)
         assert (stats.n_reads, stats.n_writes, stats.n_erases) == (5, 4, 3)
         first_block, per_block = stats.per_block
         assert first_block == 2
         assert per_block == ((5, 0, 0), (0, 4, 0), (0, 0, 3))
         assert stats.wear == wear_report(counters)
-        assert labels(stats.phases) == labels(detect_phases(events))
+        assert labels(stats.phases) == labels(detect_phases(log_of(events)))
 
     def test_counters_outlive_a_full_ring(self):
         # The log window holds less than the counters have seen; totals
         # must reflect the counters, not the surviving events.
         counters = SpatialCounters(0, 1)
         counters.writes[0] = 10_000
-        stats = trace_stats(stream("W" * 3), counters)
+        stats = trace_stats(log_of(stream("W" * 3)), counters)
         assert stats.n_writes == 10_000
 
 
 class TestRenderStats:
     def test_mentions_the_essentials(self):
         events, counters = TestTraceStats().make()
-        text = render_stats(trace_stats(events, counters))
+        text = render_stats(trace_stats(log_of(events), counters))
         assert "reads=5 writes=4 erases=3" in text
         assert "blocks touched: 3 of 3" in text
         assert "first monitored block 2" in text
         assert "wear: min=0 max=3" in text
-        for label in labels(detect_phases(events)):
+        for label in labels(detect_phases(log_of(events))):
             assert label in text
 
     def test_empty_log(self):
-        text = render_stats(trace_stats([], SpatialCounters(0, 2)))
+        text = render_stats(trace_stats(log_of([]), SpatialCounters(0, 2)))
         assert "phases: none" in text
         assert "reads=0 writes=0 erases=0" in text
 
     def test_deterministic(self):
         events, counters = TestTraceStats().make()
-        stats = trace_stats(events, counters)
+        stats = trace_stats(log_of(events), counters)
         assert render_stats(stats) == render_stats(stats)
 
 
 def plot_series(events):
     """The plot files' text per kind, written from a log of ``events``."""
-    log = ring_of(events, max(len(events), 1))
+    log = log_of(events)
     return {kind: b"".join(log.plot_chunks(kind)).decode("ascii")
             for kind in "RWE"}
 

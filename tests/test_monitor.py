@@ -394,10 +394,28 @@ class TestHealth:
         rig.hooks.register_probe("upper.read", boom)
         rig.mtd_read(p1.first_page, 1)
         assert mon.health() == {"events": 6, "filtered": 5,
-                                "overwritten": 1, "handler_errors": 1}
+                                "overwritten": 1, "handler_errors": 1,
+                                "log_entries": 3}
         mon.control("reset")
         assert mon.health() == {"events": 0, "filtered": 0,
-                                "overwritten": 0, "handler_errors": 1}
+                                "overwritten": 0, "handler_errors": 1,
+                                "log_entries": 0}
+
+    def test_log_entries_count_what_the_log_holds(self, rig):
+        """A record that runs on from the one before it in a fold adds no
+        entry; an entry whose units are all overwritten leaves the count."""
+        mon = attach(rig, MonitorConfig(log_capacity=8))
+        assert mon.health()["log_entries"] == 0
+        rig.mtd_read(0, 3)
+        rig.mtd_read(3, 2)  # runs on: the same entry
+        rig.mtd_write(0, 2)
+        assert mon.health()["log_entries"] == 2
+        rig.mtd_erase(10, 4)  # the oldest entry loses 3 of its 5 units
+        assert mon.health()["log_entries"] == 3
+        rig.mtd_erase(4, 5)  # the two oldest go, and 1 unit of the next
+        assert mon.health()["log_entries"] == 2
+        assert mon.log.counts.tolist() == [3, 5]
+        assert len(mon.log) == 8
 
 
 def test_pending_is_bounded_by_driver_calls():
@@ -643,7 +661,7 @@ def _ring_matches_a_deque_of_events(task_names, case, view):
     assert mon.health() == {
         "events": model["inserted"], "filtered": model["filtered"],
         "overwritten": model["inserted"] - len(expected),
-        "handler_errors": 0}
+        "handler_errors": 0, "log_entries": len(mon.log.counts)}
 
 
 # The renderers against the reference lines.  A chip of 1,024 blocks of
@@ -692,10 +710,19 @@ def _render_batches(draw):
                       if batch]
 
 
+# A chunk whose earliest unit is its second entry's, a second before its
+# first entry's, and one entry whose units cross a second within a chunk.
+_EARLIEST_NOT_FIRST = (6, [[("R", 0, 6 * NS_PER_SECOND + 5, "app", 3),
+                            ("R", 100, 5 * NS_PER_SECOND + 7, "x", 3)]])
+_CROSSES_A_SECOND = (3, [[("R", 0, NS_PER_SECOND - _STEP["R"], "app", 3)]])
+
+
 @pytest.mark.parametrize("task_names", [True, False],
                          ids=["tasks", "no-tasks"])
 @settings(max_examples=40, deadline=None)
 @given(case=_render_batches())
+@example(case=_EARLIEST_NOT_FIRST)
+@example(case=_CROSSES_A_SECOND)
 def test_renderers_match_the_reference_lines(task_names, case):
     """render_temporal, write_temporal and format_events, byte for byte
     against the per-line renderer, on logs just short of, at and just
@@ -715,6 +742,8 @@ def test_renderers_match_the_reference_lines(task_names, case):
                          ids=["tasks", "no-tasks"])
 @settings(max_examples=40, deadline=None)
 @given(case=_render_batches())
+@example(case=_EARLIEST_NOT_FIRST)
+@example(case=_CROSSES_A_SECOND)
 def test_plot_rows_match_the_reference_rows(task_names, case):
     """The plot files' rows, written from the log's columns, byte for
     byte against the per-event writer, on the renderers' logs."""
