@@ -17,8 +17,8 @@ The layers, bottom up:
 """
 
 from .nand import (BadBlockError, FlashChip, FlashError, FlashGeometry,
-                   LatencyModel, NonSequentialWriteError, OpReceipt,
-                   OutOfRangeError, OverwriteError)
+                   LatencyModel, NonSequentialWriteError, OutOfRangeError,
+                   OverwriteError)
 from .mtd import MtdDevice, Partition, PartitionError
 from .probes import DuplicateProbeError, StaleHandleError, UnknownSlotError
 from .monitor import (AlreadyAttachedError, EventRing, FlashMonitor,
@@ -49,7 +49,7 @@ __all__ = [
     "FileAlreadyExistsError", "FlashChip", "FlashError", "FlashFs",
     "FlashGeometry", "FlashMonitor", "FLAVOR_DEFAULTS",
     "LatencyModel", "MonitorConfig", "MtdDevice", "NonSequentialWriteError",
-    "NotAttachedError", "NotMountedError", "OpReceipt", "OutOfRangeError",
+    "NotAttachedError", "NotMountedError", "OutOfRangeError",
     "OutOfSpaceError", "OverwriteError", "Partition",
     "PartitionError", "PartitionSpec", "Phase", "PostmarkConfig",
     "ScenarioSpec", "SpatialCounters", "StaleHandleError",

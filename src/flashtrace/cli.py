@@ -6,7 +6,9 @@
     flashtrace overhead --config exp.ini --runs 5
 
 Without --config a built-in default spec runs Postmark on a 400-block
-partition of the default chip.
+partition of the default chip.  --partition, --log-size and
+--no-tasknames replace fields of ``spec.monitor``; --partition reads a
+number as an index only when no partition has it as its label.
 
 Every scenario value is checked when the config is loaded and again
 after the flags are applied.  ``main`` is the one place that turns an
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .config import (ConfigError, ScenarioSpec, default_spec,
@@ -39,10 +42,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="scenario config file (INI); omit for the "
                              "built-in default scenario")
     parser.add_argument("--partition", metavar="ID",
-                        help="partition label or index the monitor traces "
-                             "(default: the config's traced_partition, else "
-                             "the whole chip; without --config, the "
-                             "400-block 'main' partition)")
+                        help="partition label or index the monitor traces, "
+                             "a label first (default: the config's "
+                             "traced_partition, else the whole chip; without "
+                             "--config, the 400-block 'main' partition)")
     parser.add_argument("--log-size", type=int, metavar="N",
                         help="temporal log capacity in events")
     parser.add_argument("--no-tasknames", action="store_true",
@@ -74,16 +77,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     spec = load_scenario_spec(args.config) if args.config else default_spec()
+    monitor = {}
     if args.partition is not None:
         labels = spec.partition_labels()
         label = args.partition
-        if label.isdigit() and int(label) < len(labels):
+        if label not in labels and label.isdigit() \
+                and int(label) < len(labels):
             label = labels[int(label)]
-        spec.traced_partition = label
+        monitor["traced_partition"] = label
     if args.log_size is not None:
-        spec.log_capacity = args.log_size
+        monitor["log_capacity"] = args.log_size
     if args.no_tasknames:
-        spec.record_task_names = False
+        monitor["record_task_names"] = False
+    try:
+        spec.monitor = replace(spec.monitor, **monitor)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.seed is not None:
         spec.params["rng_seed"] = args.seed
     spec.out_dir = args.out

@@ -4,8 +4,12 @@ One INI file describes the whole experiment:
 
     [chip]                  geometry, latencies, optional endurance
     [partition.<label>]     first_block and block_count, one per section
-    [monitor]               traced partition, log capacity, task names
+    [monitor]               the fields of MonitorConfig
     [scenario]              what to run and with which parameters
+
+The config classes (``FlashGeometry``, ``LatencyModel``,
+``MonitorConfig``, ``PostmarkConfig``) own their fields, defaults and
+range checks; this module turns their ``ValueError`` into ``ConfigError``.
 
 Unknown sections and keys are rejected so typos fail loudly instead of
 silently falling back to defaults.
@@ -14,26 +18,24 @@ silently falling back to defaults.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .ffs import FLAVOR_DEFAULTS
+from .monitor import MonitorConfig
 from .mtd import PartitionError, check_partition
 from .nand import FlashGeometry, LatencyModel
-from .workloads import postmark_config
+from .workloads import PostmarkConfig, postmark_config
 
 SCENARIO_KINDS = ("postmark", "boot", "raw", "custom")
 
 _CHIP_KEYS = {"page_size", "pages_per_block", "n_blocks", "read_latency_ns",
               "write_latency_ns", "erase_latency_ns", "endurance_limit"}
 _PARTITION_KEYS = {"first_block", "block_count"}
-_MONITOR_KEYS = {"traced_partition", "log_capacity", "record_task_names"}
+_MONITOR_KEYS = {f.name for f in fields(MonitorConfig)}
 # Integer scenario keys; none of them may be negative.
 _SCENARIO_INT_KEYS = (
-    "rng_seed",
-    # postmark
-    "n_files", "file_size_min", "file_size_max", "n_transactions",
-    "io_size", "read_append_ratio", "create_delete_ratio", "n_subdirs",
+    *(f.name for f in fields(PostmarkConfig)),
     # boot
     "rootfs_bytes", "boots",
     # raw
@@ -60,9 +62,7 @@ class ScenarioSpec:
     latency: LatencyModel = field(default_factory=LatencyModel)
     endurance_limit: Optional[int] = None
     partitions: list = field(default_factory=list)
-    traced_partition: Optional[str] = None
-    log_capacity: int = 40_000
-    record_task_names: bool = True
+    monitor: MonitorConfig = field(default_factory=MonitorConfig)
     kind: str = "postmark"
     params: dict = field(default_factory=dict)
     out_dir: str = "."
@@ -74,7 +74,7 @@ class ScenarioSpec:
 def default_spec() -> ScenarioSpec:
     """A runnable spec used when no config file is given: the default
     chip, one 400-block partition, and a Postmark run on it."""
-    spec = ScenarioSpec(params={"flavor": "jffs2_like"})
+    spec = ScenarioSpec()
     validate(spec)
     return spec
 
@@ -149,12 +149,17 @@ def _parse_monitor(cp, spec: ScenarioSpec) -> None:
     if not cp.has_section("monitor"):
         return
     _check_keys("monitor", cp.options("monitor"), _MONITOR_KEYS)
+    default = spec.monitor
     traced = cp.get("monitor", "traced_partition", fallback="").strip()
-    spec.traced_partition = traced or None
-    spec.log_capacity = _get_int(cp, "monitor", "log_capacity",
-                                 spec.log_capacity)
-    spec.record_task_names = _get_bool(cp, "monitor", "record_task_names",
-                                       spec.record_task_names)
+    try:
+        spec.monitor = MonitorConfig(
+            traced_partition=traced or None,
+            log_capacity=_get_int(cp, "monitor", "log_capacity",
+                                  default.log_capacity),
+            record_task_names=_get_bool(cp, "monitor", "record_task_names",
+                                        default.record_task_names))
+    except ValueError as exc:
+        raise ConfigError(f"[monitor]: {exc}") from None
 
 
 def _parse_script(text: str) -> list[tuple[str, int]]:
@@ -200,20 +205,18 @@ def validate(spec: ScenarioSpec) -> None:
 
     A spec without partitions gets one "main" partition of 400 blocks (or
     the whole chip, if smaller), traced unless another is named; a
-    scenario without a partition runs on the first one.
+    scenario without a partition runs on the first one, and one without
+    a flavor uses jffs2_like.
     """
     if not spec.partitions:
         spec.partitions = [PartitionSpec(
             "main", 0, min(400, spec.geometry.blocks_per_chip))]
-        if spec.traced_partition is None:
-            spec.traced_partition = "main"
+        if spec.monitor.traced_partition is None:
+            spec.monitor = replace(spec.monitor, traced_partition="main")
     labels = spec.partition_labels()
-    if spec.traced_partition is not None \
-            and spec.traced_partition not in labels:
-        raise ConfigError(
-            f"traced_partition {spec.traced_partition!r} is not defined")
-    if spec.log_capacity < 1:
-        raise ConfigError("log_capacity must be >= 1")
+    traced = spec.monitor.traced_partition
+    if traced is not None and traced not in labels:
+        raise ConfigError(f"traced_partition {traced!r} is not defined")
     if spec.kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {spec.kind!r} "
                           f"(expected one of {', '.join(SCENARIO_KINDS)})")
@@ -221,8 +224,8 @@ def validate(spec: ScenarioSpec) -> None:
     target = params.setdefault("partition", labels[0])
     if target not in labels:
         raise ConfigError(f"scenario partition {target!r} is not defined")
-    flavor = params.get("flavor")
-    if flavor is not None and flavor not in FLAVOR_DEFAULTS:
+    flavor = params.setdefault("flavor", "jffs2_like")
+    if flavor not in FLAVOR_DEFAULTS:
         raise ConfigError(f"unknown flavor {flavor!r} (expected one of "
                           f"{', '.join(sorted(FLAVOR_DEFAULTS))})")
     for key in _SCENARIO_INT_KEYS:

@@ -621,7 +621,7 @@ class FlashFs:
         if entry is None:
             raise UnknownFileError(f"no file {file_id!r}")
         if size is None:
-            size = entry.logical_size - offset
+            size = max(entry.logical_size - offset, 0)
         if offset < 0 or size < 0:
             raise ValueError("offset and size must be >= 0")
         end = min(offset + size, entry.logical_size)

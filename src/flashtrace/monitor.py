@@ -420,20 +420,17 @@ class MonitorConfig:
         if self.log_capacity < 1:
             raise ValueError("log_capacity must be positive")
 
-    @property
-    def log_entry_bytes(self) -> int:
-        return (LOG_ENTRY_BYTES_WITH_TASKS if self.record_task_names
-                else LOG_ENTRY_BYTES_BARE)
-
 
 def footprint_estimate(config: MonitorConfig, n_blocks: int) -> int:
     """Modeled RAM usage: static base + counters + a full log.  A log
     entry holds at least one unit and costs at most 21 B (17 B without
     task names), within the modeled bytes per unit, so this bounds what
     a log grown to its capacity holds."""
+    entry_bytes = (LOG_ENTRY_BYTES_WITH_TASKS if config.record_task_names
+                   else LOG_ENTRY_BYTES_BARE)
     return (STATIC_BASE_BYTES
             + COUNTER_BYTES_PER_BLOCK * n_blocks
-            + config.log_entry_bytes * config.log_capacity)
+            + entry_bytes * config.log_capacity)
 
 
 class FlashMonitor:

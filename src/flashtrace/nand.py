@@ -7,14 +7,16 @@ rewritten before its block is erased, and writes within a block must land
 on consecutive page offsets.  Its range operations (``read_pages``,
 ``write_pages``, ``erase_blocks``) own those rules, bad blocks and wear:
 they run consecutive units a block at a time, advance the clock once,
-and fail exactly where a loop of one-unit calls would.  The one-unit
-methods are one-unit range calls.
+and fail exactly where a loop of one-unit calls would.  Each returns
+the clock value at which its first unit started.  The one-unit methods
+(``read_page``, ``write_page``, ``erase_block``) are one-unit range
+calls and return the same start time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 # Latency defaults sit inside the typical ranges for SLC NAND:
 # 25-200 us reads, 250-500 us writes, up to 2 ms erases.
@@ -83,19 +85,6 @@ class LatencyModel:
     def __post_init__(self):
         if self.read_ns <= 0 or self.write_ns <= 0 or self.erase_ns <= 0:
             raise ValueError("latencies must be strictly positive")
-
-
-class OpReceipt(NamedTuple):
-    """Record of one physical operation: kind, target address, start time.
-
-    The address is a page index for R/W and a block index for E.  The
-    start time is the virtual clock value when the operation began, i.e.
-    before its latency was added.
-    """
-
-    kind: str
-    address: int
-    start_ns: int
 
 
 class BlockState:
@@ -227,17 +216,17 @@ class FlashChip:
                 blk.is_bad = True
         return self._advance(stop - start, self.latency.erase_ns, error)
 
-    def read_page(self, page: int) -> OpReceipt:
-        return OpReceipt("R", page, self.read_pages(page, 1))
+    def read_page(self, page: int) -> int:
+        return self.read_pages(page, 1)
 
-    def write_page(self, page: int) -> OpReceipt:
-        return OpReceipt("W", page, self.write_pages(page, 1))
+    def write_page(self, page: int) -> int:
+        return self.write_pages(page, 1)
 
-    def erase_block(self, block: int) -> OpReceipt:
-        return OpReceipt("E", block, self.erase_blocks(block, 1))
+    def erase_block(self, block: int) -> int:
+        return self.erase_blocks(block, 1)
 
     def install_image(self, start_page: int, page_count: int) -> None:
-        """Flash a sequential image without receipts, events or clock time.
+        """Flash a sequential image without events or clock time.
 
         Models pre-experiment flashing done before any monitoring begins
         (e.g. a bootloader writing a root file system).  The range must be

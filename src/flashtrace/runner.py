@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 from .analysis import KINDS, TraceStats, render_stats, trace_stats
 from .config import ScenarioSpec
 from .ffs import FfsError, FlashFs, flavor_config
-from .monitor import FlashMonitor, MonitorConfig, attach
+from .monitor import FlashMonitor, attach
 from .mtd import MtdDevice
 from .nand import FlashChip
 from .workloads import (BootScenarioConfig, PostmarkReport, boot_scenario_run,
@@ -52,12 +52,6 @@ def build_device(spec: ScenarioSpec) -> MtdDevice:
     return dev
 
 
-def _monitor_config(spec: ScenarioSpec) -> MonitorConfig:
-    return MonitorConfig(traced_partition=spec.traced_partition,
-                         log_capacity=spec.log_capacity,
-                         record_task_names=spec.record_task_names)
-
-
 def _drain(fs: FlashFs) -> None:
     while fs.background_step():
         pass
@@ -66,11 +60,10 @@ def _drain(fs: FlashFs) -> None:
 def _run_postmark(spec: ScenarioSpec, dev: MtdDevice,
                   attach_monitor: bool) -> ScenarioResult:
     params = spec.params
-    fs = FlashFs(dev, params["partition"],
-                 flavor_config(params.get("flavor", "jffs2_like")))
+    fs = FlashFs(dev, params["partition"], flavor_config(params["flavor"]))
     fs.mount()
     _drain(fs)
-    monitor = attach(dev, _monitor_config(spec)) if attach_monitor else None
+    monitor = attach(dev, spec.monitor) if attach_monitor else None
     report = postmark_run(fs, postmark_config(params))
     _drain(fs)
     fs.unmount()
@@ -80,12 +73,12 @@ def _run_postmark(spec: ScenarioSpec, dev: MtdDevice,
 def _run_boot(spec: ScenarioSpec, dev: MtdDevice,
               attach_monitor: bool) -> ScenarioResult:
     params = spec.params
-    monitor = attach(dev, _monitor_config(spec)) if attach_monitor else None
+    monitor = attach(dev, spec.monitor) if attach_monitor else None
     script = params.get("script")
     cfg = BootScenarioConfig(
         rootfs_bytes=params.get("rootfs_bytes", 0),
         partition=params["partition"],
-        flavor=params.get("flavor", "jffs2_like"),
+        flavor=params["flavor"],
         **({"post_mount_script": tuple(script)}
            if script is not None else {}))
     try:
@@ -101,7 +94,7 @@ def _run_raw(spec: ScenarioSpec, dev: MtdDevice,
              attach_monitor: bool) -> ScenarioResult:
     params = spec.params
     part = dev.partition(params["partition"])
-    monitor = attach(dev, _monitor_config(spec)) if attach_monitor else None
+    monitor = attach(dev, spec.monitor) if attach_monitor else None
     if params.get("erase_first", True):
         raw_erase(dev, part)
     write_bytes = params.get("write_bytes", 0)
@@ -116,9 +109,8 @@ def _run_raw(spec: ScenarioSpec, dev: MtdDevice,
 def _run_custom(spec: ScenarioSpec, dev: MtdDevice,
                 attach_monitor: bool) -> ScenarioResult:
     params = spec.params
-    fs = FlashFs(dev, params["partition"],
-                 flavor_config(params.get("flavor", "jffs2_like")))
-    monitor = attach(dev, _monitor_config(spec)) if attach_monitor else None
+    fs = FlashFs(dev, params["partition"], flavor_config(params["flavor"]))
+    monitor = attach(dev, spec.monitor) if attach_monitor else None
     fs.mount()
     with dev.task("script"):
         created: list[str] = []

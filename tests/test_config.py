@@ -2,8 +2,9 @@
 
 import pytest
 
-from flashtrace import (ConfigError, PartitionSpec, default_spec,
-                        load_scenario_spec, parse_spatial, parse_temporal)
+from flashtrace import (ConfigError, MonitorConfig, PartitionSpec,
+                        default_spec, load_scenario_spec, parse_spatial,
+                        parse_temporal)
 from flashtrace.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 BASE_INI = """\
@@ -67,9 +68,9 @@ class TestLoadSpec:
                 spec.geometry.blocks_per_chip) == (512, 32, 64)
         assert spec.partitions == [PartitionSpec("sys", 0, 24),
                                    PartitionSpec("data", 24, 40)]
-        assert spec.traced_partition == "data"
-        assert spec.log_capacity == 5000
-        assert spec.record_task_names is True
+        assert spec.monitor.traced_partition == "data"
+        assert spec.monitor.log_capacity == 5000
+        assert spec.monitor.record_task_names is True
         assert spec.kind == "postmark"
         assert spec.params["partition"] == "data"
         assert spec.params["n_files"] == 12
@@ -80,7 +81,7 @@ class TestLoadSpec:
         spec = load_scenario_spec(write_ini(tmp_path, ""))
         assert spec.geometry.blocks_per_chip == 2048
         assert spec.partitions == [PartitionSpec("main", 0, 400)]
-        assert spec.traced_partition == "main"
+        assert spec.monitor.traced_partition == "main"
         assert spec.kind == "postmark"
         assert spec.params["partition"] == "main"
 
@@ -161,9 +162,22 @@ class TestLoadSpec:
     def test_default_spec_shape(self):
         spec = default_spec()
         assert spec.partitions == [PartitionSpec("main", 0, 400)]
-        assert spec.traced_partition == "main"
+        assert spec.monitor.traced_partition == "main"
         assert spec.kind == "postmark"
-        assert spec.log_capacity == 40_000
+        assert spec.monitor.log_capacity == 40_000
+
+    def test_monitor_defaults_come_from_monitor_config(self, tmp_path):
+        expected = MonitorConfig(traced_partition="main")
+        assert default_spec().monitor == expected
+        spec = load_scenario_spec(write_ini(tmp_path,
+                                            "[chip]\nn_blocks = 512\n"))
+        assert spec.monitor == expected
+
+    def test_default_flavor_is_set_once(self, tmp_path):
+        assert default_spec().params["flavor"] == "jffs2_like"
+        spec = load_scenario_spec(write_ini(
+            tmp_path, "[scenario]\nkind = raw\nread_bytes = 2048\n"))
+        assert spec.params["flavor"] == "jffs2_like"
 
 
 class TestCliRun:
@@ -208,6 +222,20 @@ class TestCliRun:
         _, out_dir = self.run_cli(tmp_path, "--partition", "0")
         assert len(parse_spatial((out_dir / "spatial.txt").read_text())) == 24
         _, out_dir = self.run_cli(tmp_path, "--partition", "data", out="d")
+        assert len(parse_spatial((out_dir / "spatial.txt").read_text())) == 40
+
+    def test_partition_flag_prefers_a_label_to_an_index(self, tmp_path):
+        ini = BASE_INI.replace("[partition.sys]", "[partition.1]").replace(
+            "[partition.data]", "[partition.b]").replace(
+            "traced_partition = data", "traced_partition = b").replace(
+            "partition = data", "partition = b")
+        _, out_dir = self.run_cli(tmp_path, "--partition", "1", ini=ini)
+        assert len(parse_spatial((out_dir / "spatial.txt").read_text())) == 24
+        _, out_dir = self.run_cli(tmp_path, "--partition", "0", ini=ini,
+                                  out="i0")
+        assert len(parse_spatial((out_dir / "spatial.txt").read_text())) == 24
+        _, out_dir = self.run_cli(tmp_path, "--partition", "b", ini=ini,
+                                  out="b")
         assert len(parse_spatial((out_dir / "spatial.txt").read_text())) == 40
 
     def test_log_size_flag_caps_the_log(self, tmp_path):

@@ -321,6 +321,22 @@ class TestSynchronousFileOps:
         assert fs.read_file("f", offset=PAGE, size=PAGE) == 1
         assert fs.read_file("f", offset=0, size=0) == 0
 
+    def test_read_past_the_end_reads_nothing(self):
+        fs = FlashFs(rig(), "fs", quiet("yaffs2_like"))
+        fs.mount()
+        fs.create_file("a", 1000)
+        assert fs.read_file("a", 1500) == 0
+        assert fs.read_file("a", 1500, 10) == 0
+        assert fs.read_file("a", 1000) == 0
+
+    def test_negative_offset_or_size_is_refused(self):
+        fs = FlashFs(rig(), "fs", quiet("yaffs2_like"))
+        fs.mount()
+        fs.create_file("a", 1000)
+        for offset, size in ((-1, None), (-1, 10), (0, -1), (1500, -1)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                fs.read_file("a", offset, size)
+
     def test_unknown_and_duplicate_files(self):
         fs = FlashFs(rig(), "fs", quiet("jffs2_like"))
         fs.mount()

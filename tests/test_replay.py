@@ -9,7 +9,8 @@ in the chip's own state.
 
 import pytest
 
-from flashtrace import FlashChip, FlashGeometry, MtdDevice, OverwriteError
+from flashtrace import (FlashChip, FlashGeometry, MonitorConfig, MtdDevice,
+                        OverwriteError)
 from flashtrace import attach as attach_monitor
 from flashtrace import runner
 from flashtrace.config import PartitionSpec, ScenarioSpec, validate
@@ -81,9 +82,10 @@ def test_the_temporal_log_replays_onto_the_chip(name, monkeypatch):
     kind, params = INPUTS[name]
     spec = ScenarioSpec(geometry=FlashGeometry(blocks_per_chip=400),
                         partitions=[PartitionSpec("main", 0, 400)],
-                        log_capacity=100_000, kind=kind, params=dict(params))
+                        monitor=MonitorConfig(log_capacity=100_000),
+                        kind=kind, params=dict(params))
     validate(spec)
-    assert spec.traced_partition is None  # the whole chip is traced
+    assert spec.monitor.traced_partition is None  # the whole chip is traced
     snapshots = []
 
     def snapshot_and_attach(dev, config):
