@@ -7,8 +7,8 @@
 
 Without --config a built-in default spec runs Postmark on a 400-block
 partition of the default chip.  --partition, --log-size and
---no-tasknames replace fields of ``spec.monitor``; --partition reads a
-number as an index only when no partition has it as its label.
+--no-tasknames replace fields of ``spec.monitor``; --partition names a
+partition as ``traced_partition`` does: a label, else an index.
 
 Every scenario value is checked when the config is loaded and again
 after the flags are applied.  ``main`` is the one place that turns an
@@ -42,8 +42,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="scenario config file (INI); omit for the "
                              "built-in default scenario")
     parser.add_argument("--partition", metavar="ID",
-                        help="partition label or index the monitor traces, "
-                             "a label first (default: the config's "
+                        help="partition the monitor traces, by label, else "
+                             "by index from 0 (default: the config's "
                              "traced_partition, else the whole chip; without "
                              "--config, the 400-block 'main' partition)")
     parser.add_argument("--log-size", type=int, metavar="N",
@@ -79,12 +79,7 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     spec = load_scenario_spec(args.config) if args.config else default_spec()
     monitor = {}
     if args.partition is not None:
-        labels = spec.partition_labels()
-        label = args.partition
-        if label not in labels and label.isdigit() \
-                and int(label) < len(labels):
-            label = labels[int(label)]
-        monitor["traced_partition"] = label
+        monitor["traced_partition"] = args.partition
     if args.log_size is not None:
         monitor["log_capacity"] = args.log_size
     if args.no_tasknames:

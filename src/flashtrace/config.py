@@ -9,7 +9,8 @@ One INI file describes the whole experiment:
 
 The config classes (``FlashGeometry``, ``LatencyModel``,
 ``MonitorConfig``, ``PostmarkConfig``) own their fields, defaults and
-range checks; this module turns their ``ValueError`` into ``ConfigError``.
+range checks, ``ffs.flavor_config`` the flavors and ``mtd.find_partition``
+the partition lookup; this module turns their errors into ``ConfigError``.
 
 Unknown sections and keys are rejected so typos fail loudly instead of
 silently falling back to defaults.
@@ -21,9 +22,9 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from .ffs import FLAVOR_DEFAULTS
+from .ffs import flavor_config
 from .monitor import MonitorConfig
-from .mtd import PartitionError, check_partition
+from .mtd import PartitionError, check_partition, find_partition
 from .nand import FlashGeometry, LatencyModel
 from .workloads import PostmarkConfig, postmark_config
 
@@ -67,9 +68,6 @@ class ScenarioSpec:
     params: dict = field(default_factory=dict)
     out_dir: str = "."
 
-    def partition_labels(self) -> list[str]:
-        return [p.label for p in self.partitions]
-
 
 def default_spec() -> ScenarioSpec:
     """A runnable spec used when no config file is given: the default
@@ -86,16 +84,12 @@ def _check_keys(section: str, present, allowed) -> None:
             f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
 
-def _get_int(cp, section: str, key: str, default: int) -> int:
+def _get(cp, section: str, key: str, default):
+    """``key`` of ``section`` read as the type of ``default`` (bool or
+    int), ``default`` when absent; a bad value is a ConfigError."""
+    get = cp.getboolean if isinstance(default, bool) else cp.getint
     try:
-        return cp.getint(section, key, fallback=default)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-
-def _get_bool(cp, section: str, key: str, default: bool) -> bool:
-    try:
-        return cp.getboolean(section, key, fallback=default)
+        return get(section, key, fallback=default)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
@@ -108,20 +102,18 @@ def _parse_chip(cp, spec: ScenarioSpec) -> None:
     latency = LatencyModel()
     try:
         spec.geometry = FlashGeometry(
-            page_size=_get_int(cp, "chip", "page_size", geometry.page_size),
-            pages_per_block=_get_int(cp, "chip", "pages_per_block",
-                                     geometry.pages_per_block),
-            blocks_per_chip=_get_int(cp, "chip", "n_blocks",
-                                     geometry.blocks_per_chip))
+            page_size=_get(cp, "chip", "page_size", geometry.page_size),
+            pages_per_block=_get(cp, "chip", "pages_per_block",
+                                 geometry.pages_per_block),
+            blocks_per_chip=_get(cp, "chip", "n_blocks",
+                                 geometry.blocks_per_chip))
         spec.latency = LatencyModel(
-            read_ns=_get_int(cp, "chip", "read_latency_ns", latency.read_ns),
-            write_ns=_get_int(cp, "chip", "write_latency_ns",
-                              latency.write_ns),
-            erase_ns=_get_int(cp, "chip", "erase_latency_ns",
-                              latency.erase_ns))
+            read_ns=_get(cp, "chip", "read_latency_ns", latency.read_ns),
+            write_ns=_get(cp, "chip", "write_latency_ns", latency.write_ns),
+            erase_ns=_get(cp, "chip", "erase_latency_ns", latency.erase_ns))
     except ValueError as exc:
         raise ConfigError(f"[chip]: {exc}") from None
-    limit = _get_int(cp, "chip", "endurance_limit", 0)
+    limit = _get(cp, "chip", "endurance_limit", 0)
     if limit < 0:
         raise ConfigError("[chip] endurance_limit must be >= 0 (0: no limit)")
     spec.endurance_limit = limit or None
@@ -140,9 +132,8 @@ def _parse_partitions(cp, spec: ScenarioSpec) -> None:
                 or not cp.has_option(section, "block_count"):
             raise ConfigError(f"[{section}] needs first_block and block_count")
         spec.partitions.append(PartitionSpec(
-            label,
-            _get_int(cp, section, "first_block", 0),
-            _get_int(cp, section, "block_count", 0)))
+            label, _get(cp, section, "first_block", 0),
+            _get(cp, section, "block_count", 0)))
 
 
 def _parse_monitor(cp, spec: ScenarioSpec) -> None:
@@ -154,10 +145,10 @@ def _parse_monitor(cp, spec: ScenarioSpec) -> None:
     try:
         spec.monitor = MonitorConfig(
             traced_partition=traced or None,
-            log_capacity=_get_int(cp, "monitor", "log_capacity",
-                                  default.log_capacity),
-            record_task_names=_get_bool(cp, "monitor", "record_task_names",
-                                        default.record_task_names))
+            log_capacity=_get(cp, "monitor", "log_capacity",
+                              default.log_capacity),
+            record_task_names=_get(cp, "monitor", "record_task_names",
+                                   default.record_task_names))
     except ValueError as exc:
         raise ConfigError(f"[monitor]: {exc}") from None
 
@@ -193,9 +184,9 @@ def _parse_scenario(cp, spec: ScenarioSpec) -> None:
         params["flavor"] = flavor
     for key in _SCENARIO_INT_KEYS:
         if cp.has_option("scenario", key):
-            params[key] = _get_int(cp, "scenario", key, 0)
+            params[key] = _get(cp, "scenario", key, 0)
     if cp.has_option("scenario", "erase_first"):
-        params["erase_first"] = _get_bool(cp, "scenario", "erase_first", True)
+        params["erase_first"] = _get(cp, "scenario", "erase_first", True)
     if cp.has_option("scenario", "script"):
         params["script"] = _parse_script(cp.get("scenario", "script"))
 
@@ -206,28 +197,18 @@ def validate(spec: ScenarioSpec) -> None:
     A spec without partitions gets one "main" partition of 400 blocks (or
     the whole chip, if smaller), traced unless another is named; a
     scenario without a partition runs on the first one, and one without
-    a flavor uses jffs2_like.
+    a flavor uses jffs2_like.  The traced and the scenario partition are
+    looked up by ``find_partition`` and stored back as labels.
     """
     if not spec.partitions:
         spec.partitions = [PartitionSpec(
             "main", 0, min(400, spec.geometry.blocks_per_chip))]
         if spec.monitor.traced_partition is None:
             spec.monitor = replace(spec.monitor, traced_partition="main")
-    labels = spec.partition_labels()
-    traced = spec.monitor.traced_partition
-    if traced is not None and traced not in labels:
-        raise ConfigError(f"traced_partition {traced!r} is not defined")
     if spec.kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {spec.kind!r} "
                           f"(expected one of {', '.join(SCENARIO_KINDS)})")
     params = spec.params
-    target = params.setdefault("partition", labels[0])
-    if target not in labels:
-        raise ConfigError(f"scenario partition {target!r} is not defined")
-    flavor = params.setdefault("flavor", "jffs2_like")
-    if flavor not in FLAVOR_DEFAULTS:
-        raise ConfigError(f"unknown flavor {flavor!r} (expected one of "
-                          f"{', '.join(sorted(FLAVOR_DEFAULTS))})")
     for key in _SCENARIO_INT_KEYS:
         if params.get(key, 0) < 0:
             raise ConfigError(f"[scenario] {key} must be >= 0")
@@ -237,6 +218,13 @@ def validate(spec: ScenarioSpec) -> None:
         for i, part in enumerate(spec.partitions):
             check_partition(part, spec.partitions[:i],
                             spec.geometry.blocks_per_chip)
+        traced = spec.monitor.traced_partition
+        if traced is not None:
+            spec.monitor = replace(spec.monitor, traced_partition=(
+                find_partition(spec.partitions, traced).label))
+        params["partition"] = find_partition(
+            spec.partitions, params.get("partition", 0)).label
+        flavor_config(params.setdefault("flavor", "jffs2_like"))
         postmark_config(params)
     except (PartitionError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

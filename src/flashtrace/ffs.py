@@ -122,7 +122,8 @@ def flavor_config(flavor: str, **overrides) -> FfsModelConfig:
     try:
         base = FLAVOR_DEFAULTS[flavor]
     except KeyError:
-        raise ValueError(f"unknown FFS flavor {flavor!r}") from None
+        raise ValueError(f"unknown FFS flavor {flavor!r} (expected one of "
+                         f"{', '.join(sorted(FLAVOR_DEFAULTS))})") from None
     return replace(base, **overrides) if overrides else base
 
 

@@ -411,7 +411,7 @@ class SpatialCounters:
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    # An index or label (MtdDevice.partition); None traces the whole chip.
+    # A label, else an index (mtd.find_partition); None traces the chip.
     traced_partition: Union[int, str, None] = None
     log_capacity: int = 40_000
     record_task_names: bool = True

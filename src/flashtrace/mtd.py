@@ -17,8 +17,9 @@ slot fires its probe (if any) on entry with a one-unit record (the call
 is the unit), before the range is checked.  A lower slot hands its probe
 the call's request record, the same tuple the call returns, after the
 units ran; when a unit fails, the record counts every unit that was
-tried, the failing one included.  An exception a probe raises is
-counted, not propagated.
+tried, the failing one included (the chip error's ``done`` plus one).
+An exception a probe raises is counted, not propagated.  Partitions are
+looked up by ``find_partition``, the config check's lookup too.
 
 A device built in legacy mode keeps the same behavior but its lower
 slots carry no address metadata, which forces probe-target resolution
@@ -48,19 +49,16 @@ class FunctionSlot:
     A lower slot's ``target`` is the chip's range operation of its kind;
     an upper slot has none.  ``probe_fn`` is managed by the probe
     registry: the currently active handler (or None), called with the
-    record ``(kind, address, time_ns, task_name, count)``.  ``step_ns``
-    is the clock advance of one unit of a lower slot's kind;
-    ``_dispatch`` counts a failing call's units tried with it.
+    record ``(kind, address, time_ns, task_name, count)``.
     """
 
-    __slots__ = ("name", "kind", "target", "probe_fn", "step_ns")
+    __slots__ = ("name", "kind", "target", "probe_fn")
 
-    def __init__(self, name: str, kind: str, target=None, step_ns: int = 0):
+    def __init__(self, name: str, kind: str, target=None):
         self.name = name
         self.kind = kind
         self.target = target
         self.probe_fn = None
-        self.step_ns = step_ns
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,20 @@ def check_partition(part, claimed, blocks_per_chip: int) -> None:
                 f"partitions {other.label!r} and {label!r} overlap")
 
 
+def find_partition(partitions, ident):
+    """The partition labeled ``ident``, else the one at index ``ident``
+    (an int or a string of digits, ``0 <= index < n``), for Partition and
+    PartitionSpec alike; PartitionError when neither names one."""
+    for part in partitions:
+        if part.label == ident:
+            return part
+    index = int(ident) if isinstance(ident, str) and ident.isdecimal() \
+        else ident
+    if isinstance(index, int) and 0 <= index < len(partitions):
+        return partitions[index]
+    raise PartitionError(f"no partition labeled or numbered {ident!r}")
+
+
 class ProbeTargetReport(NamedTuple):
     read_slot: str
     write_slot: str
@@ -117,13 +129,9 @@ class MtdDevice:
         self.legacy = legacy
         self.partitions: list[Partition] = []
         self.current_task = ""
-        latency = chip.latency
-        read = FunctionSlot("lower.read_page", "R", chip.read_pages,
-                            latency.read_ns)
-        write = FunctionSlot("lower.write_page", "W", chip.write_pages,
-                             latency.write_ns)
-        erase = FunctionSlot("lower.erase_block", "E", chip.erase_blocks,
-                             latency.erase_ns)
+        read = FunctionSlot("lower.read_page", "R", chip.read_pages)
+        write = FunctionSlot("lower.write_page", "W", chip.write_pages)
+        erase = FunctionSlot("lower.erase_block", "E", chip.erase_blocks)
         upper_read = FunctionSlot("upper.read", "R")
         upper_write = FunctionSlot("upper.write", "W")
         upper_erase = FunctionSlot("upper.erase", "E")
@@ -190,9 +198,8 @@ class MtdDevice:
         fn = lower.probe_fn
         try:
             lower.target(start, count)
-        except FlashError:
-            done = (self.chip.clock_ns - record[2]) // lower.step_ns
-            record = record[:4] + (done + 1,)
+        except FlashError as exc:
+            record = record[:4] + (exc.done + 1,)
             raise
         finally:
             if fn is not None:
@@ -236,18 +243,11 @@ class MtdDevice:
         return part.index
 
     def partition(self, ident) -> Partition:
-        """Look up a partition by index or by label; a Partition is
-        returned unchanged."""
+        """The partition ``find_partition`` picks for ``ident``; a
+        Partition is returned unchanged."""
         if isinstance(ident, Partition):
             return ident
-        if isinstance(ident, int):
-            if 0 <= ident < len(self.partitions):
-                return self.partitions[ident]
-            raise PartitionError(f"no partition with index {ident}")
-        for part in self.partitions:
-            if part.label == ident:
-                return part
-        raise PartitionError(f"no partition labeled {ident!r}")
+        return find_partition(self.partitions, ident)
 
     # -- probe-target resolution (the function finder) -------------------
 

@@ -7,10 +7,11 @@ rewritten before its block is erased, and writes within a block must land
 on consecutive page offsets.  Its range operations (``read_pages``,
 ``write_pages``, ``erase_blocks``) own those rules, bad blocks and wear:
 they run consecutive units a block at a time, advance the clock once,
-and fail exactly where a loop of one-unit calls would.  Each returns
-the clock value at which its first unit started.  The one-unit methods
-(``read_page``, ``write_page``, ``erase_block``) are one-unit range
-calls and return the same start time.
+and fail exactly where a loop of one-unit calls would, with an error
+that counts the units that ran before it (``FlashError.done``).  Each
+returns the clock value at which its first unit started.  The one-unit
+methods (``read_page``, ``write_page``, ``erase_block``) are one-unit
+range calls and return the same start time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ DEFAULT_ERASE_LATENCY_NS = 2_000_000
 
 
 class FlashError(Exception):
-    """Base class for chip-level operation failures."""
+    """Base class for chip-level operation failures; ``done`` counts the
+    units of the failing range call that ran before the failing one."""
+
+    done = 0
 
 
 class OutOfRangeError(FlashError):
@@ -156,10 +160,12 @@ class FlashChip:
 
     def _advance(self, count: int, latency: int, error) -> int:
         """Charge the clock for the ``count`` units that ran, then raise
-        the failing unit's ``error``, if any; return the clock before."""
+        the failing unit's ``error``, if any, with ``count`` as its
+        ``done``; return the clock before."""
         t0 = self.clock_ns
         self.clock_ns = t0 + count * latency
         if error is not None:
+            error.done = count
             raise error
         return t0
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from .analysis import KINDS, TraceStats, render_stats, trace_stats
 from .config import ScenarioSpec
-from .ffs import FfsError, FlashFs, flavor_config
+from .ffs import FlashFs, flavor_config
 from .monitor import FlashMonitor, attach
 from .mtd import MtdDevice
 from .nand import FlashChip
@@ -81,12 +81,9 @@ def _run_boot(spec: ScenarioSpec, dev: MtdDevice,
         flavor=params["flavor"],
         **({"post_mount_script": tuple(script)}
            if script is not None else {}))
-    try:
-        # Installing the root image emits no events, so the monitor may
-        # attach before it.
-        boot_scenario_run(dev, cfg, boots=params.get("boots", 2))
-    except ValueError as exc:  # the root image does not fit the partition
-        raise FfsError(str(exc)) from exc
+    # Installing the root image emits no events, so the monitor may
+    # attach before it.
+    boot_scenario_run(dev, cfg, boots=params.get("boots", 2))
     return ScenarioResult(dev, monitor, None)
 
 

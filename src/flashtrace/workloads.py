@@ -4,6 +4,7 @@ Every driver tags its device operations with a task name so traces can
 be broken down by actor ("postmark", "mount", "gc_thread", "rcS",
 "flash_erase", ...).  All randomness flows through one seeded generator
 per run, so a given config reproduces the same trace byte for byte.
+A transfer larger than its partition raises OutOfRangeError.
 """
 
 from __future__ import annotations
@@ -148,6 +149,17 @@ class BootScenarioConfig:
                 raise ValueError("script step size must be >= 0")
 
 
+def _transfer(dev: MtdDevice, partition, nbytes: int):
+    """``(part, pages)``: the partition and the pages an ``nbytes``
+    transfer from its start takes; OutOfRangeError when they exceed it."""
+    part = dev.partition(partition)
+    count = math.ceil(nbytes / dev.chip.geometry.page_size)
+    if count > part.page_count:
+        raise OutOfRangeError(f"{nbytes} bytes exceed partition "
+                              f"{part.label!r}")
+    return part, count
+
+
 def boot_scenario_run(dev: MtdDevice, cfg: BootScenarioConfig, boots: int = 1,
                       after_boot: Optional[Callable[[int, FlashFs], None]] = None,
                       ) -> FlashFs:
@@ -158,11 +170,7 @@ def boot_scenario_run(dev: MtdDevice, cfg: BootScenarioConfig, boots: int = 1,
     `after_boot(index, fs)` runs after each unmount, letting callers cut
     the trace into per-boot segments.
     """
-    part = dev.partition(cfg.partition)
-    page_size = dev.chip.geometry.page_size
-    image_pages = math.ceil(cfg.rootfs_bytes / page_size)
-    if image_pages > part.page_count:
-        raise ValueError("root image does not fit the partition")
+    part, image_pages = _transfer(dev, cfg.partition, cfg.rootfs_bytes)
     if image_pages > 0:
         dev.chip.install_image(part.first_page, image_pages)
     fs = FlashFs(dev, part, flavor_config(cfg.flavor))
@@ -197,11 +205,7 @@ def raw_erase(dev: MtdDevice, partition) -> None:
 
 def raw_write(dev: MtdDevice, partition, nbytes: int) -> None:
     """Sequential page writes from the partition start (nandwrite)."""
-    part = dev.partition(partition)
-    count = math.ceil(nbytes / dev.chip.geometry.page_size)
-    if count > part.page_count:
-        raise OutOfRangeError(f"{nbytes} bytes exceed partition "
-                              f"{part.label!r}")
+    part, count = _transfer(dev, partition, nbytes)
     if count > 0:
         with dev.task("nandwrite"):
             dev.mtd_write(part.first_page, count)
@@ -209,11 +213,7 @@ def raw_write(dev: MtdDevice, partition, nbytes: int) -> None:
 
 def raw_read(dev: MtdDevice, partition, nbytes: int) -> None:
     """Sequential page reads from the partition start (nanddump)."""
-    part = dev.partition(partition)
-    count = math.ceil(nbytes / dev.chip.geometry.page_size)
-    if count > part.page_count:
-        raise OutOfRangeError(f"{nbytes} bytes exceed partition "
-                              f"{part.label!r}")
+    part, count = _transfer(dev, partition, nbytes)
     if count > 0:
         with dev.task("nanddump"):
             dev.mtd_read(part.first_page, count)

@@ -1,11 +1,14 @@
 """Scenario config parsing and the command-line front end."""
 
+import re
+
 import pytest
 
-from flashtrace import (ConfigError, MonitorConfig, PartitionSpec,
-                        default_spec, load_scenario_spec, parse_spatial,
-                        parse_temporal)
+from flashtrace import (ConfigError, MonitorConfig, PartitionError,
+                        PartitionSpec, build_device, default_spec,
+                        load_scenario_spec, parse_spatial, parse_temporal)
 from flashtrace.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from flashtrace.config import validate
 
 BASE_INI = """\
 [chip]
@@ -59,6 +62,55 @@ def write_ini(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# The ways to name a partition; each follows one rule.
+PARTITION_NAMES = ("validate", "ini traced_partition", "ini [scenario]",
+                   "--partition", "MtdDevice.partition")
+
+
+def pick_partition(tmp_path, how, ident, ini=BASE_INI):
+    """The label of the partition ``ident`` names in ``ini``, given
+    ``how``: as ``MonitorConfig.traced_partition`` checked by
+    ``validate``, as the INI's ``traced_partition`` or ``[scenario]
+    partition``, as ``--partition`` to ``flashtrace run``, or to
+    ``MtdDevice.partition``.  A name none picks raises ConfigError or
+    PartitionError."""
+    if how == "ini traced_partition":
+        ini = re.sub(r"\ntraced_partition = \w+",
+                     f"\ntraced_partition = {ident}", ini)
+        return load_scenario_spec(write_ini(tmp_path, ini)).monitor \
+            .traced_partition
+    if how == "ini [scenario]":
+        ini = re.sub(r"\npartition = \w+", f"\npartition = {ident}", ini)
+        return load_scenario_spec(write_ini(tmp_path, ini)).params[
+            "partition"]
+    config = write_ini(tmp_path, ini)
+    spec = load_scenario_spec(config)
+    if how == "validate":
+        spec.monitor = MonitorConfig(traced_partition=ident)
+        validate(spec)
+        return spec.monitor.traced_partition
+    if how == "MtdDevice.partition":
+        return build_device(spec).partition(ident).label
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", config, "--out", str(out_dir),
+                 "--partition", str(ident)])
+    if code == EXIT_CONFIG:
+        raise ConfigError(f"--partition {ident}")
+    assert code == EXIT_OK
+    blocks = len(parse_spatial((out_dir / "spatial.txt").read_text()))
+    return {p.block_count: p.label for p in spec.partitions}[blocks]
+
+
+@pytest.mark.parametrize("how", PARTITION_NAMES)
+def test_every_partition_name_follows_one_rule(tmp_path, how):
+    for ident in (1, "1"):
+        assert pick_partition(tmp_path, how, ident) == "data"
+    assert pick_partition(tmp_path, how, "sys") == "sys"
+    for ident in (-1, "-1", 2, "2", "nope"):
+        with pytest.raises((ConfigError, PartitionError)):
+            pick_partition(tmp_path, how, ident)
 
 
 class TestLoadSpec:
@@ -153,7 +205,7 @@ class TestLoadSpec:
         spec = load_scenario_spec(write_ini(tmp_path, (
             "[partition.a]\nfirst_block = 0\nblock_count = 8\n"
             "[partition.b]\nfirst_block = 8\nblock_count = 8\n")))
-        assert spec.partition_labels() == ["a", "b"]
+        assert [p.label for p in spec.partitions] == ["a", "b"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -237,6 +289,9 @@ class TestCliRun:
         _, out_dir = self.run_cli(tmp_path, "--partition", "b", ini=ini,
                                   out="b")
         assert len(parse_spatial((out_dir / "spatial.txt").read_text())) == 40
+        # Every other way to name a partition prefers the label too.
+        for how in PARTITION_NAMES:
+            assert pick_partition(tmp_path, how, "1", ini) == "1"
 
     def test_log_size_flag_caps_the_log(self, tmp_path):
         _, out_dir = self.run_cli(tmp_path, "--log-size", "10")

@@ -108,7 +108,6 @@ def _monitored_views(setup, call, per_unit):
 
 
 PPB = SMALL.pages_per_block
-_LOWER_SLOT = dict(zip(("read", "write", "erase"), LOWER_SLOTS))
 # (setup calls, failing call); a call is (op, start, count).
 FAILING_CALLS = {
     # Block 1 wears out on its second erase; the read fails at page PPB.
@@ -141,13 +140,20 @@ def _tag_then_raise(seen, name):
     return handler
 
 
+def _latency(dev, kind):
+    """The chip's latency of one unit of ``kind`` ("R", "W" or "E")."""
+    latency = dev.chip.latency
+    return {"R": latency.read_ns, "W": latency.write_ns,
+            "E": latency.erase_ns}[kind]
+
+
 def _lower_units(dev, tagged):
     """The units of the lower slots' records in ``tagged``, a list of
     ``(slot, record)`` from ``dev``, one ``(slot, kind, task, address,
     time_ns)`` per page or block."""
     return [(name, record[0], record[3]) + unit
             for name, record in tagged if name in LOWER_SLOTS
-            for unit in expand(record, dev.slot(name).step_ns)]
+            for unit in expand(record, _latency(dev, record[0]))]
 
 
 def _probed_devices():
@@ -206,7 +212,7 @@ def test_every_device_returns_the_unprobed_call_result(calls):
                 outcomes.append((type(exc), str(exc)))
             else:
                 assert type(result) is tuple and len(result) == 5
-                step = dev.slot(_LOWER_SLOT[op]).step_ns
+                step = _latency(dev, op[0].upper())
                 assert result == (op[0].upper(), start,
                                   dev.chip.clock_ns - count * step, task,
                                   count)

@@ -322,11 +322,52 @@ def test_range_ops_match_the_oracle_unit_by_unit(calls, endurance):
         try:
             first = run(start, count)
         except FlashError as exc:
-            tried = start + (chip.clock_ns - t0) // step
-            assert (type(exc).__name__, tried) == failure
+            assert chip.clock_ns - t0 == exc.done * step
+            assert (type(exc).__name__, start + exc.done) == failure
         else:
             assert failure is None
             assert first == t0
             assert [(kind, start + i, first + i * step)
                     for i in range(count)] == expected
         assert chip.snapshot() == oracle.state()
+
+
+PPB = SMALL.pages_per_block
+# Per range operation: setup calls on a chip whose blocks wear out on
+# their second erase, then a call (start, count) that fails part way,
+# and the units that run before the failing one.
+PART_WAY = {
+    # Block 1 is bad; the read stops at page PPB.
+    "read_pages": ([("erase_blocks", 1, 1), ("erase_blocks", 1, 1)],
+                   (PPB - 3, 6), 3),
+    # Block 1 holds two pages; the write stops at page PPB.
+    "write_pages": ([("write_pages", 0, PPB - 5), ("write_pages", PPB, 2)],
+                    (PPB - 5, 9), 5),
+    # Block 2 is bad; the erase stops there.
+    "erase_blocks": ([("erase_blocks", 2, 1), ("erase_blocks", 2, 1)],
+                     (0, 4), 2),
+}
+
+
+@pytest.mark.parametrize("method", sorted(PART_WAY))
+def test_failing_range_call_counts_the_units_that_ran(method):
+    setup, (start, count), ran = PART_WAY[method]
+    chip = FlashChip(SMALL, endurance_limit=1)
+    for name, *args in setup:
+        getattr(chip, name)(*args)
+    clock, before = chip.snapshot()
+    with pytest.raises(FlashError) as excinfo:
+        getattr(chip, method)(start, count)
+    done = excinfo.value.done
+    latency = {"read_pages": chip.latency.read_ns,
+               "write_pages": chip.latency.write_ns,
+               "erase_blocks": chip.latency.erase_ns}[method]
+    assert done == ran
+    assert chip.clock_ns - clock == done * latency
+    after = chip.snapshot()[1]
+    if method == "read_pages":
+        assert after == before
+    else:  # the pages written, or the erases made, by the units that ran
+        field = 0 if method == "write_pages" else 1
+        assert sum(a[field] - b[field] for a, b in zip(after, before)) \
+            == done

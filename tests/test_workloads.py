@@ -126,7 +126,7 @@ class TestBootScenario:
     def test_image_must_fit_partition(self):
         dev = MtdDevice(FlashChip(SMALL))
         dev.add_partition(0, 8, "root")
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError):
             boot_scenario_run(dev, BootScenarioConfig(
                 rootfs_bytes=9 * PPB * PAGE, partition="root"))
 
