@@ -51,7 +51,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-tasknames", action="store_true",
                         help="do not record task names in the log")
     parser.add_argument("--seed", type=int, metavar="N",
-                        help="workload RNG seed override")
+                        help="Postmark RNG seed (rng_seed) override; a "
+                             "config error on any other scenario kind")
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current)")
 

@@ -13,7 +13,8 @@ range checks, ``ffs.flavor_config`` the flavors and ``mtd.find_partition``
 the partition lookup; this module turns their errors into ``ConfigError``.
 
 Unknown sections and keys are rejected so typos fail loudly instead of
-silently falling back to defaults.
+silently falling back to defaults; ``validate`` also refuses a scenario
+key that its kind does not take (``_KIND_KEYS``), however it was given.
 """
 
 from __future__ import annotations
@@ -28,22 +29,23 @@ from .mtd import PartitionError, check_partition, find_partition
 from .nand import FlashGeometry, LatencyModel
 from .workloads import PostmarkConfig, postmark_config
 
-SCENARIO_KINDS = ("postmark", "boot", "raw", "custom")
+# The scenario keys each kind owns; every kind also takes kind and partition.
+_KIND_KEYS = {
+    "postmark": {"flavor", *(f.name for f in fields(PostmarkConfig))},
+    "boot": {"flavor", "rootfs_bytes", "boots", "script"},
+    "raw": {"erase_first", "write_bytes", "read_bytes"},
+    "custom": {"flavor", "script"},
+}
+SCENARIO_KINDS = tuple(_KIND_KEYS)
 
 _CHIP_KEYS = {"page_size", "pages_per_block", "n_blocks", "read_latency_ns",
               "write_latency_ns", "erase_latency_ns", "endurance_limit"}
 _PARTITION_KEYS = {"first_block", "block_count"}
 _MONITOR_KEYS = {f.name for f in fields(MonitorConfig)}
+_SCENARIO_KEYS = {"kind", "partition"}.union(*_KIND_KEYS.values())
 # Integer scenario keys; none of them may be negative.
-_SCENARIO_INT_KEYS = (
-    *(f.name for f in fields(PostmarkConfig)),
-    # boot
-    "rootfs_bytes", "boots",
-    # raw
-    "write_bytes", "read_bytes",
-)
-_SCENARIO_KEYS = {"kind", "partition", "flavor", "script", "erase_first",
-                  *_SCENARIO_INT_KEYS}
+_SCENARIO_INT_KEYS = sorted(
+    _SCENARIO_KEYS - {"kind", "partition", "flavor", "script", "erase_first"})
 
 
 class ConfigError(Exception):
@@ -196,9 +198,10 @@ def validate(spec: ScenarioSpec) -> None:
 
     A spec without partitions gets one "main" partition of 400 blocks (or
     the whole chip, if smaller), traced unless another is named; a
-    scenario without a partition runs on the first one, and one without
-    a flavor uses jffs2_like.  The traced and the scenario partition are
-    looked up by ``find_partition`` and stored back as labels.
+    scenario without a partition runs on the first one, and one of a kind
+    that takes a flavor but names none uses jffs2_like.  A param key
+    outside the kind's own keys is refused.  The traced and the scenario
+    partition are looked up by ``find_partition`` and stored back as labels.
     """
     if not spec.partitions:
         spec.partitions = [PartitionSpec(
@@ -209,6 +212,11 @@ def validate(spec: ScenarioSpec) -> None:
         raise ConfigError(f"unknown scenario kind {spec.kind!r} "
                           f"(expected one of {', '.join(SCENARIO_KINDS)})")
     params = spec.params
+    own = _KIND_KEYS[spec.kind]
+    foreign = sorted(set(params) - own - {"partition"})
+    if foreign:
+        raise ConfigError(f"[scenario] kind {spec.kind} takes no key(s) "
+                          + ", ".join(foreign))
     for key in _SCENARIO_INT_KEYS:
         if params.get(key, 0) < 0:
             raise ConfigError(f"[scenario] {key} must be >= 0")
@@ -224,7 +232,8 @@ def validate(spec: ScenarioSpec) -> None:
                 find_partition(spec.partitions, traced).label))
         params["partition"] = find_partition(
             spec.partitions, params.get("partition", 0)).label
-        flavor_config(params.setdefault("flavor", "jffs2_like"))
+        if "flavor" in own:
+            flavor_config(params.setdefault("flavor", "jffs2_like"))
         postmark_config(params)
     except (PartitionError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

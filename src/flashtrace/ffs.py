@@ -33,7 +33,8 @@ flavor packs its records back to back.
 File content is never stored; the model tracks per-file extents (byte
 ranges over pages, so packed commits can share boundary pages between
 files), a rolling journal where each new record supersedes the last,
-and per page a count of the extents holding it (live while above 0).
+and per page a count of the extents holding it (live while above 0),
+the one record of liveness: a block's live pages are counted from it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress, count
 from typing import Optional
 
@@ -118,13 +119,12 @@ FLAVOR_DEFAULTS = {
 }
 
 
-def flavor_config(flavor: str, **overrides) -> FfsModelConfig:
+def flavor_config(flavor: str) -> FfsModelConfig:
     try:
-        base = FLAVOR_DEFAULTS[flavor]
+        return FLAVOR_DEFAULTS[flavor]
     except KeyError:
         raise ValueError(f"unknown FFS flavor {flavor!r} (expected one of "
                          f"{', '.join(sorted(FLAVOR_DEFAULTS))})") from None
-    return replace(base, **overrides) if overrides else base
 
 
 class _Extent:
@@ -189,18 +189,17 @@ class FlashFs:
         n = self.partition.block_count
         # Per-block page accounting, indexed by block offset within the
         # partition: the chip's own BlockState holds each block's written
-        # pages, _valid the live ones; invalid pages are written minus valid.
+        # pages, _live(off) the live ones; invalid pages are written - live.
         self._blocks = dev.chip.blocks[self.partition.first_block:
                                        self.partition.block_limit]
-        self._valid = [0] * n
         self._free_blocks = n
         self._invalid_total = 0
         # GC victim index, as membership flags by block offset.  A block
         # with k >= 1 invalid pages has _buckets[k][off] == 1 and
         # _bucket_of[off] == k (_buckets[0] stays clear), and a block with
-        # written pages but no valid one has _fully_invalid[off] == 1.
+        # written pages but no live one has _fully_invalid[off] == 1.
         # Every write or erase this model makes on the chip and every
-        # change to _valid marks its block stale; the index folds stale
+        # liveness change marks its block stale; the index folds stale
         # blocks in at the next query.  The greedy victim is the lowest
         # flagged offset in the highest non-empty bucket, the soft victim
         # the lowest fully invalid offset, and neither is ever the log head.
@@ -208,7 +207,8 @@ class FlashFs:
         self._buckets = [bytearray(n) for _ in range(self._ppb + 1)]
         self._fully_invalid = bytearray(n)
         self._stale: set[int] = set()
-        # Extents holding each page, by page - first_page; valid while > 0.
+        # Extents holding each page, by page - first_page; live while > 0.
+        # The one record of liveness.
         self._owners = array("I", [0]) * self.partition.page_count
         self._journal: Optional[_Extent] = None
         self._head: Optional[int] = None  # block offset of the open log block
@@ -241,6 +241,11 @@ class FlashFs:
 
     # -- ownership bookkeeping -------------------------------------------
 
+    def _live(self, off: int) -> int:
+        """Live pages of the block at offset ``off``: those with an owner."""
+        ppb = self._ppb
+        return ppb - self._owners[off * ppb:(off + 1) * ppb].count(0)
+
     def _live_extents(self):
         if self._journal is not None:
             yield self._journal
@@ -253,7 +258,6 @@ class FlashFs:
             i = page - base
             owners[i] += 1
             if owners[i] == 1:
-                self._valid[i // ppb] += 1
                 self._stale.add(i // ppb)
 
     def _detach(self, extent: _Extent) -> None:
@@ -262,7 +266,6 @@ class FlashFs:
             i = page - base
             owners[i] -= 1
             if not owners[i]:
-                self._valid[i // ppb] -= 1
                 self._stale.add(i // ppb)
                 self._invalid_total += 1
 
@@ -325,10 +328,10 @@ class FlashFs:
         return pages
 
     def _erase_block(self, off: int) -> None:
-        """Erase one partition block with no valid pages left in it."""
+        """Erase one partition block with no live pages left in it."""
         block = self._blocks[off]
         was_free = block.written == 0
-        self._invalid_total -= block.written - self._valid[off]
+        self._invalid_total -= block.written - self._live(off)
         self._stale.add(off)
         if self._head == off:
             self._head = None
@@ -347,18 +350,18 @@ class FlashFs:
 
     def _fold_stale(self) -> None:
         """Bring the victim index up to date with the stale blocks."""
-        blocks, valid = self._blocks, self._valid
+        blocks, live = self._blocks, self._live
         bucket_of, buckets = self._bucket_of, self._buckets
         fully_invalid = self._fully_invalid
         for off in self._stale:
             written = blocks[off].written
-            invalid = written - valid[off]
+            invalid = written - live(off)
             old = bucket_of[off]
             if invalid != old:
                 buckets[old][off] = 0
                 buckets[invalid][off] = invalid > 0
                 bucket_of[off] = invalid
-            fully_invalid[off] = written > 0 and not valid[off]
+            fully_invalid[off] = written > 0 and invalid == written
         self._stale.clear()
 
     def _find_fully_invalid(self) -> Optional[int]:
@@ -386,9 +389,7 @@ class FlashFs:
                 new = self._write_pages(1)[0] - base
                 moved[base + i] = base + new
                 owners[new], owners[i] = owners[i], 0
-                self._valid[off] -= 1
                 self._invalid_total += 1
-                self._valid[new // ppb] += 1
                 self._stale.update((off, new // ppb))
         finally:
             # A full partition can cut the loop short; remap what moved.
@@ -440,9 +441,9 @@ class FlashFs:
             self._stale.update(range(part.block_count))
             self._adopt_unclaimed()
             self._invalid_total = (sum(b.written for b in self._blocks)
-                                   - sum(self._valid))
+                                   - len(self._owners) + self._owners.count(0))
             if not self.first_mount_done:
-                data_free = [off for off in good if self._valid[off] == 0]
+                data_free = [off for off in good if not self._live(off)]
                 if self.config.flavor == "jffs2_like":
                     self._format_queue = deque(data_free)
                 else:
@@ -684,8 +685,8 @@ class FlashFs:
         return entry.logical_size
 
     def accounting_ok(self) -> bool:
-        """Cross-check internal page accounting against the extents and
-        the chip, and the GC victim index against the page accounting."""
+        """Cross-check the owner counts against the extents, the totals
+        against the chip, and the GC victim index against the owners."""
         base = self.partition.first_page
         owners = array("I", [0]) * self.partition.page_count
         for extent in self._live_extents():
@@ -696,9 +697,6 @@ class FlashFs:
         if self._free_blocks != sum(not (b.written or b.is_bad)
                                     for b in self._blocks):
             return False
-        owned = [0] * self.partition.block_count
-        for i in compress(count(), owners):
-            owned[i // self._ppb] += 1
         self._fold_stale()
         bucketed = {}
         for k, bucket in enumerate(self._buckets):
@@ -708,16 +706,14 @@ class FlashFs:
                 bucketed[off] = k
         invalid = 0
         for off in range(self.partition.block_count):
-            written, valid = self._blocks[off].written, self._valid[off]
-            if valid != owned[off]:
+            written, live = self._blocks[off].written, self._live(off)
+            if live > written:
                 return False
-            if valid > written:
-                return False
-            # The victim index: bucket written - valid, none for 0.
+            # The victim index: bucket written - live, none for 0.
             if not (bucketed.get(off, 0) == self._bucket_of[off]
-                    == written - valid):
+                    == written - live):
                 return False
-            if self._fully_invalid[off] != (written > 0 and valid == 0):
+            if self._fully_invalid[off] != (written > 0 and live == 0):
                 return False
-            invalid += written - valid
+            invalid += written - live
         return invalid == self._invalid_total

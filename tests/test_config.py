@@ -229,7 +229,8 @@ class TestLoadSpec:
         assert default_spec().params["flavor"] == "jffs2_like"
         spec = load_scenario_spec(write_ini(
             tmp_path, "[scenario]\nkind = raw\nread_bytes = 2048\n"))
-        assert spec.params["flavor"] == "jffs2_like"
+        assert "flavor" not in spec.params  # raw scenarios take no flavor
+        validate(spec)  # so a second pass, as the CLI makes, still passes
 
 
 class TestCliRun:
@@ -354,6 +355,22 @@ class TestCliErrors:
         assert main(["run", "--config", config, "--out",
                      str(tmp_path / "out")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, line, flags, key", [
+        ("postmark", "boots = 3", (), "boots"),
+        ("boot", "n_files = 5", (), "n_files"),
+        ("raw", "flavor = yaffs2_like", (), "flavor"),
+        ("custom", "write_bytes = 4096", (), "write_bytes"),
+        ("raw", "read_bytes = 2048", ("--seed", "3"), "rng_seed"),
+    ])
+    def test_a_key_of_another_kind_is_exit_1(self, tmp_path, capsys, kind,
+                                             line, flags, key):
+        config = write_ini(tmp_path, f"[scenario]\nkind = {kind}\n{line}\n")
+        assert main(["run", "--config", config, "--out",
+                     str(tmp_path / "out"), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"kind {kind} " in err and key in err
 
     def test_overhead_runs_guard(self, tmp_path):
         config = write_ini(tmp_path, BASE_INI)

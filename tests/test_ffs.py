@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,27 +27,38 @@ def rig(blocks=8, label="fs"):
     return dev
 
 
+def live_by_block(fs):
+    """Each block's distinct live pages, counted from the live extents
+    rather than from the model's own owner counts."""
+    base, ppb = fs.partition.first_page, fs.dev.chip.geometry.pages_per_block
+    live = [0] * fs.partition.block_count
+    for page in {page for extent in fs._live_extents()
+                 for page in extent.pages}:
+        live[(page - base) // ppb] += 1
+    return live
+
+
 def reference_most_invalid(fs):
     """The greedy victim by linear scan: most invalid pages, then the
     lowest offset, never the log head; None with no invalid page."""
     blocks = fs.dev.chip.blocks[fs.partition.first_block:]
     best, best_invalid = None, 0
-    for off in range(fs.partition.block_count):
+    for off, live in enumerate(live_by_block(fs)):
         if off == fs._head:
             continue
-        invalid = blocks[off].written - fs._valid[off]
+        invalid = blocks[off].written - live
         if invalid > best_invalid:
             best, best_invalid = off, invalid
     return best
 
 
 def reference_fully_invalid(fs):
-    """The lowest written block with no valid page, never the log head."""
+    """The lowest written block with no live page, never the log head."""
     blocks = fs.dev.chip.blocks[fs.partition.first_block:]
-    for off in range(fs.partition.block_count):
+    for off, live in enumerate(live_by_block(fs)):
         if off == fs._head:
             continue
-        if blocks[off].written > 0 and fs._valid[off] == 0:
+        if blocks[off].written > 0 and live == 0:
             return off
     return None
 
@@ -59,7 +71,7 @@ def assert_victims_match_scan(fs):
 def quiet(flavor, **overrides):
     """Flavor config that will not latch GC from a small free pool."""
     overrides.setdefault("gc_free_blocks_low_watermark", 0)
-    return flavor_config(flavor, **overrides)
+    return replace(flavor_config(flavor), **overrides)
 
 
 class TestFlavorDefaults:
@@ -83,7 +95,9 @@ class TestFlavorDefaults:
             assert config.gc_free_blocks_low_watermark == 8
 
     def test_overrides(self):
-        config = flavor_config("jffs2_like", metadata_pages_per_file_op=3)
+        assert flavor_config("jffs2_like") is FLAVOR_DEFAULTS["jffs2_like"]
+        config = replace(flavor_config("jffs2_like"),
+                         metadata_pages_per_file_op=3)
         assert config.metadata_pages_per_file_op == 3
         assert config.compression_factor == 0.5
 
@@ -630,9 +644,9 @@ class TestGarbageCollection:
     def test_low_free_watermark_latches_gc(self):
         dev = rig()
         fs = FlashFs(dev, "fs",
-                     flavor_config("yaffs2_like",
-                                   metadata_pages_per_file_op=0,
-                                   gc_free_blocks_low_watermark=4))
+                     replace(flavor_config("yaffs2_like"),
+                             metadata_pages_per_file_op=0,
+                             gc_free_blocks_low_watermark=4))
         fs.mount()
         for i in range(5):
             fs.create_file(f"f{i}", PPB * PAGE)
