@@ -635,7 +635,12 @@ class FlashFs:
         if hi <= lo:
             return 0
         page_size = self._page_size
-        wanted: list[int] = []
+        # The `[start, n]` runs of the pages in range, built in one walk:
+        # a page equal to the last one (a boundary page two packed
+        # extents share) is read once, the next page lengthens the run,
+        # any other opens one.  No page is -2 or -1, so the first opens.
+        runs: list[list[int]] = []
+        last = -2
         base = 0
         for extent in entry.extents:
             span_end = base + extent.byte_len
@@ -643,17 +648,21 @@ class FlashFs:
                 u = max(lo, base) - base
                 v = min(hi, span_end) - base
                 first = (extent.start_off + u) // page_size
-                last = (extent.start_off + v - 1) // page_size
-                for i in range(first, last + 1):
-                    page = extent.pages[i]
-                    if not wanted or wanted[-1] != page:
-                        wanted.append(page)
+                stop = (extent.start_off + v - 1) // page_size + 1
+                for page in extent.pages[first:stop]:
+                    if page == last + 1:
+                        runs[-1][1] += 1
+                    elif page != last:
+                        runs.append([page, 1])
+                    last = page
             base = span_end
             if base >= hi:
                 break
-        for start, n in _runs(wanted, len(wanted)):  # uncapped
+        total = 0
+        for start, n in runs:
             self.dev.mtd_read(start, n)
-        return len(wanted)
+            total += n
+        return total
 
     def delete_file(self, file_id: str) -> None:
         self._require_mounted()

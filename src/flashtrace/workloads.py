@@ -4,6 +4,9 @@ Every driver tags its device operations with a task name so traces can
 be broken down by actor ("postmark", "mount", "gc_thread", "rcS",
 "flash_erase", ...).  All randomness flows through one seeded generator
 per run, so a given config reproduces the same trace byte for byte.
+Postmark draws from it through `randbelow`, a `getrandbits` loop that
+gives the values `randrange`/`randint` would, draw for draw (a test
+pins that), without their wrapper frames.
 A transfer larger than its partition raises OutOfRangeError.
 """
 
@@ -53,6 +56,28 @@ def postmark_config(params: dict) -> PostmarkConfig:
                              if f.name in params})
 
 
+def randbelow(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: the value ``rng.randrange(n)`` would draw, from the
+    same ``getrandbits`` calls (the body of CPython's
+    `Random._randbelow_with_getrandbits`, which `randrange` and `randint`
+    reduce to); ``lo + below(hi - lo + 1)`` is
+    ``rng.randint(lo, hi)``.  ``n < 1`` raises ValueError, where the bare
+    loop would never end."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            # Every r >= 0 >= n enters here, so a valid draw skips the test.
+            if n < 1:
+                raise ValueError(f"empty range for randbelow({n})")
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 @dataclass
 class PostmarkReport:
     files_created: int = 0
@@ -69,21 +94,25 @@ def postmark_run(fs: FlashFs, pm: Optional[PostmarkConfig] = None) -> PostmarkRe
     Each transaction first creates or deletes a random file, then reads
     a whole random file or appends io_size bytes to one.  Out of space
     stops the run early and the report covers the work done so far.
+    Every draw comes from one `randbelow` sampler over
+    ``random.Random(pm.rng_seed)``, in the order the `randrange` and
+    `randint` calls it stands for would make them.
     """
     pm = pm or PostmarkConfig()
-    rng = random.Random(pm.rng_seed)
+    below = randbelow(random.Random(pm.rng_seed))
+    size_span = pm.file_size_max - pm.file_size_min + 1
     report = PostmarkReport()
     alive: list[str] = []
     serial = 0
 
     def fresh_name() -> str:
         nonlocal serial
-        name = f"s{rng.randrange(pm.n_subdirs)}/f{serial}"
+        name = f"s{below(pm.n_subdirs)}/f{serial}"
         serial += 1
         return name
 
     def create_one() -> None:
-        size = rng.randint(pm.file_size_min, pm.file_size_max)
+        size = pm.file_size_min + below(size_span)
         name = fresh_name()
         fs.create_file(name, size)
         alive.append(name)
@@ -91,7 +120,7 @@ def postmark_run(fs: FlashFs, pm: Optional[PostmarkConfig] = None) -> PostmarkRe
         report.bytes_written += size
 
     def delete_one() -> None:
-        i = rng.randrange(len(alive))
+        i = below(len(alive))
         alive[i], alive[-1] = alive[-1], alive[i]
         fs.delete_file(alive.pop())
         report.files_deleted += 1
@@ -101,13 +130,13 @@ def postmark_run(fs: FlashFs, pm: Optional[PostmarkConfig] = None) -> PostmarkRe
             for _ in range(pm.n_files):
                 create_one()
             for _ in range(pm.n_transactions):
-                if rng.randrange(100) < pm.create_delete_ratio or not alive:
+                if below(100) < pm.create_delete_ratio or not alive:
                     create_one()
                 else:
                     delete_one()
                 if alive:
-                    name = alive[rng.randrange(len(alive))]
-                    if rng.randrange(100) < pm.read_append_ratio:
+                    name = alive[below(len(alive))]
+                    if below(100) < pm.read_append_ratio:
                         size = fs.file_size(name)
                         fs.read_file(name)
                         report.bytes_read += size
