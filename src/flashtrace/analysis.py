@@ -19,6 +19,7 @@ the entries that hold those events.  A write by the background task is
 
 from __future__ import annotations
 
+import math
 import statistics
 from array import array
 from bisect import bisect_right
@@ -34,6 +35,10 @@ PHASE_DOMINANT_TENTHS = 9
 PHASE_MIN_EVENTS = 8
 
 KINDS = ("R", "W", "E")
+# Bits of the integer square root that _sqrt_of_fraction rounds to odd
+# before its one rounding to a float's 53, enough for that rounding to
+# be correct.
+_SQRT_BITS = 2 * 53 + 3
 # Each event's term in 10 * writes - 9 * length, the creation test, as a
 # signed byte per kind code; a background write, "w", is a write.
 _CREATION_SCORES = bytes(
@@ -144,13 +149,33 @@ def detect_phases(log: EventRing) -> list[Phase]:
             for label, lo, hi, dominant in bounds]
 
 
+def _sqrt_of_fraction(n: int, m: int) -> float:
+    """The square root of n/m (n >= 0, m > 0) as a float, correctly
+    rounded, the way ``statistics.pstdev`` takes it: an integer square
+    root of at least _SQRT_BITS bits, rounded to odd, then rounded once
+    to a float."""
+    shift = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if shift >= 0:
+        m <<= 2 * shift
+    else:
+        n <<= -2 * shift
+    root = math.isqrt(n // m)
+    root |= root * root * m != n  # round to odd
+    return math.ldexp(root, shift)
+
+
 def wear_report(counters: SpatialCounters) -> WearSpread:
-    """Spread of per-block erase counts over the monitored range."""
+    """Spread of per-block erase counts over the monitored range.  The
+    standard deviation is that of ``statistics.pstdev``, from exact
+    integer sums: the variance is (n * sum(x * x) - sum(x) ** 2) / n**2."""
     erases = counters.erases
-    if len(erases) == 0:
+    n = len(erases)
+    if n == 0:
         return WearSpread(0, 0, 0.0, 0.0)
-    return WearSpread(min(erases), max(erases),
-                      statistics.fmean(erases), statistics.pstdev(erases))
+    total = sum(erases)
+    squares = sum(map(mul, erases, erases))
+    return WearSpread(min(erases), max(erases), statistics.fmean(erases),
+                      _sqrt_of_fraction(n * squares - total * total, n * n))
 
 
 def trace_stats(log: EventRing, counters: SpatialCounters) -> TraceStats:

@@ -236,9 +236,6 @@ class FlashFs:
     def invalid_ratio(self) -> float:
         return self._invalid_total / self.partition.page_count
 
-    def free_blocks(self) -> int:
-        return self._free_blocks
-
     # -- ownership bookkeeping -------------------------------------------
 
     def _live(self, off: int) -> int:

@@ -48,16 +48,25 @@ Readers that write units work a chunk at a time, per entry, with
 C-level iterators, and never expand an entry past the chunk:
 ``EventRing.chunks`` gives the columns of each chunk's entries, and a
 reader takes only the entries it needs.  A chunk holds at most
-``TEMPORAL_CHUNK_LINES`` units and ends at the first unit of the next
+``TEMPORAL_CHUNK_LINES`` units.  It ends at the first unit of the next
 second (found from the entries) when that leaves it at least
-``TEMPORAL_CHUNK_LINES // 8``, so most chunks fall within one second and
-format only the nanoseconds past it.  Every temporal line is written as
-UTF-8 bytes by one ``bytes`` ``%`` format per chunk, whose template
-repeats each entry's line, its kind and task name already in it, once
-per unit; its values are one list that ``line_values`` fills from the
-entries, each entry's clock and addresses a ``range`` (``unit_runs``).
-``write_temporal`` streams the chunks to a binary file;
-``render_temporal`` decodes them once.  ``EventRing.plot_chunks`` writes
+``TEMPORAL_CHUNK_LINES // 8`` units, or when that unit is inside an
+entry, so in a log in time order no entry of a chunk crosses that
+second; and a chunk that starts less than ``PLAIN_NS`` into its second ends at
+the first unit ``PLAIN_NS`` into it when that leaves at least
+``TEMPORAL_CHUNK_LINES // 8`` units on each side.  Every temporal line
+is written as UTF-8 bytes by one ``bytes`` ``%`` format per chunk, whose
+template repeats each entry's line, its second, kind and task name
+already in it, once per unit, so only the nanoseconds past the second
+and the address are formatted per line: with ``%09d`` in an entry that
+starts less than ``PLAIN_NS`` into its second, and with a plain ``%d``,
+which prints the same 9 digits faster, in any other.  The values are
+one list that ``line_values`` fills from the entries, each entry's clock
+and addresses a ``range``.  ``write_temporal`` streams the chunks to a
+binary file; ``render_temporal`` decodes them once.  A chunk that holds
+an entry whose units still cross a second (a later one than its next,
+or in a log out of time order) has each unit's second formatted too.
+``EventRing.plot_chunks`` writes
 the plot rows of one kind the same way, from that kind's entries alone,
 so the chunk layout is known to this module only.  Phase detection
 (``analysis.detect_phases``) reads the entries' kinds and counts and
@@ -84,6 +93,9 @@ LOG_ENTRY_BYTES_BARE = 20
 LOG_ENTRY_BYTES_WITH_TASKS = LOG_ENTRY_BYTES_BARE + TASK_NAME_BYTES
 
 NS_PER_SECOND = 1_000_000_000
+# A tenth of a second: from this many nanoseconds past a second on, the
+# fraction has 9 digits without padding, so it formats as a plain %d.
+PLAIN_NS = NS_PER_SECOND // 10
 # Units per chunk when the temporal log is read (EventRing.chunks).
 TEMPORAL_CHUNK_LINES = 4096
 # Fields of a request record (kind, address, time_ns, task, count),
@@ -147,39 +159,58 @@ def parse_time(text: str) -> int:
     return int(seconds) * NS_PER_SECOND + int(fraction)
 
 
-def unit_runs(starts, counts, steps):
+def unit_runs(starts, counts, steps=None):
     """An iterator over the values of entries' units: per entry
-    ``count`` values from ``start``, ``step`` apart.  ``starts`` is a
-    sequence; ``steps`` is a sequence or ``repeat(step)``."""
+    ``count`` values from ``start``, ``step`` apart, or 1 apart when
+    ``steps`` is None.  ``starts`` is a sequence; ``steps`` is a
+    sequence or ``repeat(step)``."""
+    if steps is None:
+        return chain.from_iterable(map(range, starts, map(add, starts,
+                                                          counts)))
     return chain.from_iterable(map(range, starts, map(
         add, starts, map(mul, counts, steps)), steps))
 
 
-def line_values(times, addresses, counts, steps) -> tuple:
+def line_values(times, addresses, counts, steps, tail=b"") -> tuple:
     """The ``%`` values of the lines of a chunk's entries, from their
     first times, first addresses, unit counts and steps (non-empty
-    sequences): a ``bytes`` template part for the clock and one list
-    that holds, per unit in order, its clock fields and its address.
-    When every unit falls within the second of the earliest, that second
-    is part of the template and only the nanoseconds past it are
-    formatted, as one range per entry."""
-    second = min(times) // NS_PER_SECOND
-    lasts = map(add, times, map(mul, map(sub, counts, repeat(1)), steps))
+    sequences): an iterator over the entries' clock templates, each
+    followed by ``tail``, and one list that holds, per unit in order,
+    its clock fields and its address.  When each entry's units fall
+    within the second of its first, that second is part of the entry's
+    template and only the nanoseconds past it are formatted, as one
+    range per entry: with ``%09d``, or with a plain ``%d`` when the
+    entry's first unit, and so every later one, is at least PLAIN_NS
+    past the second and so has 9 digits anyway.  Otherwise each unit's
+    second is formatted too."""
     units = sum(counts)
-    if max(lasts) // NS_PER_SECOND == second:
-        stamp, width = b"%d.%%09d" % second, 2
+    # Per entry, the nanoseconds of its first unit and of one step past
+    # its last, past the second of its first.
+    offsets = list(map(mod, times, repeat(NS_PER_SECOND)))
+    stops = list(map(add, offsets, map(mul, counts, steps)))
+    if max(map(sub, stops, steps)) < NS_PER_SECOND:
+        # Per tenth of a second an entry starts in, its template: the
+        # second, then the nanoseconds, padded in the first tenth only.
+        tail = tail.replace(b"%", b"%%")
+        formats = (b"%d.%%09d" + tail,) + (b"%d.%%d" + tail,) * 9
+        tenths = list(map(floordiv, times, repeat(PLAIN_NS)))
+        seen = list(set(tenths))
+        stamp_of = dict(zip(seen, map(
+            mod, map(formats.__getitem__, map(mod, seen, repeat(10))),
+            map(floordiv, seen, repeat(10)))))
+        stamps = map(stamp_of.__getitem__, tenths)
+        width = 2
         values = [0] * (2 * units)
-        values[::2] = unit_runs(
-            list(map(sub, times, repeat(second * NS_PER_SECOND))),
-            counts, steps)
+        values[::2] = chain.from_iterable(map(range, offsets, stops, steps))
     else:  # each unit's second and the nanoseconds past it
-        stamp, width = b"%d.%09d", 3
+        stamps = repeat(b"%d.%09d" + tail)
+        width = 3
         values = [0] * (3 * units)
         clock = list(unit_runs(times, counts, steps))
         values[::3] = map(floordiv, clock, repeat(NS_PER_SECOND))
         values[1::3] = map(mod, clock, repeat(NS_PER_SECOND))
-    values[width - 1::width] = unit_runs(addresses, counts, repeat(1))
-    return stamp, values
+    values[width - 1::width] = unit_runs(addresses, counts)
+    return stamps, values
 
 
 def parse_temporal(text: str) -> list[TraceEvent]:
@@ -283,7 +314,7 @@ class EventRing:
                      if tasks is None else chain.from_iterable(
                          map(repeat, map(names.__getitem__, tasks), counts)))
             return zip(times, kinds.replace("w", "W"),
-                       unit_runs(addresses, counts, repeat(1)), tasks)
+                       unit_runs(addresses, counts), tasks)
         return chain.from_iterable(starmap(events, self.chunks()))
 
     def chunks(self):
@@ -293,26 +324,44 @@ class EventRing:
         unless task names are off (then None), task ids.  A chunk holds
         at most TEMPORAL_CHUNK_LINES units, and ends before the first
         unit of the second after its first unit's when that leaves it at
-        least TEMPORAL_CHUNK_LINES // 8.  That unit is found from the
-        entries; no unit is expanded here, so a reader expands each
-        entry's units of a chunk once, and never past the chunk."""
+        least TEMPORAL_CHUNK_LINES // 8, or when that unit is inside an
+        entry, not its first.  A chunk whose first unit is less than
+        PLAIN_NS into its second ends instead before the first unit
+        PLAIN_NS into it, when that leaves at least TEMPORAL_CHUNK_LINES
+        // 8 units on each side of that unit before the next second, so
+        the units past it format with a plain %d.  Those units are found
+        from the entries; no unit is expanded here, so a reader expands
+        each entry's units of a chunk once, and never past the chunk."""
         ends = array("q", accumulate(self.counts))
         start, size = 0, len(self)
+        least = TEMPORAL_CHUNK_LINES // 8
         while start < size:
             end = min(start + TEMPORAL_CHUNK_LINES, size)
             entries = self._entries(ends, start, end)
-            times, _, counts, kinds, _ = entries
-            second = (times[0] // NS_PER_SECOND + 1) * NS_PER_SECOND
-            # The units before the next second: those of the entries that
-            # start before it, up to the first of their units past it.
-            last = bisect_left(times, second) - 1  # times[last] < second
-            within = (second - times[last] - 1) // self.steps[kinds[last]] + 1
-            cut = sum(counts[:last]) + min(within, counts[last])
-            if TEMPORAL_CHUNK_LINES // 8 <= cut < end - start:
+            first = entries[0][0]  # the time of the chunk's first unit
+            second = first - first % NS_PER_SECOND
+            cut, splits = self._units_before(entries, second + NS_PER_SECOND)
+            if first - second < PLAIN_NS:
+                padded, _ = self._units_before(entries, second + PLAIN_NS)
+                if least <= padded <= cut - least:
+                    cut, splits = padded, False
+            if (least <= cut or splits) and cut < end - start:
                 end = start + cut
                 entries = self._entries(ends, start, end)
             yield entries
             start = end
+
+    def _units_before(self, entries, time_ns: int) -> tuple:
+        """The units of a chunk's ``entries`` before the first one that
+        starts at ``time_ns`` or later: those of the entries that start
+        before it, up to the first of their units past it; and whether
+        that unit is inside an entry, not its first.  The first entry
+        starts before ``time_ns``."""
+        times, _, counts, kinds, _ = entries
+        last = bisect_left(times, time_ns) - 1  # times[last] < time_ns
+        within = (time_ns - times[last] - 1) // self.steps[kinds[last]] + 1
+        return (sum(counts[:last]) + min(within, counts[last]),
+                within < counts[last])
 
     def _entries(self, ends, lo: int, hi: int) -> tuple:
         """The columns of the entries that hold units [lo, hi), as
@@ -349,12 +398,12 @@ class EventRing:
             lines = {code: [line + b";" + name + b"\n" for name in names]
                      for code, line in lines.items()}
         for times, addresses, counts, kinds, tasks in self.chunks():
-            stamp, values = line_values(
+            stamps, values = line_values(
                 times, addresses, counts,
                 list(map(self.steps.__getitem__, kinds)))
             lines_of = (map(lines.__getitem__, kinds) if tasks is None else
                         map(getitem, map(lines.__getitem__, kinds), tasks))
-            yield b"".join(map(mul, map(add, repeat(stamp), lines_of),
+            yield b"".join(map(mul, map(add, stamps, lines_of),
                                counts)) % tuple(values)
 
     def plot_chunks(self, kind: str):
@@ -369,11 +418,11 @@ class EventRing:
             picked = kinds.translate(mask)
             counts = list(compress(counts, picked))
             if counts:
-                stamp, values = line_values(
+                stamps, values = line_values(
                     list(compress(times, picked)),
                     list(compress(addresses, picked)), counts,
-                    [step] * len(counts))
-                yield (stamp + row) * sum(counts) % tuple(values)
+                    [step] * len(counts), row)
+                yield b"".join(map(mul, stamps, counts)) % tuple(values)
 
 
 class SpatialCounters:

@@ -74,10 +74,6 @@ class Partition:
     def block_limit(self) -> int:
         return self.first_block + self.block_count
 
-    @property
-    def page_limit(self) -> int:
-        return self.first_page + self.page_count
-
 
 def check_partition(part, claimed, blocks_per_chip: int) -> None:
     """The one partition-table rule, for Partition and PartitionSpec alike.

@@ -69,14 +69,6 @@ class FlashGeometry:
     def total_pages(self) -> int:
         return self.blocks_per_chip * self.pages_per_block
 
-    @property
-    def total_bytes(self) -> int:
-        return self.total_pages * self.page_size
-
-    @property
-    def block_bytes(self) -> int:
-        return self.pages_per_block * self.page_size
-
 
 @dataclass(frozen=True)
 class LatencyModel:

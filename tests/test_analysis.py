@@ -1,7 +1,12 @@
 """Phase detection, wear spread, and the stats/plot renderers."""
 
 import gc
+import math
+import random
+import statistics
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -336,6 +341,26 @@ class TestWearReport:
         assert report.max_erases == 4
         assert report.mean_erases == pytest.approx(2.0)
         assert report.stddev_erases == pytest.approx(2.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(blocks=st.integers(1, 3000),
+           limit=st.sampled_from((0, 1, 3, 1 << 20, 1 << 40)),
+           rng=st.randoms(use_true_random=False))
+    @example(blocks=1, limit=1 << 40, rng=random.Random(0))
+    @example(blocks=3000, limit=1 << 40, rng=random.Random(1))
+    def test_spread_is_that_of_pstdev(self, blocks, limit, rng):
+        """The spread taken from exact integer sums is statistics.pstdev
+        to the last bit, for 1 to 3,000 blocks of 0 to 2**40 erases each
+        (wider than the 32-bit counters).  Before Python 3.11, pstdev
+        rounds the variance to a float before its square root, so there
+        it may be an ulp off the correctly rounded value."""
+        erases = [rng.randint(0, limit) for _ in range(blocks)]
+        spread = wear_report(SimpleNamespace(erases=erases)).stddev_erases
+        expected = statistics.pstdev(erases)
+        if sys.version_info >= (3, 11):
+            assert spread == expected
+        else:
+            assert abs(spread - expected) <= math.ulp(expected)
 
 
 class TestTraceStats:

@@ -651,11 +651,11 @@ class TestGarbageCollection:
         fs.mount()
         for i in range(5):
             fs.create_file(f"f{i}", PPB * PAGE)
-        assert fs.free_blocks() == 3
+        assert fs._free_blocks == 3
         assert fs._gc_latched
         fs.delete_file("f0")
         assert fs.background_step() is True  # reclaims the invalid block
-        assert fs.free_blocks() == 4
+        assert fs._free_blocks == 4
 
     def test_synchronous_gc_reclaims_when_log_is_full(self):
         dev = MtdDevice(FlashChip(SMALL))
@@ -798,7 +798,7 @@ class TestWearOut:
                     pass
         assert sum(b.is_bad for b in blocks) == 7
         # No bad block is free, and the head is never a bad block.
-        assert fs.free_blocks() == sum(
+        assert fs._free_blocks == sum(
             not (b.written or b.is_bad) for b in blocks) == 0
         assert not blocks[fs._head].is_bad
         assert fs.accounting_ok()
@@ -815,10 +815,10 @@ class TestWearOut:
         fs.create_file("a", PPB * PAGE)
         fs.create_file("b", PAGE)
         fs.delete_file("a")  # a third of the pages invalid: GC latches
-        assert fs.free_blocks() == 1
+        assert fs._free_blocks == 1
         assert fs.background_step() is True  # erases block 0, wearing it out
         assert dev.chip.blocks[0].is_bad
-        assert fs.free_blocks() == 1
+        assert fs._free_blocks == 1
         assert fs.accounting_ok()
 
     @pytest.mark.parametrize("flavor",

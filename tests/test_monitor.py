@@ -27,7 +27,7 @@ from flashtrace import (BACKGROUND_TASK, AlreadyAttachedError,
 from flashtrace import monitor
 from flashtrace.config import ScenarioSpec, default_spec
 from flashtrace.mtd import LOWER_SLOTS, UPPER_SLOTS
-from flashtrace.monitor import (FOLD_CHUNK_RECORDS, NS_PER_SECOND,
+from flashtrace.monitor import (FOLD_CHUNK_RECORDS, NS_PER_SECOND, PLAIN_NS,
                                 RECORD_FIELDS, TEMPORAL_CHUNK_LINES,
                                 EventRing, parse_time)
 from flashtrace.runner import (ScenarioResult, execute_scenario,
@@ -423,8 +423,8 @@ def test_pending_is_bounded_by_driver_calls():
     dev.add_partition(0, SMALL.blocks_per_chip, "all")
     mon = attach(dev)
     raw_erase(dev, "all")
-    raw_write(dev, "all", SMALL.total_bytes)
-    raw_read(dev, "all", SMALL.total_bytes)
+    raw_write(dev, "all", SMALL.total_pages * SMALL.page_size)
+    raw_read(dev, "all", SMALL.total_pages * SMALL.page_size)
     assert pending_records(mon) == 3
     assert mon.counters.sums() == (SMALL.total_pages, SMALL.total_pages,
                                    SMALL.blocks_per_chip)
@@ -667,7 +667,9 @@ def _ring_matches_a_deque_of_events(task_names, case, view):
 # The renderers against the reference lines.  A chip of 1,024 blocks of
 # 32 pages takes records of up to three logs' worth of units; each
 # record starts anywhere up to 2**50 ns (so records come out of order),
-# or so that one of its units falls on a whole second or 1 ns before it.
+# or so that one of its units falls on a whole second or 1 ns before it,
+# or PLAIN_NS (the first nanosecond formatted with a plain %d) into its
+# second or 1 ns before that.
 _RENDER = FlashGeometry(blocks_per_chip=1024, pages_per_block=32,
                         page_size=512)
 _STEP = {"R": LatencyModel().read_ns, "W": LatencyModel().write_ns,
@@ -699,9 +701,11 @@ def _render_batches(draw):
         second = draw(st.integers(count * step // NS_PER_SECOND + 1, 1 << 20))
         time_ns = draw(st.one_of(
             st.integers(0, 1 << 50),
-            st.tuples(st.integers(0, count - 1), st.integers(0, 1)).map(
-                lambda unit_and_gap: second * NS_PER_SECOND
-                - unit_and_gap[0] * step - unit_and_gap[1])))
+            st.tuples(st.integers(0, count - 1), st.integers(0, 1),
+                      st.sampled_from((0, PLAIN_NS))).map(
+                lambda unit_gap_mark: second * NS_PER_SECOND
+                + unit_gap_mark[2] - unit_gap_mark[0] * step
+                - unit_gap_mark[1])))
         records.append((kind, draw(st.integers(0, units - count)), time_ns,
                         draw(st.sampled_from(_REF_TASKS + ("per%cent%s",))),
                         count))
@@ -715,6 +719,23 @@ def _render_batches(draw):
 _EARLIEST_NOT_FIRST = (6, [[("R", 0, 6 * NS_PER_SECOND + 5, "app", 3),
                             ("R", 100, 5 * NS_PER_SECOND + 7, "x", 3)]])
 _CROSSES_A_SECOND = (3, [[("R", 0, NS_PER_SECOND - _STEP["R"], "app", 3)]])
+# One long entry whose units cross PLAIN_NS into their second, 600 units
+# before it (a chunk ends there) or 100 (too few: the chunk runs on
+# past it, its units padded).
+_CROSSES_THE_PLAIN_MARK = (5000, [[("R", 0, 5 * NS_PER_SECOND + PLAIN_NS
+                                    - 600 * _STEP["R"], "app", 5000)]])
+_FEW_BEFORE_THE_PLAIN_MARK = (5000, [[("R", 0, 5 * NS_PER_SECOND + PLAIN_NS
+                                       - 100 * _STEP["R"], "app", 5000)]])
+# Out of order: only a later entry is padded, and another starts 1 ns
+# before PLAIN_NS.  Then, out of order, an entry that crosses a second
+# other than the one after the chunk's first unit, so the chunk formats
+# each unit's second.
+_PADDED_LATER = (9, [[("R", 0, 6 * NS_PER_SECOND + 5 * PLAIN_NS, "app", 3),
+                      ("R", 100, 6 * NS_PER_SECOND + 7, "x", 3),
+                      ("W", 200, 6 * NS_PER_SECOND + PLAIN_NS - 1, "x", 3)]])
+_CROSSES_OUT_OF_ORDER = (4, [[("R", 0, 8 * NS_PER_SECOND, "app", 1),
+                              ("R", 10, 7 * NS_PER_SECOND - _STEP["R"], "x",
+                               3)]])
 
 
 @pytest.mark.parametrize("task_names", [True, False],
@@ -723,6 +744,10 @@ _CROSSES_A_SECOND = (3, [[("R", 0, NS_PER_SECOND - _STEP["R"], "app", 3)]])
 @given(case=_render_batches())
 @example(case=_EARLIEST_NOT_FIRST)
 @example(case=_CROSSES_A_SECOND)
+@example(case=_CROSSES_THE_PLAIN_MARK)
+@example(case=_FEW_BEFORE_THE_PLAIN_MARK)
+@example(case=_PADDED_LATER)
+@example(case=_CROSSES_OUT_OF_ORDER)
 def test_renderers_match_the_reference_lines(task_names, case):
     """render_temporal, write_temporal and format_events, byte for byte
     against the per-line renderer, on logs just short of, at and just
@@ -744,6 +769,10 @@ def test_renderers_match_the_reference_lines(task_names, case):
 @given(case=_render_batches())
 @example(case=_EARLIEST_NOT_FIRST)
 @example(case=_CROSSES_A_SECOND)
+@example(case=_CROSSES_THE_PLAIN_MARK)
+@example(case=_FEW_BEFORE_THE_PLAIN_MARK)
+@example(case=_PADDED_LATER)
+@example(case=_CROSSES_OUT_OF_ORDER)
 def test_plot_rows_match_the_reference_rows(task_names, case):
     """The plot files' rows, written from the log's columns, byte for
     byte against the per-event writer, on the renderers' logs."""
@@ -770,29 +799,66 @@ def _rendered_log(task_names, case):
 
 
 @settings(max_examples=20, deadline=None)
-@given(lines=st.lists(st.integers(TEMPORAL_CHUNK_LINES // 8,
-                                  TEMPORAL_CHUNK_LINES),
+@given(lines=st.lists(st.tuples(st.integers(TEMPORAL_CHUNK_LINES // 8,
+                                            TEMPORAL_CHUNK_LINES),
+                                st.floats(0, 1)),
                       min_size=1, max_size=8),
        first=st.integers(0, 1 << 20), seed=st.integers(0, 1 << 32))
 def test_no_chunk_spans_a_second_of_512_lines_or_more(lines, first, seed):
     """When each second of the log holds at least TEMPORAL_CHUNK_LINES
     // 8 lines (and at most a chunk), every chunk of the temporal log
-    falls within one second."""
+    falls within one second.  A second whose lines before PLAIN_NS and
+    from it both number at least TEMPORAL_CHUNK_LINES // 8 is two
+    chunks, split there; any other is one."""
     rng = random.Random(seed)
-    log = EventRing(sum(lines), with_tasks=False, steps={ord("R"): 1})
-    for second, count in enumerate(lines, first):
-        log.times.extend(sorted(second * NS_PER_SECOND
-                                + rng.randrange(NS_PER_SECOND)
-                                for _ in range(count)))
+    log = EventRing(sum(count for count, _ in lines), with_tasks=False,
+                    steps={ord("R"): 1})
+    sizes = []
+    for second, (count, share) in enumerate(lines, first):
+        padded = round(count * share)  # lines before PLAIN_NS
+        log.times.extend(sorted(second * NS_PER_SECOND + rng.randrange(
+            *((0, PLAIN_NS) if i < padded else (PLAIN_NS, NS_PER_SECOND)))
+            for i in range(count)))
+        split = min(padded, count - padded) >= TEMPORAL_CHUNK_LINES // 8
+        sizes += [padded, count - padded] if split else [count]
     log.units = len(log.times)  # one single-unit entry per line
     log.addresses.extend(range(log.units))
     log.counts.extend(repeat(1, log.units))
     log.kinds.extend(b"R" * log.units)
     chunks = list(log.text_chunks())
-    assert len(chunks) == len(lines)
+    assert [chunk.count(b"\n") for chunk in chunks] == sizes
     for chunk in chunks:
         assert len({line.partition(b".")[0]
                     for line in chunk.splitlines()}) == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(entries=st.lists(st.tuples(st.integers(1, 3 * TEMPORAL_CHUNK_LINES),
+                                  st.integers(0, NS_PER_SECOND)),
+                        min_size=1, max_size=6),
+       step=st.sampled_from((1, 130_000, 375_000, 2_000_000)))
+def test_no_entry_of_a_chunk_crosses_its_next_second(entries, step):
+    """In a log in time order, a chunk ends before the first unit of the
+    second after its first unit's also when fewer than
+    TEMPORAL_CHUNK_LINES // 8 units come before it, if that unit is
+    inside an entry: so no entry of a chunk has units on both sides of
+    that second, however long the entries."""
+    log = EventRing(1, with_tasks=False, steps={ord("R"): step})
+    time_ns = 0
+    for count, gap in entries:
+        log.times.append(time_ns + gap)
+        time_ns += gap + count * step
+    log.counts.extend(count for count, _ in entries)
+    log.units = sum(log.counts)
+    log.addresses.extend(repeat(0, len(entries)))
+    log.kinds.extend(b"R" * len(entries))
+    units = 0
+    for times, _, counts, _, _ in log.chunks():
+        units += sum(counts)
+        second = (times[0] // NS_PER_SECOND + 1) * NS_PER_SECOND
+        assert not [time for time, count in zip(times, counts)
+                    if time < second <= time + (count - 1) * step]
+    assert units == log.units
 
 
 def _monitor_with_a_log_of(entries):

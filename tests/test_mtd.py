@@ -367,7 +367,6 @@ class TestPartitions:
         assert part.block_limit == 6
         assert part.first_page == 2 * SMALL.pages_per_block
         assert part.page_count == 4 * SMALL.pages_per_block
-        assert part.page_limit == 6 * SMALL.pages_per_block
 
     def test_rejects_bad_bounds(self, dev):
         with pytest.raises(PartitionError):

@@ -17,8 +17,6 @@ class TestGeometry:
         assert (g.blocks_per_chip, g.pages_per_block, g.page_size) == \
             (2048, 64, 2048)
         assert g.total_pages == 2048 * 64
-        assert g.total_bytes == 2048 * 64 * 2048
-        assert g.block_bytes == 64 * 2048
 
     @pytest.mark.parametrize("kwargs", [
         {"blocks_per_chip": 0},
